@@ -8,7 +8,6 @@ oracle for discriminant forms.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -76,16 +75,13 @@ GAUSS_SUM_CAP = 10**6
 def gauss_sum(df: DiscriminantForm, cap: int = GAUSS_SUM_CAP) -> complex:
     """Sum of exp(pi*i*<gamma,gamma>) over the discriminant group.
 
-    By Milgram's formula this equals sqrt(|A|) * exp(2*pi*i*sig/8); the
-    full-group evaluation here is kept independent so it can serve as an
-    oracle for both the discriminant form and the Weil matrices.
+    Evaluated as the sum of e(qn/N) over the form's integer encoding.  It is
+    checked by Milgram's formula, sqrt(|A|) * exp(2*pi*i*sig/8) with sig from
+    `signature`, and by the `Fraction` oracle test of the encoding.
     """
     if df.cardinality > cap:
         raise TooLarge(f"group of order {df.cardinality} exceeds cap {cap}")
-    total = 0j
-    for exps in df.elements():
-        total += cmath.exp(1j * cmath.pi * df.q(exps))
-    return total
+    return complex(np.exp((2j * np.pi / df.level) * df.qn).sum())
 
 
 def jacobi_bruteforce(a: int, b: int) -> int:

@@ -16,7 +16,7 @@ from . import nl as nlmod
 from . import rank as rankmod
 from .cuspdim import dim_cusp_df, picard_rank_via_cusp
 from .errors import NLRankError, TooLarge
-from .lattices import catalog, discriminant_form, signature
+from .lattices import CATALOG_NAMES, catalog, discriminant_form, signature
 from .weil import build_weil_rep, group_cap, verify_relations
 
 USAGE_EXIT = 2
@@ -30,6 +30,8 @@ def _lattice_from_args(args):
 def _cmd_rank(args, out) -> int:
     if args.g_from < 2 or args.g_from > args.g_to:
         raise _Usage(f"need 2 <= --from <= --to, got ({args.g_from}, {args.g_to})")
+    if args.jobs < 1:
+        raise _Usage(f"need --jobs >= 1, got {args.jobs}")
     reports = rankmod.rank_table(args.g_from, args.g_to, jobs=args.jobs)
     if args.format == "csv":
         out.write(rankmod.table_to_csv(reports))
@@ -91,7 +93,10 @@ def _cmd_weil(args, out) -> int:
 
 
 def _parse_weight(text: str) -> Fraction:
-    return Fraction(text)
+    weight = Fraction(text)
+    if weight.denominator not in (1, 2):
+        raise argparse.ArgumentTypeError(f"weight must be half-integral, got {text}")
+    return weight
 
 
 def _cmd_dim(args, out) -> int:
@@ -112,6 +117,8 @@ def _cmd_dim(args, out) -> int:
 
 
 def _cmd_nl(args, out) -> int:
+    if args.dmax < 0 or args.hmax < 0:
+        raise _Usage(f"need --dmax, --hmax >= 0, got ({args.dmax}, {args.hmax})")
     labels = nlmod.enumerate_nl(args.g, args.dmax, args.hmax)
     if args.format == "csv":
         out.write(nlmod.labels_to_csv(labels))
@@ -173,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="lattice inspection")
     psub = p.add_subparsers(dest="subverb", required=True)
     pi = psub.add_parser("info")
-    pi.add_argument("--name", required=True)
+    pi.add_argument("--name", required=True, choices=CATALOG_NAMES)
     pi.add_argument("--g", type=int)
     pi.add_argument("--N", type=int)
     add_format(pi, choices=("json", "pretty"))
@@ -182,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weil", help="Weil representation checks")
     psub = p.add_subparsers(dest="subverb", required=True)
     pv = psub.add_parser("verify")
-    pv.add_argument("--name", required=True)
+    pv.add_argument("--name", required=True, choices=CATALOG_NAMES)
     pv.add_argument("--g", type=int)
     pv.add_argument("--N", type=int)
     pv.add_argument("--tol", type=float, default=1e-9)

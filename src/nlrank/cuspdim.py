@@ -4,8 +4,9 @@ The dimension of S_{k,M} for half-integral k > 2 comes from Riemann-Roch
 on the modular curve: a main term d*(k+5)/12 on the plus/minus eigenspace
 rank, elliptic corrections at the order-4 and order-6 points expressed
 through quadratic Gauss sums of the discriminant form, and a parabolic
-correction from the T-eigenvalues.  All inputs are exact rationals; the
-only floating point is the final evaluation, snapped back to an integer.
+correction from the T-eigenvalues.  All are sums over the discriminant
+form's integer encoding: exact ones except the Gauss sums, which are float
+sums of cos/sin over one phase array; the value is snapped to an integer.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     BadSignature,
     HypothesisNotAsserted,
@@ -25,10 +28,6 @@ from .errors import (
 from .lattices import DiscriminantForm, Lattice, discriminant_form, signature
 
 SNAP_TOL = 1e-6
-
-
-def _frac1(x: Fraction) -> Fraction:
-    return x - x.__floor__()
 
 
 @dataclass(frozen=True)
@@ -77,35 +76,25 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     eps = 1 if symm else -1
 
     d = df.cardinality
+    n = df.level
     sqrt_d = math.sqrt(d)
     sig = df.sig_mod_8
 
-    # walk the group once: orbit structure under gamma -> -gamma, the
-    # parabolic term, isotropic counts, and the three Gauss sums
-    rank_pm = 0
-    alpha_t = Fraction(0)
-    n_iso = 0
-    g1 = 0j
-    g2 = 0j
-    g3 = 0j
-    for exps in df.elements():
-        qt = _frac1(df.q(exps) / 2)  # q(gamma)/2 in Q/Z
-        phase = 2 * cmath.pi * float(qt)
-        g1 += cmath.exp(1j * phase)
-        g2 += cmath.exp(2j * phase)
-        g3 += cmath.exp(-3j * phase)
-        neg = df.neg(exps)
-        order_two = neg == exps
-        if neg < exps:
-            continue  # one representative per pair {gamma, -gamma}
-        if order_two and not symm:
-            continue  # order-two classes only carry symmetric forms
-        rank_pm += 1
-        alpha_t += _frac1(-qt)
-        n_iso += qt == 0
+    # one representative of each pair {gamma, -gamma}: as q(-gamma) = q(gamma),
+    # that is half the full-group sum, plus or minus half the sum over the
+    # elements with 2*gamma = 0 (those only carry symmetric forms)
+    qn = df.qn  # n * q(gamma)/2 mod n
+    two = np.flatnonzero(df.neg_index == np.arange(d))
+    rank_pm = (d + eps * len(two)) // 2
+    alpha_t = Fraction(int((-qn % n).sum()) + eps * int((-qn[two] % n).sum()), 2 * n)
+    n_iso = int(np.count_nonzero(qn == 0) + eps * np.count_nonzero(qn[two] == 0)) // 2
+
+    phase = (2 * math.pi / n) * qn
+    g1 = complex(np.cos(phase).sum(), np.sin(phase).sum())
+    g2_part = float((np.cos if symm else np.sin)(2 * phase).sum())
+    g3 = complex(np.cos(3 * phase).sum(), -np.sin(3 * phase).sum())
 
     main = rank_pm * (k + 5) / 12
-    g2_part = g2.real if symm else g2.imag
     e4 = cmath.exp(1j * cmath.pi * (two_k + sig + 1 - eps) / 4)
     term_e4 = (e4 * g2_part).real / (4 * sqrt_d)
     e6 = cmath.exp(1j * cmath.pi * (3 * sig + 2 * two_k - 10) / 12)

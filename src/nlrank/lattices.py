@@ -12,7 +12,10 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import lcm, prod
+
+import numpy as np
 
 from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric
 
@@ -170,11 +173,12 @@ def lambda_lattice(g: int) -> Lattice:
     return direct_sum(w, u, u, e8(True), e8(True), name=f"Lambda_{g}")
 
 
+CATALOG_NAMES = ("U", "U(N)", "E8", "minusE8", "K3", "Lambda_g")
+
+
 def catalog(name: str, *, g: int | None = None, scale: int | None = None) -> Lattice:
-    """Named lattices: U, U(N), E8, minusE8, K3, Lambda_g."""
-    if name == "U":
-        return hyperbolic(1 if scale is None else scale)
-    if name == "U(N)":
+    """Named lattices, one per entry of CATALOG_NAMES."""
+    if name in ("U", "U(N)"):
         return hyperbolic(1 if scale is None else scale)
     if name == "E8":
         return e8(False)
@@ -302,14 +306,6 @@ def smith_normal_form(rows: Gram):
     return [a[i][i] for i in range(n)], u, v
 
 
-def _mod2(x: Fraction) -> Fraction:
-    return x - 2 * (x / 2).__floor__()
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - x.__floor__()
-
-
 @dataclass(frozen=True)
 class DiscriminantForm:
     """The finite quadratic module (A, q, b) of an even lattice.
@@ -317,6 +313,10 @@ class DiscriminantForm:
     A = M^dual / M with q valued in Q/2Z (stored in [0,2)) and pairing b
     in Q/Z (stored in [0,1)).  Elements are exponent tuples against the
     stored generators, which are rational vectors in the lattice basis.
+
+    The int64 arrays `exponents`, `qn`, `neg_index` and `bn()` encode
+    (A, q, b) over the common denominator N = level, indexed in elements()
+    order; the exact q() and b() are their test oracle.
     """
 
     orders: tuple[int, ...]
@@ -335,19 +335,6 @@ class DiscriminantForm:
         """All group elements as exponent tuples, lexicographic order."""
         return itertools.product(*(range(d) for d in self.orders))
 
-    def neg(self, exps):
-        return tuple((-e) % d for e, d in zip(exps, self.orders))
-
-    def vector(self, exps) -> tuple[Fraction, ...]:
-        """Coordinates in the lattice basis of a representative in M^dual."""
-        nvars = len(self.generators[0]) if self.generators else 0
-        out = [Fraction(0)] * nvars
-        for e, gen in zip(exps, self.generators):
-            if e:
-                for i, c in enumerate(gen):
-                    out[i] += e * c
-        return tuple(out)
-
     def q(self, exps) -> Fraction:
         """q(gamma) = <gamma, gamma> mod 2, in [0, 2)."""
         total = Fraction(0)
@@ -358,7 +345,7 @@ class DiscriminantForm:
                 for j in range(i + 1, len(exps)):
                     if exps[j]:
                         total += 2 * ei * exps[j] * row[j]
-        return _mod2(total)
+        return total % 2
 
     def b(self, e1, e2) -> Fraction:
         """b(gamma, delta) = <gamma, delta> mod 1, in [0, 1)."""
@@ -369,7 +356,45 @@ class DiscriminantForm:
                 for j, y in enumerate(e2):
                     if y:
                         total += x * y * row[j]
-        return _mod1(total)
+        return total % 1
+
+    # products below are of entries reduced mod N, so sums stay under
+    # ngens * N^2: inside int64 for any group that fits in memory
+    @cached_property
+    def _upper(self) -> np.ndarray:
+        """N*q(g_i)/2 on the diagonal and N*b(g_i, g_j) above it, mod N."""
+        n, u = self.level, np.zeros((self.ngens, self.ngens), dtype=np.int64)
+        for i, row in enumerate(self.gen_pairing):
+            for j in range(i, self.ngens):
+                x = row[j] * n / (2 if j == i else 1)
+                if x.denominator != 1:
+                    raise ValueError(f"level {n} is not a common denominator of {row[j]}")
+                u[i, j] = x.numerator % n
+        return u
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """(|A|, ngens) array whose row i is the i-th tuple of elements()."""
+        grid = np.indices(self.orders, dtype=np.int64)
+        return grid.reshape(self.ngens, self.cardinality).T
+
+    @cached_property
+    def qn(self) -> np.ndarray:
+        """N*q(gamma)/2 mod N for every element, N the level."""
+        e = self.exponents
+        return (e @ self._upper % self.level * e).sum(axis=1) % self.level
+
+    @cached_property
+    def neg_index(self) -> np.ndarray:
+        """Index of -gamma for every element gamma."""
+        index = np.arange(self.cardinality, dtype=np.int64).reshape(self.orders)
+        neg = np.ix_(*(-np.arange(d) % d for d in self.orders))
+        return index[neg].ravel()
+
+    def bn(self) -> np.ndarray:
+        """N*b(gamma, delta) mod N for every pair; |A|^2 entries, so not cached."""
+        n, e = self.level, self.exponents
+        return e @ ((self._upper + self._upper.T) % n) % n @ e.T % n
 
 
 def discriminant_form(lat: Lattice) -> DiscriminantForm:
@@ -390,9 +415,6 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     pairing = tuple(
         tuple(lat.inner(gi, gj) for gj in gens) for gi in gens
     )
-    card = 1
-    for d in orders:
-        card *= d
     sig = signature(lat)
     level = 1
     for i in range(len(gens)):
@@ -402,7 +424,7 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     return DiscriminantForm(
         orders=tuple(orders),
         generators=tuple(gens),
-        cardinality=card,
+        cardinality=prod(orders),
         level=level,
         sig_mod_8=(sig.positive - sig.negative) % 8,
         gen_pairing=pairing,

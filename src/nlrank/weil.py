@@ -28,14 +28,9 @@ def group_cap() -> int:
     return int(os.environ.get("NLRANK_MAX_GROUP", DEFAULT_GROUP_CAP))
 
 
-def _e(x: Fraction | float) -> complex:
-    return cmath.exp(2j * cmath.pi * float(x))
-
-
 @dataclass(frozen=True)
 class WeilRep:
     df: DiscriminantForm
-    basis: tuple[tuple[int, ...], ...]
     rhoT: np.ndarray
     rhoS: np.ndarray
     rhoZ: np.ndarray
@@ -68,24 +63,20 @@ def build_weil_rep(df: DiscriminantForm, cap: int | None = None) -> WeilRep:
 
     rhoT is diagonal with entries exp(pi*i*q(gamma)); rhoS has entries
     exp(-2*pi*i*sig/8)/sqrt(|A|) * exp(-2*pi*i*b(gamma,delta)) where sig
-    is the lattice signature mod 8.  Basis order is lexicographic in
-    generator exponents.
+    is the lattice signature mod 8, both read off the form's integer
+    encoding (`qn`, `bn()`).  Basis order is that of the form's `elements()`.
     """
     if cap is None:
         cap = group_cap()
     d = df.cardinality
     if d > cap:
         raise TooLarge(f"group of order {d} exceeds cap {cap}")
-    basis = tuple(df.elements())
-    rho_t = np.diag([cmath.exp(1j * cmath.pi * float(df.q(g))) for g in basis])
-    phase = _e(Fraction(-df.sig_mod_8, 8)) / math.sqrt(d)
-    rho_s = np.empty((d, d), dtype=complex)
-    for i, gi in enumerate(basis):
-        for j in range(i, len(basis)):
-            z = phase * _e(-df.b(gi, basis[j]))
-            rho_s[i, j] = z
-            rho_s[j, i] = z
-    return WeilRep(df=df, basis=basis, rhoT=rho_t, rhoS=rho_s, rhoZ=rho_s @ rho_s)
+    n = df.level
+    rho_t = np.diag(np.exp((2j * np.pi / n) * df.qn))
+    phase = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(d)
+    # rhoS entry for each value n*b(gamma, delta) mod n, looked up by bn
+    rho_s = (phase * np.exp((-2j * np.pi / n) * np.arange(n)))[df.bn()]
+    return WeilRep(df=df, rhoT=rho_t, rhoS=rho_s, rhoZ=rho_s @ rho_s)
 
 
 def weil_rep_of(lat: Lattice, cap: int | None = None) -> WeilRep:
@@ -121,15 +112,11 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
     err_st3 = _max_abs(np.linalg.matrix_power(st, 3) - w.rhoZ)
     err_tn = _max_abs(np.linalg.matrix_power(w.rhoT, w.level) - eye)
     err_unitary = _max_abs(w.rhoS @ w.rhoS.conj().T - eye)
-    index = {g: i for i, g in enumerate(w.basis)}
-    err_swap = 0.0
-    for i, g in enumerate(w.basis):
-        j = index[w.df.neg(g)]
-        col = np.abs(w.rhoZ[:, i])
-        off = col.copy()
-        off[j] = 0.0
-        err_swap = max(err_swap, float(np.max(off)) if d > 1 else 0.0)
-        err_swap = max(err_swap, abs(col[j] - 1.0))
+    z = np.abs(w.rhoZ)
+    neg, cols = w.df.neg_index, np.arange(d)
+    err_swap = float(np.max(np.abs(z[neg, cols] - 1.0)))
+    z[neg, cols] = 0.0
+    err_swap = max(err_swap, float(np.max(z)))
     passed = all(
         e < tol for e in (err_s2z, err_st3, err_tn, err_unitary, err_swap)
     )
@@ -161,18 +148,13 @@ def traces(w: WeilRep, snap_tol: float = 1e-6) -> TraceReport:
     unity (N = level); entries further than snap_tol raise SnapFailure.
     """
     n = w.level
-    mult: dict[Fraction, int] = {}
-    for i in range(w.dimension):
-        z = w.rhoT[i, i]
-        angle = cmath.phase(z) / (2 * math.pi)
-        k = round(angle * n) % n
-        root = _e(Fraction(k, n))
-        if abs(z - root) > snap_tol:
-            raise SnapFailure(
-                f"rhoT diagonal entry {z} is not an {n}-th root of unity"
-            )
-        key = Fraction(k, n)
-        mult[key] = mult.get(key, 0) + 1
+    z = np.diag(w.rhoT)
+    k = np.rint(np.angle(z) / (2 * math.pi) * n).astype(np.int64) % n
+    off = np.abs(z - np.exp((2j * np.pi / n) * k)) > snap_tol
+    if off.any():
+        raise SnapFailure(f"rhoT entry {z[off][0]} is not an {n}-th root of unity")
+    keys, counts = np.unique(k, return_counts=True)
+    mult = {Fraction(int(r), n): int(c) for r, c in zip(keys, counts)}
     tr_t = complex(np.trace(w.rhoT))
     tr_s = complex(np.trace(w.rhoS))
     tr_st = complex(np.trace(w.rhoS @ w.rhoT))

@@ -34,6 +34,40 @@ def test_unknown_flag_is_usage_error():
     assert code == 2
 
 
+def test_rank_nonpositive_jobs_is_usage_error():
+    for jobs in ("0", "-3"):
+        code, out, err = run(["rank", "--from", "2", "--to", "3", "--jobs", jobs])
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
+
+def test_unknown_catalog_name_is_usage_error():
+    for verb in (["lattice", "info"], ["weil", "verify"]):
+        code, out, _ = run([*verb, "--name", "foo"])
+        assert code == 2
+        assert out == ""
+
+
+def test_negative_nl_bounds_are_usage_errors():
+    for flag in ("--dmax", "--hmax"):
+        argv = ["nl", "--g", "2", "--dmax", "1", "--hmax", "1"]
+        argv[argv.index(flag) + 1] = "-1"
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == ""
+        assert "usage" in err
+
+
+def test_non_half_integral_weight_is_usage_error():
+    code, out, _ = run(["dim", "--g", "2", "--weight", "1/3"])
+    assert code == 2
+    assert out == ""
+    code, out, _ = run(["dim", "--g", "2", "--weight", "23/2"])
+    assert code == 0
+    assert "k=23/2" in out
+
+
 def test_nl_csv():
     code, out, _ = run(["nl", "--g", "2", "--dmax", "1", "--hmax", "0", "--format", "csv"])
     assert code == 0

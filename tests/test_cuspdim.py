@@ -85,6 +85,11 @@ def test_cross_pipeline_identity():
         assert closed == via_cusp, g
 
 
+@pytest.mark.parametrize("g", [10**4, 3 * 10**4, 10**5])
+def test_cross_pipeline_identity_large_genus(g):
+    assert picard_rank_via_cusp(lambda_lattice(g)) == picard_rank(g).rank
+
+
 def test_stable_under_generator_reordering():
     # same finite quadratic module presented with permuted/rescaled
     # generators must give the same dimension
