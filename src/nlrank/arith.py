@@ -2,7 +2,8 @@
 
 Jacobi symbols are computed by reciprocity (no factorization); the
 fractional-part sum and the square count are the two combinatorial terms
-of the closed-form rank, and the Gauss sum is a floating-point Milgram
+of the closed-form rank (an O(g) chunked int64 sum and a closed form from
+the factorization of 4g-4), and the Gauss sum is a floating-point Milgram
 oracle for discriminant forms.
 """
 
@@ -41,32 +42,53 @@ def jacobi(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
-# int64 is exact for the sums below as long as k^2 and the running total fit
-_NUMPY_LIMIT = 10**6
+# k*k is exact in int64 for k <= g-1 while (g-1)^2 < 2^63
+FRAC_SUM_MAX_GENUS = 3_037_000_500
+_CHUNK = 1 << 16
+
+
+def check_frac_sum_genus(g: int) -> None:
+    """Raise TooLarge when frac_square_sum(g) would overflow int64."""
+    if g > FRAC_SUM_MAX_GENUS:
+        raise TooLarge(
+            f"genus {g} exceeds {FRAC_SUM_MAX_GENUS}, the largest with fracsum exact in int64"
+        )
 
 
 def frac_square_sum(g: int) -> Fraction:
-    """Sum over 0 <= k <= g-1 of the fractional part of k^2/(4g-4)."""
+    """Sum over 0 <= k <= g-1 of the fractional part of k^2/(4g-4).
+
+    Numerators k^2 mod 4g-4 are summed in int64 over chunks of at most
+    2^16 values of k, so memory stays bounded whatever g is.
+    """
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
+    check_frac_sum_genus(g)
     m = 4 * g - 4
-    if g <= _NUMPY_LIMIT:
-        k = np.arange(g, dtype=np.int64)
-        total = int(np.sum(k * k % m))
-    else:
-        total = sum(k * k % m for k in range(g))
+    total = 0
+    for start in range(0, g, _CHUNK):
+        k = np.arange(start, min(start + _CHUNK, g), dtype=np.int64)
+        total += int(np.sum(k * k % m))
     return Fraction(total, m)
 
 
 def square_count(g: int) -> int:
-    """Count of 0 <= k <= g-1 with k^2 divisible by 4g-4."""
+    """Count of 0 <= k <= g-1 with k^2 divisible by m = 4g-4.
+
+    m | k^2 exactly when r | k, for r = prod p^ceil(e/2) over m = prod p^e
+    (the least r with m | r^2), so the count is floor((g-1)/r) + 1.  r comes
+    from trial division of m.
+    """
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
-    m = 4 * g - 4
-    if g <= _NUMPY_LIMIT:
-        k = np.arange(g, dtype=np.int64)
-        return int(np.count_nonzero(k * k % m == 0))
-    return sum(1 for k in range(g) if k * k % m == 0)
+    m, r, p = 4 * g - 4, 1, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        r *= p ** ((e + 1) // 2)
+        p += 2 if p > 2 else 1
+    return (g - 1) // (r * m) + 1  # the cofactor m left is 1 or a prime
 
 
 GAUSS_SUM_CAP = 10**6
@@ -82,28 +104,3 @@ def gauss_sum(df: DiscriminantForm, cap: int = GAUSS_SUM_CAP) -> complex:
     if df.cardinality > cap:
         raise TooLarge(f"group of order {df.cardinality} exceeds cap {cap}")
     return complex(np.exp((2j * np.pi / df.level) * df.qn).sum())
-
-
-def jacobi_bruteforce(a: int, b: int) -> int:
-    """Factorization-based oracle for the Jacobi symbol (independent route).
-
-    Legendre symbols per odd prime factor via Euler's criterion; no
-    reciprocity anywhere.
-    """
-    if b <= 0 or b % 2 == 0:
-        raise ValueError("oracle needs odd positive b")
-    result = 1
-    p = 3
-    while b > 1:
-        while p * p <= b and b % p:
-            p += 2
-        q = p if p * p <= b else b
-        while b % q == 0:
-            b //= q
-            if a % q == 0:
-                result = 0
-            else:
-                euler = pow(a % q, (q - 1) // 2, q)
-                if euler == q - 1:
-                    result = -result
-    return result

@@ -32,7 +32,7 @@ def _cmd_rank(args, out) -> int:
         raise _Usage(f"need 2 <= --from <= --to, got ({args.g_from}, {args.g_to})")
     if args.jobs < 1:
         raise _Usage(f"need --jobs >= 1, got {args.jobs}")
-    reports = rankmod.rank_table(args.g_from, args.g_to, jobs=args.jobs)
+    reports = rankmod.rank_table(args.g_from, args.g_to)
     if args.format == "csv":
         out.write(rankmod.table_to_csv(reports))
     elif args.format == "json":
@@ -173,7 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="closed-form rank table")
     p.add_argument("--from", dest="g_from", type=int, required=True)
     p.add_argument("--to", dest="g_to", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="kept for compatibility (must be >= 1); rows are computed serially",
+    )
     add_format(p)
     p.set_defaults(func=_cmd_rank)
 

@@ -56,6 +56,10 @@ class HypothesisNotAsserted(NLRankError):
     pass
 
 
+class BadGroupCap(NLRankError):
+    pass
+
+
 # Noether-Lefschetz labels
 class NegativeDiscriminant(NLRankError):
     pass

@@ -207,7 +207,9 @@ def signature(lat: Lattice) -> Signature:
                 a[t], a[swap] = a[swap], a[t]
             else:
                 # all remaining diagonal entries vanish; grab an off-diagonal
-                j = next(j for j in range(t + 1, n) if a[t][j] != 0)
+                j = next((j for j in range(t + 1, n) if a[t][j] != 0), None)
+                if j is None:
+                    raise Degenerate("Gram matrix is singular")
                 for r in range(n):
                     a[r][t] += a[r][j]
                 for c in range(n):

@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import frac_square_sum, jacobi, square_count
+from .arith import check_frac_sum_genus, frac_square_sum, jacobi, square_count
 from .errors import BadGenus, BadRange, NonIntegerResult
 
 CSV_COLUMNS = ["g", "alpha", "beta", "fracsum_num", "fracsum_den", "sqcount", "rank"]
@@ -88,18 +87,15 @@ def picard_rank(g: int) -> RankReport:
     return RankReport(g=g, alpha=a, beta=b, fracsum=fs, sqcount=sc, rank=int(value))
 
 
-def rank_table(g_lo: int, g_hi: int, jobs: int = 1) -> list[RankReport]:
+def rank_table(g_lo: int, g_hi: int) -> list[RankReport]:
     """Rank reports for g_lo..g_hi inclusive, in genus order.
 
-    Evaluation may run on a thread pool; assembly order is deterministic.
+    A g_hi above the int64 bound of `frac_square_sum` fails before any row.
     """
     if g_lo < 2 or g_lo > g_hi:
         raise BadRange(f"need 2 <= g_lo <= g_hi, got ({g_lo}, {g_hi})")
-    genera = range(g_lo, g_hi + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(picard_rank, genera))
-    return [picard_rank(g) for g in genera]
+    check_frac_sum_genus(g_hi)
+    return [picard_rank(g) for g in range(g_lo, g_hi + 1)]
 
 
 def table_to_csv(reports) -> str:

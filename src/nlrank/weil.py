@@ -18,14 +18,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SnapFailure, TooLarge
+from .errors import BadGroupCap, SnapFailure, TooLarge
 from .lattices import DiscriminantForm, Lattice, discriminant_form
 
 DEFAULT_GROUP_CAP = 4096
 
 
 def group_cap() -> int:
-    return int(os.environ.get("NLRANK_MAX_GROUP", DEFAULT_GROUP_CAP))
+    """NLRANK_MAX_GROUP if set, which must be a positive integer, else the default."""
+    text = os.environ.get("NLRANK_MAX_GROUP")
+    if text is None:
+        return DEFAULT_GROUP_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadGroupCap(f"NLRANK_MAX_GROUP must be a positive integer, got {text!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,10 @@ def build_weil_rep(df: DiscriminantForm, cap: int | None = None) -> WeilRep:
     rhoT is diagonal with entries exp(pi*i*q(gamma)); rhoS has entries
     exp(-2*pi*i*sig/8)/sqrt(|A|) * exp(-2*pi*i*b(gamma,delta)) where sig
     is the lattice signature mod 8, both read off the form's integer
-    encoding (`qn`, `bn()`).  Basis order is that of the form's `elements()`.
+    encoding (`qn`, `bn()`).  rhoZ sends e_gamma to exp(-2*pi*i*sig/4) *
+    e_{-gamma} (`neg_index`), built from that definition rather than as
+    rhoS^2, so that `verify_relations` can compare the two.  Basis order is
+    that of the form's `elements()`.
     """
     if cap is None:
         cap = group_cap()
@@ -76,7 +89,9 @@ def build_weil_rep(df: DiscriminantForm, cap: int | None = None) -> WeilRep:
     phase = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(d)
     # rhoS entry for each value n*b(gamma, delta) mod n, looked up by bn
     rho_s = (phase * np.exp((-2j * np.pi / n) * np.arange(n)))[df.bn()]
-    return WeilRep(df=df, rhoT=rho_t, rhoS=rho_s, rhoZ=rho_s @ rho_s)
+    rho_z = np.zeros((d, d), dtype=complex)
+    rho_z[df.neg_index, np.arange(d)] = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4)
+    return WeilRep(df=df, rhoT=rho_t, rhoS=rho_s, rhoZ=rho_z)
 
 
 def weil_rep_of(lat: Lattice, cap: int | None = None) -> WeilRep:
@@ -101,22 +116,26 @@ class RelationReport:
 def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
     """Check the Mp2(Z) presentation on the constructed matrices.
 
-    S^2 = Z, (ST)^3 = S^2, T^N = 1 for N the level, S unitary, and Z
+    S^2 = Z, (ST)^3 = S^2, T^N = 1 for N the level, S unitary, and S^2
     permutes e_gamma to a scalar multiple of e_{-gamma}.  Reports errors,
     never raises.
     """
     d = w.dimension
     eye = np.eye(d)
-    err_s2z = _max_abs(w.rhoS @ w.rhoS - w.rhoZ)
-    st = w.rhoS @ w.rhoT
-    err_st3 = _max_abs(np.linalg.matrix_power(st, 3) - w.rhoZ)
-    err_tn = _max_abs(np.linalg.matrix_power(w.rhoT, w.level) - eye)
-    err_unitary = _max_abs(w.rhoS @ w.rhoS.conj().T - eye)
-    z = np.abs(w.rhoZ)
+    st3 = np.linalg.matrix_power(w.rhoS @ w.rhoT, 3)
+    s2 = w.rhoS @ w.rhoS
+    err_st3 = _max_abs(st3 - s2)
+    err_s2z = _max_abs(s2 - w.rhoZ)
+    z = np.abs(s2)
+    # drop the d x d products before the next ones, so at most three coexist
+    del st3, s2
     neg, cols = w.df.neg_index, np.arange(d)
     err_swap = float(np.max(np.abs(z[neg, cols] - 1.0)))
     z[neg, cols] = 0.0
     err_swap = max(err_swap, float(np.max(z)))
+    del z
+    err_tn = _max_abs(np.linalg.matrix_power(w.rhoT, w.level) - eye)
+    err_unitary = _max_abs(w.rhoS @ w.rhoS.conj().T - eye)
     passed = all(
         e < tol for e in (err_s2z, err_st3, err_tn, err_unitary, err_swap)
     )

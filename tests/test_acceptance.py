@@ -25,10 +25,10 @@ from nlrank import (
     verify_relations,
     weil_rep_of,
 )
-from nlrank.arith import jacobi_bruteforce
 from nlrank.errors import NegativeDiscriminant
 
 from conftest import corpus_lattices
+from oracles import jacobi_bruteforce
 
 
 def _report(criterion, ok, detail=""):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlrank import discriminant_form, frac_square_sum, gauss_sum, jacobi, square_count
-from nlrank.arith import jacobi_bruteforce
+from nlrank.arith import FRAC_SUM_MAX_GENUS
 from nlrank.errors import BadGenus, EvenDenominator, NonpositiveDenominator, TooLarge
 from nlrank.lattices import make_lattice
+
+from oracles import frac_square_sum_numerator, jacobi_bruteforce, square_count_bruteforce
 
 
 def test_jacobi_trivial_denominator():
@@ -78,6 +81,36 @@ def test_square_count_small():
 def test_square_count_bound():
     for g in range(2, 200):
         assert 1 <= square_count(g) <= g
+
+
+def _large_genera():
+    """Seeded genera in [10^5, 3*10^6], and some with g-1 = t^2 or 36 t^2."""
+    rng = random.Random(20261018)
+    genera = [rng.randrange(10**5, 3 * 10**6) for _ in range(8)]
+    genera += [t * t + 1 for t in (317, 1000, 1024, 1732)]
+    genera += [36 * t * t + 1 for t in (53, 200, 288)]
+    return genera
+
+
+def test_square_count_against_brute_force():
+    for g in range(2, 5001):
+        assert square_count(g) == square_count_bruteforce(g), g
+    for g in _large_genera():
+        assert square_count(g) == square_count_bruteforce(g), g
+
+
+@pytest.mark.parametrize(
+    "g", [2**16, 2**16 + 1, 2 * 2**16 + 1, 10**6, 10**6 + 1, 2 * 10**6]
+)
+def test_frac_square_sum_against_python_sum(g):
+    assert frac_square_sum(g) == Fraction(frac_square_sum_numerator(g), 4 * g - 4)
+
+
+def test_frac_square_sum_int64_bound():
+    # the largest k is g-1, and k*k must stay below 2^63
+    assert (FRAC_SUM_MAX_GENUS - 1) ** 2 < 2**63 <= FRAC_SUM_MAX_GENUS**2
+    with pytest.raises(TooLarge):
+        frac_square_sum(FRAC_SUM_MAX_GENUS + 1)
 
 
 def test_bad_genus():

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from nlrank.cli import dispatch
 
 
@@ -40,6 +42,31 @@ def test_rank_nonpositive_jobs_is_usage_error():
         assert code == 2
         assert out == ""
         assert "--jobs" in err
+
+
+def test_rank_above_int64_bound_is_domain_error():
+    code, out, err = run(["rank", "--from", "3037000501", "--to", "3037000501"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
+def test_bad_group_cap_is_domain_error(monkeypatch, value):
+    monkeypatch.setenv("NLRANK_MAX_GROUP", value)
+    for argv in (["weil", "verify", "--name", "U"], ["dim", "--g", "2"]):
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "NLRANK_MAX_GROUP" in err
+
+
+def test_group_cap_from_environment(monkeypatch):
+    monkeypatch.setenv("NLRANK_MAX_GROUP", "1")
+    assert run(["weil", "verify", "--name", "U"])[0] == 0
+    code, _, err = run(["weil", "verify", "--name", "U(N)", "--N", "2"])
+    assert code == 1
+    assert "exceeds cap 1" in err
 
 
 def test_unknown_catalog_name_is_usage_error():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlrank import (
+    build_weil_rep,
     dim_cusp_df,
     direct_sum,
     discriminant_form,
@@ -24,6 +25,7 @@ from nlrank import (
     hyperbolic,
     k3_lattice,
     make_lattice,
+    verify_relations,
 )
 from nlrank.lattices import DiscriminantForm
 
@@ -196,3 +198,23 @@ def test_kernel_matches_reference_on_random_forms(pieces, data):
     assert np.array_equal(df.bn(), df.bn().T)
     milgram = math.sqrt(d) * cmath.exp(2j * cmath.pi * df.sig_mod_8 / 8)
     assert abs(gauss_sum(df) - milgram) < 1e-9
+
+
+def test_rho_z_is_the_negation_permutation(corpus):
+    """rhoZ e_gamma = e(-sig/4) e_{-gamma}, from the Fraction reference, and S^2 = Z."""
+    forms = dict(NON_CYCLIC)
+    for name, lat in corpus.items():
+        if discriminant_form(lat).ngens > 1:
+            forms[name] = lat
+    assert len(forms) > len(NON_CYCLIC)
+    for name, lat in forms.items():
+        df = discriminant_form(lat)
+        elems = list(df.elements())
+        index = {e: i for i, e in enumerate(elems)}
+        expected = np.zeros((len(elems), len(elems)), dtype=complex)
+        for j, e in enumerate(elems):
+            neg = tuple(-x % o for x, o in zip(e, df.orders))
+            expected[index[neg], j] = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4)
+        w = build_weil_rep(df)
+        assert np.max(np.abs(w.rhoZ - expected)) < 1e-15, name
+        assert verify_relations(w).maxErrS2Z < 1e-12, name

@@ -96,6 +96,13 @@ def test_signature_lambda_3():
     assert signature(lambda_lattice(3)) == Signature(2, 19)
 
 
+def test_signature_of_degenerate_lattice_raises_degenerate():
+    # Lattice(...) skips make_lattice's validation, so signature sees these
+    for gram in (((0, 0), (0, 0)), ((2, 2), (2, 2)), ((0, 1, 0), (1, 0, 0), (0, 0, 0))):
+        with pytest.raises(Degenerate):
+            signature(Lattice(gram))
+
+
 def test_smith_normal_form_transforms():
     gram = lambda_lattice(5).gram
     divisors, u, v = smith_normal_form(gram)

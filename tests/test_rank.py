@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlrank import alpha, beta, jacobi, picard_rank, rank_table
-from nlrank.errors import BadGenus, BadRange
+from nlrank import rank as rankmod
+from nlrank.arith import FRAC_SUM_MAX_GENUS
+from nlrank.errors import BadGenus, BadRange, TooLarge
 from nlrank.rank import table_to_csv
 
 
@@ -73,10 +75,13 @@ def test_rank_table():
     assert rank_table(2, 2)[0].rank == 2
 
 
-def test_rank_table_parallel_matches_serial():
-    serial = rank_table(2, 40)
-    parallel = rank_table(2, 40, jobs=4)
-    assert serial == parallel
+def test_rank_table_above_int64_bound_fails_before_any_row(monkeypatch):
+    def no_rows(g):
+        raise AssertionError(f"row {g} computed before the bound check")
+
+    monkeypatch.setattr(rankmod, "picard_rank", no_rows)
+    with pytest.raises(TooLarge):
+        rank_table(2, FRAC_SUM_MAX_GENUS + 1)
 
 
 def test_rank_table_bad_range():
