@@ -201,7 +201,7 @@ def test_kernel_matches_reference_on_random_forms(pieces, data):
 
 
 def test_rho_z_is_the_negation_permutation(corpus):
-    """rhoZ e_gamma = e(-sig/4) e_{-gamma}, from the Fraction reference, and S^2 = Z."""
+    """rhoZ e_gamma = e(-sig/4) e_{-gamma}, -gamma taken from `elements()`; S^2 = Z."""
     forms = dict(NON_CYCLIC)
     for name, lat in corpus.items():
         if discriminant_form(lat).ngens > 1:
