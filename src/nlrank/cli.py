@@ -102,8 +102,9 @@ def _parse_weight(text: str) -> Fraction:
 def _cmd_dim(args, out) -> int:
     lat = catalog("Lambda_g", g=args.g)
     df = discriminant_form(lat)
-    if df.cardinality > group_cap():
-        raise TooLarge(f"group of order {df.cardinality} exceeds cap {group_cap()}")
+    cap = group_cap()
+    if df.cardinality > cap:
+        raise TooLarge(f"group of order {df.cardinality} exceeds cap {cap}")
     weight = args.weight if args.weight is not None else Fraction(lat.rank, 2)
     rep = dim_cusp_df(df, weight)
     if args.format == "json":

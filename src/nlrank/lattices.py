@@ -4,6 +4,13 @@ Everything here is exact: Gram matrices are arbitrary-precision integers,
 signatures come from rational congruence diagonalization, and discriminant
 groups come from an integer Smith normal form with unimodular transforms.
 No floating point enters this module.
+
+Both invariants are computed per orthogonal block of the Gram matrix (a
+connected component of its nonzero pattern) and assembled as orthogonal
+sums.  Each block's result is kept in a cache bounded to BLOCK_CACHE_SIZE
+blocks, so the U and -E8 blocks that recur in every Lambda_g are computed
+once per process.  A discriminant form's `orders` are therefore the blocks'
+invariant factors, not always the global ones (see `discriminant_form`).
 """
 
 from __future__ import annotations
@@ -12,8 +19,9 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +29,11 @@ from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric
 
 Gram = tuple[tuple[int, ...], ...]
 
+_ZERO = Fraction(0)
+
 
 def _as_gram(rows) -> Gram:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def _int_det(rows: Gram) -> int:
@@ -130,6 +140,10 @@ def _e8_gram() -> Gram:
     return _as_gram(g)
 
 
+_E8_GRAM = _e8_gram()
+_MINUS_E8_GRAM = tuple(tuple(-x for x in row) for row in _E8_GRAM)
+
+
 def hyperbolic(scale: int = 1) -> Lattice:
     """U(N): the rank-two lattice [[0, N], [N, 0]]."""
     if scale < 1:
@@ -139,10 +153,9 @@ def hyperbolic(scale: int = 1) -> Lattice:
 
 
 def e8(negative: bool = False) -> Lattice:
-    g = _e8_gram()
     if negative:
-        g = tuple(tuple(-x for x in row) for row in g)
-    return Lattice(g, "-E8" if negative else "E8")
+        return Lattice(_MINUS_E8_GRAM, "-E8")
+    return Lattice(_E8_GRAM, "E8")
 
 
 def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
@@ -151,9 +164,8 @@ def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
     g = [[0] * total for _ in range(total)]
     off = 0
     for lat in lattices:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                g[off + i][off + j] = lat.gram[i][j]
+        for i, row in enumerate(lat.gram):
+            g[off + i][off:off + lat.rank] = row
         off += lat.rank
     return Lattice(_as_gram(g), name)
 
@@ -193,10 +205,10 @@ def catalog(name: str, *, g: int | None = None, scale: int | None = None) -> Lat
     raise KeyError(f"unknown catalog lattice {name!r}")
 
 
-def signature(lat: Lattice) -> Signature:
-    """Exact signature by symmetric congruence diagonalization over Q."""
-    n = lat.rank
-    a = [[Fraction(x) for x in row] for row in lat.gram]
+def _congruence_signature(gram: Gram) -> tuple[int, int]:
+    """Exact (positive, negative) by symmetric congruence diagonalization over Q."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
     pos = neg = 0
     for t in range(n):
         if a[t][t] == 0:
@@ -226,7 +238,7 @@ def signature(lat: Lattice) -> Signature:
                     a[r][c] -= f * a[t][c]
                 for c in range(n):
                     a[c][r] -= f * a[c][t]
-    return Signature(pos, neg)
+    return pos, neg
 
 
 def smith_normal_form(rows: Gram):
@@ -306,6 +318,79 @@ def smith_normal_form(rows: Gram):
             for k in range(n):
                 u[t][k] = -u[t][k]
     return [a[i][i] for i in range(n)], u, v
+
+
+# Lambda_g = <2-2g> + U^2 + (-E8)^2 repeats its U and -E8 blocks in every
+# genus and brings one new rank-one block, so the block cache is bounded
+BLOCK_CACHE_SIZE = 256
+
+
+def _blocks(gram: Gram) -> list[tuple[tuple[int, ...], Gram]]:
+    """Orthogonal blocks of a symmetric Gram matrix as (indices, sub-Gram) pairs.
+
+    The blocks are the connected components of the graph on basis indices
+    with an edge wherever gram[i][j] != 0.  They may interleave in the
+    basis; they come ordered by smallest index.
+    """
+    n = len(gram)
+    adjacent = [[j for j, x in enumerate(row) if x] for row in gram]
+    seen = [False] * n
+    blocks = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for i in comp:  # comp grows while it is walked: breadth-first search
+            for j in adjacent[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        comp.sort()
+        sub = tuple(tuple([gram[i][j] for j in comp]) for i in comp)
+        blocks.append((tuple(comp), sub))
+    return blocks
+
+
+class _Block(NamedTuple):
+    pos: int
+    neg: int
+    # (d, column of V / d) for each elementary divisor d > 1, block basis
+    gens: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    pairing: tuple[tuple[Fraction, ...], ...]
+    level: int
+
+
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _block_invariants(sub: Gram) -> _Block:
+    """Signature and discriminant-form pieces of one orthogonal block.
+
+    With U*G*V = D the Smith normal form, the class of the i-th elementary
+    divisor d_i > 1 is generated by (column i of V) / d_i, a vector of
+    M^dual in the block's basis.
+    """
+    pos, neg = _congruence_signature(sub)
+    divisors, _, v = smith_normal_form(sub)
+    n = len(sub)
+    gens = tuple(
+        (d, tuple(Fraction(v[r][i], d) for r in range(n)))
+        for i, d in enumerate(divisors)
+        if d > 1
+    )
+    block = Lattice(sub)
+    pairing = tuple(tuple(block.inner(x, y) for _, y in gens) for _, x in gens)
+    level = 1
+    for i in range(len(gens)):
+        level = lcm(level, (pairing[i][i] / 2).denominator)
+        for j in range(i + 1, len(gens)):
+            level = lcm(level, pairing[i][j].denominator)
+    return _Block(pos, neg, gens, pairing, level)
+
+
+def signature(lat: Lattice) -> Signature:
+    """Exact signature, summed over the orthogonal blocks of the Gram matrix."""
+    blocks = [_block_invariants(sub) for _, sub in _blocks(lat.gram)]
+    return Signature(sum(b.pos for b in blocks), sum(b.neg for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -400,34 +485,42 @@ class DiscriminantForm:
 
 
 def discriminant_form(lat: Lattice) -> DiscriminantForm:
-    """Discriminant group and quadratic form via Smith normal form.
+    """Discriminant form as the orthogonal sum of those of the Gram blocks.
 
-    With U*G*V = D, the class of the i-th elementary divisor d_i > 1 is
-    generated by (column i of V) / d_i, a vector of M^dual in the lattice
-    basis.
+    Each orthogonal block contributes the generators of its Smith normal
+    form (see `_block_invariants`), zero-padded into lattice coordinates;
+    the generator pairing is block-diagonal and the level is the lcm over
+    the blocks.  So `orders` are the blocks' invariant factors in block
+    order, which are the global invariant factors only when each divides
+    the next: <4> + <6> gives (4, 6), not (2, 12).
     """
     n = lat.rank
-    divisors, _, v = smith_normal_form(lat.gram)
-    orders = []
-    gens = []
-    for i, d in enumerate(divisors):
-        if d > 1:
-            orders.append(d)
-            gens.append(tuple(Fraction(v[r][i], d) for r in range(n)))
-    pairing = tuple(
-        tuple(lat.inner(gi, gj) for gj in gens) for gi in gens
-    )
-    sig = signature(lat)
+    pos = neg = 0
     level = 1
-    for i in range(len(gens)):
-        level = lcm(level, (pairing[i][i] / 2).denominator)
-        for j in range(i + 1, len(gens)):
-            level = lcm(level, pairing[i][j].denominator)
+    orders, gens, pairings = [], [], []
+    for idx, sub in _blocks(lat.gram):
+        block = _block_invariants(sub)
+        pos += block.pos
+        neg += block.neg
+        level = lcm(level, block.level)
+        for d, col in block.gens:
+            vec = [_ZERO] * n
+            for r, x in zip(idx, col):
+                vec[r] = x
+            orders.append(d)
+            gens.append(tuple(vec))
+        pairings.append(block.pairing)
+    pairing, off = [], 0
+    for rows in pairings:
+        pad = len(gens) - off - len(rows)
+        for row in rows:
+            pairing.append((_ZERO,) * off + row + (_ZERO,) * pad)
+        off += len(rows)
     return DiscriminantForm(
         orders=tuple(orders),
         generators=tuple(gens),
         cardinality=prod(orders),
         level=level,
-        sig_mod_8=(sig.positive - sig.negative) % 8,
-        gen_pairing=pairing,
+        sig_mod_8=(pos - neg) % 8,
+        gen_pairing=tuple(pairing),
     )

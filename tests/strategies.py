@@ -1,0 +1,39 @@
+"""Hypothesis strategies for random direct sums of U(N), <2n> and +-E8."""
+
+import math
+
+from hypothesis import strategies as st
+
+from nlrank import direct_sum, e8, hyperbolic, make_lattice
+
+# one summand as a (kind, parameter) piece
+piece = st.one_of(
+    st.tuples(st.just("U"), st.integers(1, 6)),
+    st.tuples(st.just("w"), st.integers(-12, 12).filter(bool)),
+    st.tuples(st.just("E8"), st.booleans()),
+)
+
+
+def order(piece):
+    """|A| of one piece: N^2 for U(N), 2|n| for <2n>, 1 for +-E8."""
+    kind, p = piece
+    return p * p if kind == "U" else 2 * abs(p) if kind == "w" else 1
+
+
+# one to four pieces whose discriminant group has at most 500 elements
+pieces = st.lists(piece, min_size=1, max_size=4).filter(
+    lambda ps: math.prod(map(order, ps)) <= 500
+)
+
+
+def lattice_of(pieces):
+    """The direct sum of the pieces, in order."""
+    parts = []
+    for kind, p in pieces:
+        if kind == "U":
+            parts.append(hyperbolic(p))
+        elif kind == "w":
+            parts.append(make_lattice([[2 * p]]))
+        else:
+            parts.append(e8(p))
+    return direct_sum(*parts)

@@ -1,0 +1,193 @@
+"""Lattice invariants assembled from orthogonal blocks of the Gram matrix.
+
+`signature` and `discriminant_form` work per connected block of the Gram
+matrix and cache each block's result; `oracles.discriminant_form_whole` is
+the whole-matrix construction they replace.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlrank import (
+    catalog,
+    dim_cusp_df,
+    direct_sum,
+    discriminant_form,
+    e8,
+    gauss_sum,
+    hyperbolic,
+    k3_lattice,
+    lambda_lattice,
+    make_lattice,
+    signature,
+)
+from nlrank.errors import Degenerate
+from nlrank.lattices import (
+    BLOCK_CACHE_SIZE,
+    Lattice,
+    Signature,
+    _block_invariants,
+    _blocks,
+    _congruence_signature,
+)
+
+import strategies
+from oracles import discriminant_form_whole
+
+
+def _permuted(gram, perm):
+    """Gram matrix in the basis b_perm[0], b_perm[1], ..."""
+    return tuple(tuple(gram[i][j] for j in perm) for i in perm)
+
+
+def _mixed(gram, starts, coeffs):
+    """Add coeffs[k] * b_starts[0] to b_starts[k + 1] for every k.
+
+    b_starts[0] is never changed and pairs nonzero with its own block, so
+    every changed vector is joined to that block: the Gram matrix of the new
+    basis is one block.
+    """
+    g = [list(row) for row in gram]
+    n, j = len(g), starts[0]
+    for i, c in zip(starts[1:], coeffs):
+        for k in range(n):
+            g[i][k] += c * g[j][k]
+        for k in range(n):
+            g[k][i] += c * g[k][j]
+    return g
+
+
+def _invariants(df):
+    """Isomorphism invariants of a discriminant form, exact where possible."""
+    return (
+        df.cardinality,
+        df.level,
+        df.sig_mod_8,
+        sorted(Fraction(int(x), df.level) for x in df.qn),
+    )
+
+
+def _check_generators(lat, df):
+    """Each generator lies in M^dual, has its order and pairs as gen_pairing says."""
+    for d, gen in zip(df.orders, df.generators):
+        assert all((d * x).denominator == 1 for x in gen)
+        for row in lat.gram:
+            assert sum(x * y for x, y in zip(row, gen)).denominator == 1
+    for i, gi in enumerate(df.generators):
+        for j, gj in enumerate(df.generators):
+            assert lat.inner(gi, gj) == df.gen_pairing[i][j], (i, j)
+
+
+def _weights(sig_mod_8):
+    """One weight with symmetric, one with antisymmetric cusp forms."""
+    two_k = 21 + (-sig_mod_8 - 21) % 4
+    return Fraction(two_k, 2), Fraction(two_k + 2, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(strategies.pieces, st.data())
+def test_blocks_match_whole_matrix_oracle(pieces, data):
+    lat = strategies.lattice_of(pieces)
+    ref = discriminant_form_whole(lat)
+    ref_sig = Signature(*_congruence_signature(lat.gram))
+    n = lat.rank
+    perm = data.draw(st.permutations(range(n)))
+    starts, off = [], 0
+    for kind, _ in pieces:
+        starts.append(off)
+        off += {"U": 2, "w": 1, "E8": 8}[kind]
+    links = len(starts) - 1
+    nonzero = st.sampled_from((-2, -1, 1, 2))
+    coeffs = data.draw(st.lists(nonzero, min_size=links, max_size=links))
+    permuted = make_lattice(_permuted(lat.gram, perm))
+    mixed = make_lattice(_mixed(lat.gram, starts, coeffs))
+    assert len(_blocks(permuted.gram)) == len(pieces)
+    assert len(_blocks(mixed.gram)) == 1
+    for other in (lat, permuted, mixed):
+        df = discriminant_form(other)
+        _check_generators(other, df)
+        assert signature(other) == ref_sig
+        assert _invariants(df) == _invariants(ref)
+        assert abs(gauss_sum(df) - gauss_sum(ref)) < 1e-9
+        for k in _weights(df.sig_mod_8):
+            got, want = dim_cusp_df(df, k), dim_cusp_df(ref, k)
+            assert got.parity_ok and want.parity_ok
+            assert got.dim == want.dim, k
+            for term in ("rank_pm", "parabolic", "isotropic"):
+                assert got.boundary_terms[term] == want.boundary_terms[term], (k, term)
+
+
+def test_blocks_of_interleaved_basis():
+    # U on basis vectors 0 and 3, <2> on 1, <-4> on 2
+    gram = ((0, 0, 0, 1), (0, 2, 0, 0), (0, 0, -4, 0), (1, 0, 0, 0))
+    assert _blocks(gram) == [
+        ((0, 3), ((0, 1), (1, 0))),
+        ((1,), ((2,),)),
+        ((2,), ((-4,),)),
+    ]
+    assert _blocks(()) == []
+
+
+def test_orders_are_per_block_invariant_factors():
+    lat = direct_sum(make_lattice([[4]]), make_lattice([[6]]))
+    df, ref = discriminant_form(lat), discriminant_form_whole(lat)
+    assert df.orders == (4, 6)
+    assert ref.orders == (2, 12)
+    assert _invariants(df) == _invariants(ref)
+
+
+CATALOG = [
+    hyperbolic(),
+    hyperbolic(7),
+    e8(),
+    e8(True),
+    k3_lattice(),
+    *(lambda_lattice(g) for g in (*range(2, 40), 77, 500, 1000, 12345)),
+]
+
+
+@pytest.mark.parametrize("lat", CATALOG, ids=lambda lat: lat.name)
+def test_catalog_forms_unchanged(lat):
+    df, ref = discriminant_form(lat), discriminant_form_whole(lat)
+    assert df.orders == ref.orders
+    assert df.level == ref.level
+    assert df.sig_mod_8 == ref.sig_mod_8
+    assert np.array_equal(df.qn, ref.qn)
+
+
+def test_degenerate_block_inside_larger_gram_raises():
+    # U + [[2, 2], [2, 2]] + -E8, built without make_lattice's check
+    gram = direct_sum(hyperbolic(), Lattice(((2, 2), (2, 2))), e8(True)).gram
+    shuffled = _permuted(gram, [4, 2, 0, 11, 3, 1, 5, 6, 7, 8, 9, 10])
+    for lat in (Lattice(gram), Lattice(shuffled)):
+        with pytest.raises(Degenerate):
+            signature(lat)
+        with pytest.raises(Degenerate):
+            discriminant_form(lat)
+
+
+def test_block_cache_hits_on_a_second_lambda_g():
+    _block_invariants.cache_clear()
+    discriminant_form(lambda_lattice(5))
+    first = _block_invariants.cache_info()
+    # <-8>, U and -E8 computed once each; the second U and -E8 are hits
+    assert (first.misses, first.hits) == (3, 2)
+    discriminant_form(lambda_lattice(7))
+    second = _block_invariants.cache_info()
+    # only <-12> is new: both U and both -E8 blocks come from the cache
+    assert (second.misses - first.misses, second.hits - first.hits) == (1, 4)
+
+
+def test_block_cache_is_bounded():
+    assert _block_invariants.cache_info().maxsize == BLOCK_CACHE_SIZE
+    for g in range(2, BLOCK_CACHE_SIZE + 50):
+        signature(catalog("Lambda_g", g=g))
+    assert _block_invariants.cache_info().currsize == BLOCK_CACHE_SIZE
+    # U and -E8 are used by every Lambda_g, so they are never the oldest
+    before = _block_invariants.cache_info()
+    signature(k3_lattice())
+    assert _block_invariants.cache_info().hits - before.hits == 5

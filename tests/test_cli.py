@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from nlrank import cli
 from nlrank.cli import dispatch
 
 
@@ -67,6 +68,15 @@ def test_group_cap_from_environment(monkeypatch):
     code, _, err = run(["weil", "verify", "--name", "U(N)", "--N", "2"])
     assert code == 1
     assert "exceeds cap 1" in err
+
+
+def test_dim_reads_group_cap_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "group_cap", lambda: calls.append(1) or 1)
+    code, _, err = run(["dim", "--g", "3"])
+    assert code == 1
+    assert "exceeds cap 1" in err
+    assert len(calls) == 1
 
 
 def test_unknown_catalog_name_is_usage_error():

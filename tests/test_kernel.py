@@ -29,6 +29,8 @@ from nlrank import (
 )
 from nlrank.lattices import DiscriminantForm
 
+import strategies
+
 HALF_21 = Fraction(21, 2)
 
 
@@ -156,42 +158,12 @@ def test_dim_terms_match_fraction_walk(name):
         assert terms["isotropic"] == -n_iso, k
 
 
-# random direct sums of U(N), <2n> and +-E8, as (kind, parameter) pieces
-_piece = st.one_of(
-    st.tuples(st.just("U"), st.integers(1, 6)),
-    st.tuples(st.just("w"), st.integers(-12, 12).filter(bool)),
-    st.tuples(st.just("E8"), st.booleans()),
-)
-
-
-def _order(piece):
-    kind, p = piece
-    return p * p if kind == "U" else 2 * abs(p) if kind == "w" else 1
-
-
-def _lattice(pieces):
-    parts = []
-    for kind, p in pieces:
-        if kind == "U":
-            parts.append(hyperbolic(p))
-        elif kind == "w":
-            parts.append(_w(2 * p))
-        else:
-            parts.append(e8(p))
-    return direct_sum(*parts)
-
-
 @settings(max_examples=40, deadline=None)
-@given(
-    st.lists(_piece, min_size=1, max_size=4).filter(
-        lambda ps: math.prod(map(_order, ps)) <= 500
-    ),
-    st.data(),
-)
+@given(strategies.pieces, st.data())
 def test_kernel_matches_reference_on_random_forms(pieces, data):
-    df = discriminant_form(_lattice(pieces))
+    df = discriminant_form(strategies.lattice_of(pieces))
     d = df.cardinality
-    assert d == math.prod(map(_order, pieces))
+    assert d == math.prod(map(strategies.order, pieces))
     # every element against a few drawn partners keeps the b() calls linear
     cols = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=6))
     _check_kernel(df, pairs=(range(d), cols))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -121,3 +122,34 @@ def test_level_from_t_order(corpus):
 def test_lambda_g_dimension_is_2g_minus_2():
     for g in (2, 5, 9):
         assert weil_rep_of(lambda_lattice(g)).dimension == 2 * g - 2
+
+
+@pytest.mark.parametrize("where", ["diagonal", "order 2N", "off-diagonal"])
+def test_relations_fail_on_a_perturbed_rho_t(where):
+    w = weil_rep_of(lambda_lattice(9))
+    assert verify_relations(w).passed
+    rho_t = w.rhoT.copy()
+    if where == "diagonal":
+        rho_t[3, 3] *= np.exp(1e-6j)
+    elif where == "order 2N":
+        # a root of unity whose N-th power is -1
+        rho_t[3, 3] *= np.exp(1j * np.pi / w.level)
+    else:
+        rho_t[3, 5] = 1e-6
+    rep = verify_relations(dataclasses.replace(w, rhoT=rho_t))
+    assert rep.maxErrTN > 1e-7
+    assert not rep.passed
+
+
+def test_trace_st_matches_dense_product():
+    # <2>+<-2> has the non-cyclic group (Z/2)^2
+    df = discriminant_form(direct_sum(make_lattice([[2]]), make_lattice([[-2]])))
+    assert df.ngens == 2
+    w = build_weil_rep(df)
+    assert abs(traces(w).trST - np.trace(w.rhoS @ w.rhoT)) < 1e-12
+    # and for a rhoT that is not diagonal, next to an S that is not symmetric
+    rng = np.random.default_rng(5)
+    dense_s, dense_t = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    np.fill_diagonal(dense_t, np.diag(w.rhoT))
+    tr = traces(dataclasses.replace(w, rhoS=dense_s, rhoT=dense_t))
+    assert abs(tr.trST - np.trace(dense_s @ dense_t)) < 1e-12
