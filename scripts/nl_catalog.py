@@ -2,7 +2,8 @@
 """Dump a Noether-Lefschetz divisor catalog as CSV to stdout.
 
 Every label is re-verified against the rank-2 projection oracle before
-printing.
+printing; on the first mismatch the label goes to stderr, nothing to
+stdout, and the exit code is 1.
 
 Usage: python3 scripts/nl_catalog.py G [D_MAX] [H_MAX]
 """
@@ -22,7 +23,10 @@ def main():
     h_max = int(sys.argv[3]) if len(sys.argv) > 3 else 20
     labels = enumerate_nl(g, d_max, h_max)
     for lab in labels:
-        assert projection_oracle(g, lab.h, lab.d) == lab.n
+        expected = projection_oracle(g, lab.h, lab.d)
+        if expected != lab.n:
+            print(f"label {lab}: projection oracle gives n = {expected}", file=sys.stderr)
+            sys.exit(1)
     sys.stdout.write(labels_to_csv(labels))
 
 

@@ -3,8 +3,8 @@
 Jacobi symbols are computed by reciprocity (no factorization); the
 fractional-part sum and the square count are the two combinatorial terms
 of the closed-form rank (an O(g) chunked int64 sum and a closed form from
-the factorization of 4g-4), and the Gauss sum is a floating-point Milgram
-oracle for discriminant forms.
+the factorization of 4g-4), and the Gauss sum, read from the q-value
+histogram, is a floating-point Milgram oracle for discriminant forms.
 """
 
 from __future__ import annotations
@@ -97,10 +97,12 @@ GAUSS_SUM_CAP = 10**6
 def gauss_sum(df: DiscriminantForm, cap: int = GAUSS_SUM_CAP) -> complex:
     """Sum of exp(pi*i*<gamma,gamma>) over the discriminant group.
 
-    Evaluated as the sum of e(qn/N) over the form's integer encoding.  It is
-    checked by Milgram's formula, sqrt(|A|) * exp(2*pi*i*sig/8) with sig from
+    Evaluated as the sum of count * e(v/N) over the distinct values v of the
+    form's q-value histogram (`DiscriminantForm.q_histogram`).  It is checked
+    by Milgram's formula, sqrt(|A|) * exp(2*pi*i*sig/8) with sig from
     `signature`, and by the `Fraction` oracle test of the encoding.
     """
     if df.cardinality > cap:
         raise TooLarge(f"group of order {df.cardinality} exceeds cap {cap}")
-    return complex(np.exp((2j * np.pi / df.level) * df.qn).sum())
+    values, counts = df.q_histogram
+    return complex(counts @ np.exp((2j * np.pi / df.level) * values))

@@ -4,9 +4,11 @@ The dimension of S_{k,M} for half-integral k > 2 comes from Riemann-Roch
 on the modular curve: a main term d*(k+5)/12 on the plus/minus eigenspace
 rank, elliptic corrections at the order-4 and order-6 points expressed
 through quadratic Gauss sums of the discriminant form, and a parabolic
-correction from the T-eigenvalues.  All are sums over the discriminant
-form's integer encoding: exact ones except the Gauss sums, which are float
-sums of cos/sin over one phase array; the value is snapped to an integer.
+correction from the T-eigenvalues.  All are read from the histogram of the
+discriminant form's q-values plus its elements with 2*gamma = 0: exact
+integer sums except the three Gauss sums, which are float sums of
+counts * e(j*v/N) over the distinct values v only; the value is snapped to
+an integer.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import (
 from .lattices import DiscriminantForm, Lattice, discriminant_form, signature
 
 SNAP_TOL = 1e-6
+
+_U_GRAM = ((0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -82,17 +86,26 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
 
     # one representative of each pair {gamma, -gamma}: as q(-gamma) = q(gamma),
     # that is half the full-group sum, plus or minus half the sum over the
-    # elements with 2*gamma = 0 (those only carry symmetric forms)
-    qn = df.qn  # n * q(gamma)/2 mod n
-    two = np.flatnonzero(df.neg_index == np.arange(d))
-    rank_pm = (d + eps * len(two)) // 2
-    alpha_t = Fraction(int((-qn % n).sum()) + eps * int((-qn[two] % n).sum()), 2 * n)
-    n_iso = int(np.count_nonzero(qn == 0) + eps * np.count_nonzero(qn[two] == 0)) // 2
+    # elements with 2*gamma = 0 (those only carry symmetric forms); the
+    # full-group sums are read from the histogram of q-values
+    values, counts = df.q_histogram  # n * q(gamma)/2 mod n, values[0] = 0
+    q_two = df.qn[df.two_torsion]
+    rank_pm = (d + eps * len(q_two)) // 2
+    # -v mod n is n - v for every value but values[0] = 0
+    alpha_t = Fraction(
+        int(counts[1:] @ (n - values[1:])) + eps * int((-q_two % n).sum()), 2 * n
+    )
+    n_iso = (int(counts[0]) + eps * int(np.count_nonzero(q_two == 0))) // 2
 
-    phase = (2 * math.pi / n) * qn
-    g1 = complex(np.cos(phase).sum(), np.sin(phase).sum())
-    g2_part = float((np.cos if symm else np.sin)(2 * phase).sum())
-    g3 = complex(np.cos(3 * phase).sum(), -np.sin(3 * phase).sum())
+    # G(j) = sum of e(j*q/2) over A as sums of counts * z^j, z = e(v/n) at
+    # the distinct values v only
+    z = np.exp((2j * math.pi / n) * values)
+    wz = counts * z
+    wz2 = wz * z
+    g1 = complex(wz.sum())
+    g2 = complex(wz2.sum())
+    g2_part = g2.real if symm else g2.imag
+    g3 = complex(wz2 @ z).conjugate()
 
     main = rank_pm * (k + 5) / 12
     e4 = cmath.exp(1j * cmath.pi * (two_k + sig + 1 - eps) / 4)
@@ -131,16 +144,18 @@ def dim_cusp(lat: Lattice, k: Fraction) -> CuspDimReport:
 def picard_rank_via_cusp(lat: Lattice, *, split_asserted: bool = False) -> int:
     """1 + dim S_{m/2, M} for an even lattice M of signature (p, 2).
 
-    Requires the hermitian slot of the signature to be 2 and the caller to
-    assert the U + U(N) orthogonal splitting hypothesis (catalog Lambda_g
-    lattices qualify).
+    Requires the hermitian slot of the signature to be 2 and the U + U(N)
+    orthogonal splitting hypothesis.  The hypothesis is taken as shown when
+    at least two orthogonal blocks of the Gram matrix are exactly
+    U = ((0, 1), (1, 0)), as in every catalog Lambda_g; otherwise the caller
+    must assert it with split_asserted=True.  The lattice's name is not read.
     """
     sig = signature(lat)
     if sig.positive != 2:
         raise BadSignature(
             f"need signature (2, p); lattice has ({sig.positive}, {sig.negative})"
         )
-    known_split = (lat.name or "").startswith("Lambda_")
+    known_split = sum(sub == _U_GRAM for _, sub in lat.blocks) >= 2
     if not (split_asserted or known_split):
         raise HypothesisNotAsserted(
             "caller must assert the U + U(N) orthogonal splitting"

@@ -74,6 +74,11 @@ class Lattice:
     def det(self) -> int:
         return _int_det(self.gram)
 
+    @cached_property
+    def blocks(self) -> tuple[tuple[tuple[int, ...], Gram], ...]:
+        """Orthogonal blocks of the Gram matrix (see `_blocks`), found once."""
+        return tuple(_blocks(self.gram))
+
     def inner(self, x, y) -> Fraction:
         """Bilinear form on rational coordinate vectors in the lattice basis."""
         total = Fraction(0)
@@ -389,7 +394,7 @@ def _block_invariants(sub: Gram) -> _Block:
 
 def signature(lat: Lattice) -> Signature:
     """Exact signature, summed over the orthogonal blocks of the Gram matrix."""
-    blocks = [_block_invariants(sub) for _, sub in _blocks(lat.gram)]
+    blocks = [_block_invariants(sub) for _, sub in lat.blocks]
     return Signature(sum(b.pos for b in blocks), sum(b.neg for b in blocks))
 
 
@@ -403,7 +408,10 @@ class DiscriminantForm:
 
     The int64 arrays `exponents`, `qn`, `neg_index` and `bn()` encode
     (A, q, b) over the common denominator N = level, indexed in elements()
-    order; the exact q() and b() are their test oracle.
+    order; the exact q() and b() are their test oracle.  `q_histogram`
+    (the distinct values of `qn` with their counts) and `two_torsion` (the
+    elements with 2*gamma = 0) are what the Gauss sums and the cusp
+    dimension read.
     """
 
     orders: tuple[int, ...]
@@ -472,6 +480,26 @@ class DiscriminantForm:
         return (e @ self._upper % self.level * e).sum(axis=1) % self.level
 
     @cached_property
+    def q_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, counts): the distinct values of `qn`, ascending, and how
+        many elements take each.  values[0] is 0, the value at the identity."""
+        counts = np.bincount(self.qn, minlength=self.level)
+        values = np.flatnonzero(counts != 0)  # nonzero() is ~4x faster on bool
+        return values, counts[values]
+
+    @property
+    def two_torsion(self) -> np.ndarray:
+        """Indices, in elements() order, of the gamma with 2*gamma = 0.
+
+        Those are the exponent tuples whose i-th entry is 0 or orders[i]/2.
+        """
+        index = np.zeros(1, dtype=np.int64)
+        for d in self.orders:
+            exps = np.array((0, d // 2) if d % 2 == 0 else (0,), dtype=np.int64)
+            index = (index[:, None] * d + exps).ravel()
+        return index
+
+    @cached_property
     def neg_index(self) -> np.ndarray:
         """Index of -gamma for every element gamma."""
         index = np.arange(self.cardinality, dtype=np.int64).reshape(self.orders)
@@ -498,7 +526,7 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     pos = neg = 0
     level = 1
     orders, gens, pairings = [], [], []
-    for idx, sub in _blocks(lat.gram):
+    for idx, sub in lat.blocks:
         block = _block_invariants(sub)
         pos += block.pos
         neg += block.neg

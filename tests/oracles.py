@@ -1,10 +1,14 @@
 """Slow, independent reference implementations used as test oracles."""
 
+import cmath
+import math
 from fractions import Fraction
 from math import lcm, prod
 
 import numpy as np
 
+from nlrank.cuspdim import SNAP_TOL, CuspDimReport
+from nlrank.errors import SnapFailure, WeightTooSmall
 from nlrank.lattices import (
     DiscriminantForm,
     Lattice,
@@ -81,4 +85,77 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
         level=level,
         sig_mod_8=(pos - neg) % 8,
         gen_pairing=pairing,
+    )
+
+
+def dim_cusp_df_elementwise(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
+    """`dim_cusp_df` with every sum taken element by element over `qn`.
+
+    The 2-torsion comes from `neg_index` and the Gauss sums from cos/sin of
+    one phase array over all |A| elements; no q-value histogram.
+    """
+    k = Fraction(k)
+    if k.denominator not in (1, 2):
+        raise ValueError(f"weight must be half-integral, got {k}")
+    if k <= 2:
+        raise WeightTooSmall(f"formula needs weight > 2, got {k}")
+    two_k = (2 * k).numerator
+
+    parity = (two_k + df.sig_mod_8) % 4
+    if parity == 0:
+        symm = True
+    elif parity == 2:
+        symm = False
+    else:
+        return CuspDimReport(
+            k=k, d=df.cardinality, dim=0, parity_ok=False, symmetric=None
+        )
+    eps = 1 if symm else -1
+
+    d = df.cardinality
+    n = df.level
+    sqrt_d = math.sqrt(d)
+    sig = df.sig_mod_8
+
+    # one representative of each pair {gamma, -gamma}: as q(-gamma) = q(gamma),
+    # that is half the full-group sum, plus or minus half the sum over the
+    # elements with 2*gamma = 0 (those only carry symmetric forms)
+    qn = df.qn  # n * q(gamma)/2 mod n
+    two = np.flatnonzero(df.neg_index == np.arange(d))
+    rank_pm = (d + eps * len(two)) // 2
+    alpha_t = Fraction(int((-qn % n).sum()) + eps * int((-qn[two] % n).sum()), 2 * n)
+    n_iso = int(np.count_nonzero(qn == 0) + eps * np.count_nonzero(qn[two] == 0)) // 2
+
+    phase = (2 * math.pi / n) * qn
+    g1 = complex(np.cos(phase).sum(), np.sin(phase).sum())
+    g2_part = float((np.cos if symm else np.sin)(2 * phase).sum())
+    g3 = complex(np.cos(3 * phase).sum(), -np.sin(3 * phase).sum())
+
+    main = rank_pm * (k + 5) / 12
+    e4 = cmath.exp(1j * cmath.pi * (two_k + sig + 1 - eps) / 4)
+    term_e4 = (e4 * g2_part).real / (4 * sqrt_d)
+    e6 = cmath.exp(1j * cmath.pi * (3 * sig + 2 * two_k - 10) / 12)
+    term_e6 = ((e6 * (g1 + eps * g3)).real) / (3 * math.sqrt(3) * sqrt_d)
+
+    value = float(main) + term_e4 - float(alpha_t) - term_e6 - n_iso
+    dim = round(value)
+    if abs(value - dim) > SNAP_TOL:
+        raise SnapFailure(f"dimension {value} is not within {SNAP_TOL} of an integer")
+    if dim < 0:
+        raise SnapFailure(f"negative dimension {dim} from Riemann-Roch")
+    return CuspDimReport(
+        k=k,
+        d=d,
+        dim=dim,
+        parity_ok=True,
+        symmetric=symm,
+        boundary_terms={
+            "rank_pm": rank_pm,
+            "main": float(main),
+            "elliptic_order4": term_e4,
+            "elliptic_order6": -term_e6,
+            "parabolic": -float(alpha_t),
+            "isotropic": -n_iso,
+            "raw_value": value,
+        },
     )

@@ -23,8 +23,10 @@ from nlrank import (
     k3_lattice,
     lambda_lattice,
     make_lattice,
+    picard_rank_via_cusp,
     signature,
 )
+from nlrank import lattices
 from nlrank.errors import Degenerate
 from nlrank.lattices import (
     BLOCK_CACHE_SIZE,
@@ -168,6 +170,22 @@ def test_degenerate_block_inside_larger_gram_raises():
             signature(lat)
         with pytest.raises(Degenerate):
             discriminant_form(lat)
+
+
+def test_blocks_found_once_per_lattice(monkeypatch):
+    calls = []
+
+    def counting(gram):
+        calls.append(gram)
+        return _blocks(gram)
+
+    monkeypatch.setattr(lattices, "_blocks", counting)
+    lat = lambda_lattice(50)
+    signature(lat)
+    discriminant_form(lat)
+    picard_rank_via_cusp(lat)
+    assert calls == [lat.gram]
+    assert lat.blocks == tuple(_blocks(lat.gram))
 
 
 def test_block_cache_hits_on_a_second_lambda_g():

@@ -16,7 +16,7 @@ from nlrank import (
     picard_rank_via_cusp,
 )
 from nlrank.errors import BadSignature, HypothesisNotAsserted, WeightTooSmall
-from nlrank.lattices import DiscriminantForm
+from nlrank.lattices import DiscriminantForm, Lattice
 
 HALF_21 = Fraction(21, 2)
 
@@ -76,6 +76,21 @@ def test_picard_rank_via_cusp_needs_hypothesis():
     with pytest.raises(HypothesisNotAsserted):
         picard_rank_via_cusp(lat)
     assert picard_rank_via_cusp(lat, split_asserted=True) >= 1
+
+
+def test_picard_rank_via_cusp_ignores_lambda_name():
+    # one U block only: a Lambda_ name does not stand in for the splitting
+    lat = direct_sum(hyperbolic(), hyperbolic(2), e8(True), make_lattice([[-2]]))
+    with pytest.raises(HypothesisNotAsserted):
+        picard_rank_via_cusp(Lattice(lat.gram, "Lambda_fake"))
+
+
+def test_picard_rank_via_cusp_accepts_two_u_blocks_unnamed():
+    lat = direct_sum(hyperbolic(), hyperbolic(), make_lattice([[-2]]), e8(True))
+    assert lat.name is None
+    assert picard_rank_via_cusp(lat) == picard_rank_via_cusp(lat, split_asserted=True) >= 1
+    # Lambda_5 without its name is still accepted, with the same rank
+    assert picard_rank_via_cusp(Lattice(lambda_lattice(5).gram)) == picard_rank(5).rank
 
 
 def test_cross_pipeline_identity():

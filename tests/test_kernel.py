@@ -2,8 +2,10 @@
 
 `DiscriminantForm.exponents`, `qn`, `neg_index` and `bn()` are compared
 element by element with the exact `Fraction` reference `elements()`, `q()`
-and `b()`, and the consumers built on them (`gauss_sum`, `dim_cusp_df`)
-with per-element `Fraction` walks over the same reference.
+and `b()`; `q_histogram` and `two_torsion` with `qn` and `neg_index`; and
+the consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
+`Fraction` walks over the same reference and with the element-by-element
+`oracles.dim_cusp_df_elementwise`.
 """
 
 import cmath
@@ -24,12 +26,14 @@ from nlrank import (
     gauss_sum,
     hyperbolic,
     k3_lattice,
+    lambda_lattice,
     make_lattice,
     verify_relations,
 )
 from nlrank.lattices import DiscriminantForm
 
 import strategies
+from oracles import dim_cusp_df_elementwise
 
 HALF_21 = Fraction(21, 2)
 
@@ -66,6 +70,7 @@ def _check_kernel(df, pairs=None):
     assert df.exponents.shape == (d, df.ngens)
     assert [tuple(map(int, row)) for row in df.exponents] == elems
     index = {e: i for i, e in enumerate(elems)}
+    _check_histogram(df)
     qn, neg_index = df.qn.tolist(), df.neg_index.tolist()
     for i, e in enumerate(elems):
         assert qn[i] == df.q(e) * n / 2 % n, e
@@ -77,6 +82,18 @@ def _check_kernel(df, pairs=None):
     for i in rows:
         for j in cols:
             assert bn[i][j] == df.b(elems[i], elems[j]) * n, (elems[i], elems[j])
+
+
+def _check_histogram(df):
+    """`two_torsion` and `q_histogram` against `neg_index` and `qn`."""
+    d = df.cardinality
+    assert np.array_equal(df.two_torsion, np.flatnonzero(df.neg_index == np.arange(d)))
+    values, counts = df.q_histogram
+    assert counts.sum() == d
+    assert [a.tolist() for a in np.unique(df.qn, return_counts=True)] == [
+        values.tolist(),
+        counts.tolist(),
+    ]
 
 
 def _walk(df, k):
@@ -110,6 +127,8 @@ def test_kernel_trivial_group(name):
     _check_kernel(df)
     assert df.qn.tolist() == [0]
     assert df.neg_index.tolist() == [0]
+    assert df.two_torsion.tolist() == [0]
+    assert [a.tolist() for a in df.q_histogram] == [[0], [1]]
     assert df.bn().tolist() == [[0]]
 
 
@@ -156,6 +175,65 @@ def test_dim_terms_match_fraction_walk(name):
         assert terms["main"] == float(rank_pm * (k + 5) / 12), k
         assert terms["parabolic"] == -float(alpha), k
         assert terms["isotropic"] == -n_iso, k
+
+
+# integral and half-integral weights: every form meets both a symmetric and
+# an antisymmetric one, and some weights of the wrong parity
+WEIGHTS = [Fraction(j, 2) for j in range(5, 30)]
+EXACT_TERMS = ("rank_pm", "main", "parabolic", "isotropic")
+FLOAT_TERMS = ("elliptic_order4", "elliptic_order6", "raw_value")
+
+
+def _check_against_elementwise(df, weights=WEIGHTS):
+    """dim_cusp_df against the element-by-element oracle at each weight.
+
+    Returns the set of `symmetric` values met among weights of the right
+    parity.
+    """
+    kinds = set()
+    for k in weights:
+        rep, ref = dim_cusp_df(df, k), dim_cusp_df_elementwise(df, k)
+        assert (rep.k, rep.d, rep.dim, rep.parity_ok, rep.symmetric) == (
+            ref.k,
+            ref.d,
+            ref.dim,
+            ref.parity_ok,
+            ref.symmetric,
+        ), k
+        if not rep.parity_ok:
+            assert rep.boundary_terms == ref.boundary_terms == {}, k
+            continue
+        kinds.add(rep.symmetric)
+        terms, expected = rep.boundary_terms, ref.boundary_terms
+        assert terms.keys() == expected.keys(), k
+        for key in EXACT_TERMS:
+            assert terms[key] == expected[key], (k, key)
+        for key in FLOAT_TERMS:
+            assert abs(terms[key] - expected[key]) < 1e-9, (k, key)
+    return kinds
+
+
+@pytest.mark.parametrize("name", sorted(NON_CYCLIC))
+def test_dim_matches_elementwise_oracle_non_cyclic(name):
+    df = discriminant_form(NON_CYCLIC[name])
+    assert _check_against_elementwise(df) == {True, False}
+
+
+def test_dim_matches_elementwise_oracle_lambda_g():
+    # sig = -17 = 7 mod 8: 21/2 and 25/2 are symmetric, 19/2 and 23/2 not,
+    # and the integral 12 has the wrong parity
+    weights = [Fraction(j, 2) for j in (19, 21, 23, 24, 25)]
+    for g in list(range(2, 301)) + [10**4, 10**5]:
+        df = discriminant_form(lambda_lattice(g))
+        _check_histogram(df)
+        assert _check_against_elementwise(df, weights) == {True, False}, g
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.pieces)
+def test_dim_matches_elementwise_oracle_on_random_forms(pieces):
+    df = discriminant_form(strategies.lattice_of(pieces))
+    assert _check_against_elementwise(df) == {True, False}
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -91,3 +95,43 @@ def test_csv_schema():
     lines = text.strip().split("\n")
     assert lines[0] == "g,h,d,delta,n_num,n_den,gamma,degenerate"
     assert lines[1] == "2,0,1,5,-5,4,1,0"
+
+
+CATALOG_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "nl_catalog.py"
+
+
+def _run_catalog_optimized(wrong_oracle):
+    """Run scripts/nl_catalog.py 2 20 20 under `python -O`, where assert is a no-op.
+
+    With wrong_oracle, nlrank.projection_oracle is replaced by one that is
+    off by one before the script imports it.
+    """
+    script = str(CATALOG_SCRIPT)
+    code = "\n".join([
+        "import runpy, sys, nlrank",
+        "if not sys.flags.optimize: sys.exit(3)",
+        "real = nlrank.projection_oracle",
+        "nlrank.projection_oracle = lambda g, h, d: real(g, h, d) + 1" if wrong_oracle else "",
+        f"sys.argv = [{script!r}, '2', '20', '20']",
+        f"runpy.run_path({script!r}, run_name='__main__')",
+    ])
+    src = str(CATALOG_SCRIPT.parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+def test_catalog_script_fails_on_oracle_mismatch_under_optimize():
+    bad = _run_catalog_optimized(wrong_oracle=True)
+    assert bad.returncode == 1, bad.stderr
+    assert bad.stdout == ""
+    assert "projection oracle gives" in bad.stderr
+    good = _run_catalog_optimized(wrong_oracle=False)
+    assert good.returncode == 0, good.stderr
+    assert good.stdout.startswith("g,h,d,")
+    assert good.stderr == ""
