@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -70,6 +71,8 @@ def _cmd_lattice(args, out) -> int:
 
 
 def _cmd_weil(args, out) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _Usage(f"need a finite --tol > 0, got {args.tol}")
     lat = _lattice_from_args(args)
     w = build_weil_rep(discriminant_form(lat), cap=group_cap())
     rep = verify_relations(w, tol=args.tol)

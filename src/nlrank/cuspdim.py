@@ -9,6 +9,12 @@ discriminant form's q-values plus its elements with 2*gamma = 0: exact
 integer sums except the three Gauss sums, which are float sums of
 counts * e(j*v/N) over the distinct values v only; the value is snapped to
 an integer.
+
+The forms counted are of type rho* = conj(rho), the dual of the Weil
+representation rho that `nlrank.weil` builds, as in Bruinier's treatment
+of lattices of signature (2, n).  The convention matters: with rho in place
+of rho*, the eigenvalue form of the same formula gives wrong dimensions for
+most forms and weights.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ class CuspDimReport:
 
 
 def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
-    """Riemann-Roch dimension of cusp forms of weight k and type rho.
+    """Riemann-Roch dimension of cusp forms of weight k and type rho*.
 
     Valid for k > 2.  Weights whose parity is incompatible with the
     representation give a flagged zero, not an error.

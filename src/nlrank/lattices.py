@@ -406,9 +406,10 @@ class DiscriminantForm:
     in Q/Z (stored in [0,1)).  Elements are exponent tuples against the
     stored generators, which are rational vectors in the lattice basis.
 
-    The int64 arrays `exponents`, `qn`, `neg_index` and `bn()` encode
-    (A, q, b) over the common denominator N = level, indexed in elements()
-    order; the exact q() and b() are their test oracle.  `q_histogram`
+    The int64 arrays `exponents`, `qn` and `neg_index` encode (A, q) over
+    the common denominator N = level, indexed in elements() order, and
+    `_upper` holds N*q/2 and N*b on the generators; the exact q() and b()
+    are their test oracle.  `q_histogram`
     (the distinct values of `qn` with their counts) and `two_torsion` (the
     elements with 2*gamma = 0) are what the Gauss sums and the cusp
     dimension read.
@@ -505,11 +506,6 @@ class DiscriminantForm:
         index = np.arange(self.cardinality, dtype=np.int64).reshape(self.orders)
         neg = np.ix_(*(-np.arange(d) % d for d in self.orders))
         return index[neg].ravel()
-
-    def bn(self) -> np.ndarray:
-        """N*b(gamma, delta) mod N for every pair; |A|^2 entries, so not cached."""
-        n, e = self.level, self.exponents
-        return e @ ((self._upper + self._upper.T) % n) % n @ e.T % n
 
 
 def discriminant_form(lat: Lattice) -> DiscriminantForm:

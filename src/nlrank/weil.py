@@ -1,16 +1,26 @@
 """Weil representation of Mp2(Z) on the group ring of a discriminant form.
 
-Matrices for the standard generators T and S, the center Z = S^2, and the
-diagnostics that tie them to the metaplectic presentation.  Complex double
-precision throughout; every downstream consumer snaps to roots of unity or
-integers, and group orders stay small enough that 1e-9 tolerances are
-comfortable.
+The standard generators act on C[A] as three operators, none of them held
+as a matrix:
+
+- rho(T) is diagonal with entries e(q(gamma)/2), read from the form's `qn`;
+- rho(Z) = rho(S)^2 sends e_gamma to e(-sig/4) e_{-gamma} (`neg_index`);
+- rho(S) is a discrete Fourier transform over A = Z/d_1 + ... + Z/d_m.  As
+  b(gamma, delta) = sum_j delta_j * xi(gamma)_j / d_j mod 1 with
+  xi(gamma)_j = sum_i gamma_i * b(g_i, g_j) * d_j mod d_j,
+  (rho(S) v)(gamma) is e(-sig/8)/sqrt(|A|) times `numpy.fft.fftn` of v,
+  reshaped to `orders`, read at xi(gamma).
+
+Applying rho(S) costs O(|A| log |A|) time and the operators O(|A| * ngens)
+memory.  The metaplectic relations are checked on a fixed set of probe
+vectors (see `verify_relations`), and the traces are read from the
+diagonals.  Complex double precision throughout; every downstream consumer
+snaps to roots of unity or integers.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -22,6 +32,11 @@ from .errors import BadGroupCap, SnapFailure, TooLarge
 from .lattices import DiscriminantForm, Lattice, discriminant_form
 
 DEFAULT_GROUP_CAP = 4096
+
+# the probes: PROBE_RANDOM random unit vectors drawn from PROBE_SEED, then
+# the basis vectors e_0, e_{d//2} and e_{d-1}
+PROBE_SEED = 20130101
+PROBE_RANDOM = 4
 
 
 def group_cap() -> int:
@@ -40,10 +55,21 @@ def group_cap() -> int:
 
 @dataclass(frozen=True)
 class WeilRep:
+    """rho(T), rho(S) and rho(Z) on C[A], basis in the form's `elements()` order.
+
+    The `apply_*` methods take a vector of length |A|, or an (|A|, m) array
+    whose columns are vectors, and return the image in the same shape.
+    """
+
     df: DiscriminantForm
-    rhoT: np.ndarray
-    rhoS: np.ndarray
-    rhoZ: np.ndarray
+    # diagonal of rho(T): e(q(gamma)/2)
+    t_diag: np.ndarray
+    # for each gamma, the flat index of xi(gamma) in fftn's output
+    xi: np.ndarray
+    # e(-sig/8)/sqrt(|A|)
+    s_phase: complex
+    # e(-sig/4)
+    z_phase: complex
 
     @property
     def dimension(self) -> int:
@@ -57,27 +83,25 @@ class WeilRep:
     def level(self) -> int:
         return self.df.level
 
-    def matrices_json(self) -> str:
-        """JSON export: matrices as nested arrays of [re, im] pairs."""
+    def apply_t(self, v: np.ndarray) -> np.ndarray:
+        return self.t_diag.reshape((-1,) + (1,) * (v.ndim - 1)) * v
 
-        def enc(m):
-            return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    def apply_s(self, v: np.ndarray) -> np.ndarray:
+        grid = v.reshape(self.df.orders + v.shape[1:])
+        f = np.fft.fftn(grid, axes=tuple(range(self.df.ngens)))
+        return self.s_phase * f.reshape(v.shape)[self.xi]
 
-        return json.dumps(
-            {"rhoT": enc(self.rhoT), "rhoS": enc(self.rhoS), "rhoZ": enc(self.rhoZ)}
-        )
+    def apply_z(self, v: np.ndarray) -> np.ndarray:
+        return self.z_phase * v[self.df.neg_index]
 
 
 def build_weil_rep(df: DiscriminantForm, cap: int | None = None) -> WeilRep:
-    """Matrices of T and S on C[A].
+    """The three operators of the Weil representation on C[A].
 
-    rhoT is diagonal with entries exp(pi*i*q(gamma)); rhoS has entries
-    exp(-2*pi*i*sig/8)/sqrt(|A|) * exp(-2*pi*i*b(gamma,delta)) where sig
-    is the lattice signature mod 8, both read off the form's integer
-    encoding (`qn`, `bn()`).  rhoZ sends e_gamma to exp(-2*pi*i*sig/4) *
-    e_{-gamma} (`neg_index`), built from that definition rather than as
-    rhoS^2, so that `verify_relations` can compare the two.  Basis order is
-    that of the form's `elements()`.
+    The integer form of b(g_i, g_j) * d_j is (N*b(g_i, g_j) mod N) * d_j / N
+    with N the level, read from the generator pairing; xi(gamma) is then one
+    (|A|, ngens) @ (ngens, ngens) product reduced mod `orders`.  Groups of
+    order above `cap` (default `group_cap()`) raise TooLarge.
     """
     if cap is None:
         cap = group_cap()
@@ -85,13 +109,24 @@ def build_weil_rep(df: DiscriminantForm, cap: int | None = None) -> WeilRep:
     if d > cap:
         raise TooLarge(f"group of order {d} exceeds cap {cap}")
     n = df.level
-    rho_t = np.diag(np.exp((2j * np.pi / n) * df.qn))
-    phase = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(d)
-    # rhoS entry for each value n*b(gamma, delta) mod n, looked up by bn
-    rho_s = (phase * np.exp((-2j * np.pi / n) * np.arange(n)))[df.bn()]
-    rho_z = np.zeros((d, d), dtype=complex)
-    rho_z[df.neg_index, np.arange(d)] = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4)
-    return WeilRep(df=df, rhoT=rho_t, rhoS=rho_s, rhoZ=rho_z)
+    orders = np.array(df.orders, dtype=np.int64)
+    # N*b(g_i, g_j), in [0, 2N): the diagonal of _upper holds N*q(g_i)/2
+    bn = df._upper + df._upper.T
+    if (bn * orders % n).any():
+        raise ValueError(f"b(g_i, g_j) * d_j is not integral at level {n}")
+    dual = bn * orders // n % orders  # dual[i, j] = b(g_i, g_j) * d_j mod d_j
+    # elements() is row-major over `orders`
+    strides = np.array(
+        [math.prod(df.orders[j + 1:]) for j in range(df.ngens)], dtype=np.int64
+    )
+    xi = df.exponents @ dual % orders @ strides
+    return WeilRep(
+        df=df,
+        t_diag=np.exp((2j * np.pi / n) * df.qn),
+        xi=xi,
+        s_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(d),
+        z_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4),
+    )
 
 
 def weil_rep_of(lat: Lattice, cap: int | None = None) -> WeilRep:
@@ -100,6 +135,29 @@ def weil_rep_of(lat: Lattice, cap: int | None = None) -> WeilRep:
 
 def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def _probes(d: int) -> np.ndarray:
+    """The (d, PROBE_RANDOM + 3) probe vectors, the same on every call.
+
+    The random ones have real and imaginary parts uniform in [-1/2, 1/2)
+    before normalising, from splitmix64 (Steele, Lea and Flood, 2014) of
+    PROBE_SEED + i * 0x9E3779B97F4A7C15: integer arithmetic, so the same
+    on every machine, and no numpy.random, whose import takes longer than
+    a whole check of a small form.
+    """
+    z = np.arange(1, 2 * d * PROBE_RANDOM + 1, dtype=np.uint64)
+    z = z * 0x9E3779B97F4A7C15 + PROBE_SEED
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    u = ((z ^ (z >> 31)) >> 11) * 2.0**-53 - 0.5
+    p = np.zeros((d, PROBE_RANDOM + 3), dtype=complex)
+    p[:, :PROBE_RANDOM] = u[: d * PROBE_RANDOM].reshape(d, PROBE_RANDOM)
+    p[:, :PROBE_RANDOM] += 1j * u[d * PROBE_RANDOM :].reshape(d, PROBE_RANDOM)
+    p[:, :PROBE_RANDOM] /= np.linalg.norm(p[:, :PROBE_RANDOM], axis=0)
+    for col, row in enumerate((0, d // 2, d - 1), start=PROBE_RANDOM):
+        p[row, col] = 1.0
+    return p
 
 
 @dataclass(frozen=True)
@@ -114,30 +172,25 @@ class RelationReport:
 
 
 def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
-    """Check the Mp2(Z) presentation on the constructed matrices.
+    """Check the Mp2(Z) presentation on the operators.
 
-    S^2 = Z, (ST)^3 = S^2, T^N = 1 for N the level, S unitary, and S^2
-    permutes e_gamma to a scalar multiple of e_{-gamma}.  T^N = 1 is checked
-    on the diagonal of rhoT, and any entry off it counts as error.  Reports
-    errors, never raises.
+    S^2 = Z, (ST)^3 = S^2, S unitary as <Su, Sv> = <u, v>, and S^2 moving
+    the weight at -gamma to gamma with modulus kept (the Z-swap) are each
+    checked on the columns of `_probes` and report the largest entry of the
+    residual; T^N = 1 for N the level is checked on the diagonal of rho(T).
+    Reports errors, never raises.
     """
-    d = w.dimension
-    eye = np.eye(d)
-    st3 = np.linalg.matrix_power(w.rhoS @ w.rhoT, 3)
-    s2 = w.rhoS @ w.rhoS
-    err_st3 = _max_abs(st3 - s2)
-    err_s2z = _max_abs(s2 - w.rhoZ)
-    z = np.abs(s2)
-    # drop the d x d products before the next ones, so at most three coexist
-    del st3, s2
-    neg, cols = w.df.neg_index, np.arange(d)
-    err_swap = float(np.max(np.abs(z[neg, cols] - 1.0)))
-    z[neg, cols] = 0.0
-    err_swap = max(err_swap, float(np.max(z)))
-    del z
-    diag = np.diag(w.rhoT)
-    err_tn = max(_max_abs(diag**w.level - 1), _max_abs(w.rhoT - np.diag(diag)))
-    err_unitary = _max_abs(w.rhoS @ w.rhoS.conj().T - eye)
+    p = _probes(w.dimension)
+    sp = w.apply_s(p)
+    s2p = w.apply_s(sp)
+    st3p = p
+    for _ in range(3):
+        st3p = w.apply_s(w.apply_t(st3p))
+    err_s2z = _max_abs(s2p - w.apply_z(p))
+    err_st3 = _max_abs(st3p - s2p)
+    err_tn = _max_abs(w.t_diag**w.level - 1)
+    err_unitary = _max_abs(sp.conj().T @ sp - p.conj().T @ p)
+    err_swap = _max_abs(np.abs(s2p) - np.abs(p[w.df.neg_index]))
     passed = all(
         e < tol for e in (err_s2z, err_st3, err_tn, err_unitary, err_swap)
     )
@@ -163,20 +216,25 @@ class TraceReport:
 
 
 def traces(w: WeilRep, snap_tol: float = 1e-6) -> TraceReport:
-    """Traces of T, S, ST and the exact eigenvalue content of rhoT.
+    """Traces of T, S, ST and the exact eigenvalue content of rho(T).
 
-    Each diagonal entry of rhoT is snapped to the nearest N-th root of
-    unity (N = level); entries further than snap_tol raise SnapFailure.
+    The diagonal of rho(S) is e(-sig/8)/sqrt(|A|) * e(-q(gamma)), the
+    square of the conjugate of rho(T)'s diagonal times the phase.  Each
+    diagonal entry of rho(T) is snapped to the nearest N-th root of unity
+    (N = level); entries further than snap_tol raise SnapFailure.
     """
     n = w.level
-    z = np.diag(w.rhoT)
+    z = w.t_diag
     k = np.rint(np.angle(z) / (2 * math.pi) * n).astype(np.int64) % n
     off = np.abs(z - np.exp((2j * np.pi / n) * k)) > snap_tol
     if off.any():
         raise SnapFailure(f"rhoT entry {z[off][0]} is not an {n}-th root of unity")
     keys, counts = np.unique(k, return_counts=True)
     mult = {Fraction(int(r), n): int(c) for r, c in zip(keys, counts)}
-    tr_t = complex(np.trace(w.rhoT))
-    tr_s = complex(np.trace(w.rhoS))
-    tr_st = complex(np.einsum("ij,ji->", w.rhoS, w.rhoT))
-    return TraceReport(trT=tr_t, trS=tr_s, trST=tr_st, eigT_multiplicities=mult)
+    s_diag = w.s_phase * z.conj() ** 2
+    return TraceReport(
+        trT=complex(z.sum()),
+        trS=complex(s_diag.sum()),
+        trST=complex(s_diag @ z),
+        eigT_multiplicities=mult,
+    )

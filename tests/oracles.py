@@ -1,6 +1,7 @@
 """Slow, independent reference implementations used as test oracles."""
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from math import lcm, prod
@@ -158,4 +159,124 @@ def dim_cusp_df_elementwise(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
             "isotropic": -n_iso,
             "raw_value": value,
         },
+    )
+
+
+def bn(df: DiscriminantForm) -> np.ndarray:
+    """N*b(gamma, delta) mod N for every pair of elements, N the level.
+
+    |A|^2 int64 entries, from the exponent rows and the generator pairing.
+    """
+    n, e = df.level, df.exponents
+    return e @ ((df._upper + df._upper.T) % n) % n @ e.T % n
+
+
+def dense_weil(df: DiscriminantForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho(T), rho(S) and rho(Z) as dense |A| x |A| matrices, entry by entry.
+
+    rho(T) = diag exp(pi*i*q(gamma)) from `qn`; rho(S) has entries
+    exp(-2*pi*i*sig/8)/sqrt(|A|) * exp(-2*pi*i*b(gamma, delta)) looked up
+    by `bn`; rho(Z) sends e_gamma to exp(-2*pi*i*sig/4) * e_{-gamma}.
+    """
+    d, n = df.cardinality, df.level
+    rho_t = np.diag(np.exp((2j * np.pi / n) * df.qn))
+    phase = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(d)
+    rho_s = (phase * np.exp((-2j * np.pi / n) * np.arange(n)))[bn(df)]
+    rho_z = np.zeros((d, d), dtype=complex)
+    rho_z[df.neg_index, np.arange(d)] = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4)
+    return rho_t, rho_s, rho_z
+
+
+def operator_matrix(apply, d: int) -> np.ndarray:
+    """The d x d matrix of a linear operator: its images of the basis vectors."""
+    return apply(np.eye(d, dtype=complex))
+
+
+def _arg_sum(eigenvalues: np.ndarray) -> float:
+    """alpha: the sum of the arguments, as fractions of a turn in [0, 1).
+
+    An argument within 1e-9 below a whole turn belongs to an eigenvalue 1
+    and counts as 0.
+    """
+    turns = np.angle(eigenvalues) / (2 * math.pi) % 1
+    return float(np.where(turns > 1 - 1e-9, turns - 1, turns).sum())
+
+
+@functools.lru_cache(maxsize=4)
+def _dual_eigenvalues(df: DiscriminantForm, eps: int):
+    """Eigenvalues of rho*(S), rho*(ST) and rho*(T) on V^eps, and dim V^eps.
+
+    rho* = conj(rho) is the dual Weil representation, from the dense
+    matrices of `dense_weil`.  V^eps is the eps-eigenspace of
+    e_gamma -> e_{-gamma}, spanned by the orthonormal
+    (e_gamma + eps * e_{-gamma})/sqrt(2), and by e_gamma where
+    gamma = -gamma and eps = 1; rho commutes with the swap, so it
+    restricts to V^eps.
+    """
+    d, neg = df.cardinality, df.neg_index
+    cols = []
+    for i in range(d):
+        j = int(neg[i])
+        if i < j:
+            v = np.zeros(d)
+            v[i], v[j] = 1 / math.sqrt(2), eps / math.sqrt(2)
+            cols.append(v)
+        elif i == j and eps == 1:
+            cols.append(np.eye(d)[i])
+    basis = np.array(cols).T.reshape(d, len(cols))
+    rho_t, rho_s, _ = (m.conj() for m in dense_weil(df))
+
+    def restrict(m):
+        return basis.T @ m @ basis
+
+    return (
+        np.linalg.eigvals(restrict(rho_s)),
+        np.linalg.eigvals(restrict(rho_s @ rho_t)),
+        np.linalg.eigvals(restrict(rho_t)),
+        len(cols),
+    )
+
+
+def dim_cusp_from_eigenvalues(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
+    """dim S_k of type rho* from the eigenvalues of the dense rho*, k > 2.
+
+    On V^eps, with eps = +1 for 2k + sig = 0 mod 4 and -1 for 2 mod 4,
+    r = dim V^eps and alpha the argument sum of `_arg_sum`:
+
+        dim S_k = r + r*k/12 - alpha(e^{pi*i*k/2} rho*(S))
+                  - alpha((e^{pi*i*k/3} rho*(ST))^{-1})
+                  - alpha(rho*(T)) - #{rho*(T)-eigenvalues equal to 1}.
+
+    The formula is in Borcherds, Reflection groups of Lorentzian lattices
+    (Doc. Math. 2000).  The boundary terms carry rank_pm = r, the isotropic
+    count (negated, as in `dim_cusp_df`) and raw_value.
+    """
+    k = Fraction(k)
+    if k.denominator not in (1, 2):
+        raise ValueError(f"weight must be half-integral, got {k}")
+    if k <= 2:
+        raise WeightTooSmall(f"formula needs weight > 2, got {k}")
+    parity = ((2 * k).numerator + df.sig_mod_8) % 4
+    if parity not in (0, 2):
+        return CuspDimReport(
+            k=k, d=df.cardinality, dim=0, parity_ok=False, symmetric=None
+        )
+    eps = 1 if parity == 0 else -1
+    ev_s, ev_st, ev_t, r = _dual_eigenvalues(df, eps)
+    n_iso = int(np.count_nonzero(np.abs(ev_t - 1) < 1e-9))
+    value = (
+        r
+        + r * float(k) / 12
+        - _arg_sum(cmath.exp(1j * math.pi * k / 2) * ev_s)
+        - _arg_sum(1 / (cmath.exp(1j * math.pi * k / 3) * ev_st))
+        - _arg_sum(ev_t)
+        - n_iso
+    )
+    return CuspDimReport(
+        k=k,
+        d=df.cardinality,
+        dim=round(value),
+        parity_ok=True,
+        symmetric=eps == 1,
+        boundary_terms={"rank_pm": r, "isotropic": -n_iso, "raw_value": value},
     )

@@ -1,10 +1,25 @@
-"""Hypothesis strategies for random direct sums of U(N), <2n> and +-E8."""
+"""Hypothesis strategies for random direct sums of U(N), <2n> and +-E8,
+and a fixed set of such sums whose groups are not cyclic."""
 
 import math
 
 from hypothesis import strategies as st
 
 from nlrank import direct_sum, e8, hyperbolic, make_lattice
+
+
+def _w(n):
+    return make_lattice([[n]])
+
+
+NON_CYCLIC = {
+    "U(2)+U(6)": direct_sum(hyperbolic(2), hyperbolic(6)),
+    "U(2)+<-24>+E8": direct_sum(hyperbolic(2), _w(-24), e8()),
+    "U(2)^2+<-12>+(-E8)": direct_sum(hyperbolic(2), hyperbolic(2), _w(-12), e8(True)),
+    "U(2)^3+<2>+(-E8)": direct_sum(
+        hyperbolic(2), hyperbolic(2), hyperbolic(2), _w(2), e8(True)
+    ),
+}
 
 # one summand as a (kind, parameter) piece
 piece = st.one_of(
@@ -37,3 +52,7 @@ def lattice_of(pieces):
         else:
             parts.append(e8(p))
     return direct_sum(*parts)
+
+
+# the sums with at most 400 elements, small enough for the dense oracles
+dense_pieces = pieces.filter(lambda ps: math.prod(map(order, ps)) <= 400)

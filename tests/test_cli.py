@@ -1,5 +1,10 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nlrank import cli
@@ -126,6 +131,41 @@ def test_weil_verify():
     code, out, _ = run(["weil", "verify", "--name", "U", "--format", "json"])
     assert code == 0
     assert '"pass": true' in out
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_weil_tol_must_be_finite_and_positive(tol):
+    code, out, err = run(["weil", "verify", "--name", "U", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2,
+    reason="numpy 1.x imports numpy.fft with numpy",
+)
+def test_only_weil_loads_numpy_fft():
+    """rank, nl and lattice info leave numpy.fft unloaded; weil verify loads it."""
+    script = (
+        "import io, sys\n"
+        "from nlrank.cli import dispatch\n"
+        "for argv in (['rank', '--from', '2', '--to', '3'],\n"
+        "             ['nl', '--g', '2', '--dmax', '1', '--hmax', '1'],\n"
+        "             ['lattice', 'info', '--name', 'K3']):\n"
+        "    assert dispatch(argv, out=io.StringIO()) == 0\n"
+        "print('numpy.fft' in sys.modules)\n"
+        "dispatch(['weil', 'verify', '--name', 'U'], out=io.StringIO())\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_dim():

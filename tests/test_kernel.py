@@ -1,11 +1,13 @@
 """Oracle tests for the integer encoding of discriminant forms.
 
-`DiscriminantForm.exponents`, `qn`, `neg_index` and `bn()` are compared
-element by element with the exact `Fraction` reference `elements()`, `q()`
-and `b()`; `q_histogram` and `two_torsion` with `qn` and `neg_index`; and
-the consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
-`Fraction` walks over the same reference and with the element-by-element
-`oracles.dim_cusp_df_elementwise`.
+`DiscriminantForm.exponents`, `qn` and `neg_index`, and the pairing
+`oracles.bn` builds from the generator pairing, are compared element by
+element with the exact `Fraction` reference `elements()`, `q()` and `b()`;
+`q_histogram` and `two_torsion` with `qn` and `neg_index`; and the
+consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
+`Fraction` walks over the same reference, with the element-by-element
+`oracles.dim_cusp_df_elementwise` and with the eigenvalues of the dense
+dual Weil representation (`oracles.dim_cusp_from_eigenvalues`).
 """
 
 import cmath
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 from nlrank import (
     build_weil_rep,
     dim_cusp_df,
-    direct_sum,
     discriminant_form,
     e8,
     gauss_sum,
@@ -33,23 +34,15 @@ from nlrank import (
 from nlrank.lattices import DiscriminantForm
 
 import strategies
-from oracles import dim_cusp_df_elementwise
+from oracles import (
+    bn,
+    dim_cusp_df_elementwise,
+    dim_cusp_from_eigenvalues,
+    operator_matrix,
+)
+from strategies import NON_CYCLIC
 
 HALF_21 = Fraction(21, 2)
-
-
-def _w(n):
-    return make_lattice([[n]])
-
-
-NON_CYCLIC = {
-    "U(2)+U(6)": direct_sum(hyperbolic(2), hyperbolic(6)),
-    "U(2)+<-24>+E8": direct_sum(hyperbolic(2), _w(-24), e8()),
-    "U(2)^2+<-12>+(-E8)": direct_sum(hyperbolic(2), hyperbolic(2), _w(-12), e8(True)),
-    "U(2)^3+<2>+(-E8)": direct_sum(
-        hyperbolic(2), hyperbolic(2), hyperbolic(2), _w(2), e8(True)
-    ),
-}
 
 TRIVIAL = {"U": hyperbolic(), "K3": k3_lattice(), "E8": e8()}
 
@@ -64,8 +57,8 @@ def _check_kernel(df, pairs=None):
     elems = list(df.elements())
     d = len(elems)
     assert d == df.cardinality
-    bn = df.bn()
-    for arr in (df.exponents, df.qn, df.neg_index, bn):
+    pairing = bn(df)
+    for arr in (df.exponents, df.qn, df.neg_index, pairing):
         assert arr.dtype == np.int64
     assert df.exponents.shape == (d, df.ngens)
     assert [tuple(map(int, row)) for row in df.exponents] == elems
@@ -77,11 +70,11 @@ def _check_kernel(df, pairs=None):
         neg = tuple((-x) % m for x, m in zip(e, df.orders))
         assert neg_index[i] == index[neg], e
     rows, cols = pairs if pairs is not None else (range(d), range(d))
-    assert bn.shape == (d, d)
-    bn = bn.tolist()
+    assert pairing.shape == (d, d)
+    pairing = pairing.tolist()
     for i in rows:
         for j in cols:
-            assert bn[i][j] == df.b(elems[i], elems[j]) * n, (elems[i], elems[j])
+            assert pairing[i][j] == df.b(elems[i], elems[j]) * n, (elems[i], elems[j])
 
 
 def _check_histogram(df):
@@ -129,7 +122,7 @@ def test_kernel_trivial_group(name):
     assert df.neg_index.tolist() == [0]
     assert df.two_torsion.tolist() == [0]
     assert [a.tolist() for a in df.q_histogram] == [[0], [1]]
-    assert df.bn().tolist() == [[0]]
+    assert bn(df).tolist() == [[0]]
 
 
 @pytest.mark.parametrize("name", sorted(NON_CYCLIC))
@@ -236,6 +229,34 @@ def test_dim_matches_elementwise_oracle_on_random_forms(pieces):
     assert _check_against_elementwise(df) == {True, False}
 
 
+def _check_against_eigenvalues(df):
+    """dim_cusp_df against the eigenvalues of the dense dual representation
+    at every weight in WEIGHTS."""
+    for k in WEIGHTS:
+        rep, ref = dim_cusp_df(df, k), dim_cusp_from_eigenvalues(df, k)
+        assert (rep.dim, rep.parity_ok, rep.symmetric) == (
+            ref.dim,
+            ref.parity_ok,
+            ref.symmetric,
+        ), k
+        if rep.parity_ok:
+            terms, expected = rep.boundary_terms, ref.boundary_terms
+            assert terms["rank_pm"] == expected["rank_pm"], k
+            assert terms["isotropic"] == expected["isotropic"], k
+            assert abs(terms["raw_value"] - expected["raw_value"]) < 1e-6, k
+
+
+def test_dim_matches_eigenvalue_oracle(corpus):
+    for name, lat in {**corpus, **NON_CYCLIC}.items():
+        _check_against_eigenvalues(discriminant_form(lat))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.dense_pieces)
+def test_dim_matches_eigenvalue_oracle_on_random_forms(pieces):
+    _check_against_eigenvalues(discriminant_form(strategies.lattice_of(pieces)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(strategies.pieces, st.data())
 def test_kernel_matches_reference_on_random_forms(pieces, data):
@@ -245,7 +266,8 @@ def test_kernel_matches_reference_on_random_forms(pieces, data):
     # every element against a few drawn partners keeps the b() calls linear
     cols = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=6))
     _check_kernel(df, pairs=(range(d), cols))
-    assert np.array_equal(df.bn(), df.bn().T)
+    pairing = bn(df)
+    assert np.array_equal(pairing, pairing.T)
     milgram = math.sqrt(d) * cmath.exp(2j * cmath.pi * df.sig_mod_8 / 8)
     assert abs(gauss_sum(df) - milgram) < 1e-9
 
@@ -266,5 +288,6 @@ def test_rho_z_is_the_negation_permutation(corpus):
             neg = tuple(-x % o for x, o in zip(e, df.orders))
             expected[index[neg], j] = cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4)
         w = build_weil_rep(df)
-        assert np.max(np.abs(w.rhoZ - expected)) < 1e-15, name
+        rho_z = operator_matrix(w.apply_z, len(elems))
+        assert np.max(np.abs(rho_z - expected)) < 1e-15, name
         assert verify_relations(w).maxErrS2Z < 1e-12, name

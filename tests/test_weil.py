@@ -1,11 +1,18 @@
+"""The Weil representation's operators, against the dense oracle matrices.
+
+Each operator's matrix is built by applying it to the identity
+(`oracles.operator_matrix`); `oracles.dense_weil` builds the same three
+matrices entry by entry from the pairing.
+"""
+
 import cmath
 import dataclasses
-import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from nlrank import (
     build_weil_rep,
@@ -21,32 +28,74 @@ from nlrank import (
 )
 from nlrank.errors import TooLarge
 
+import strategies
+from oracles import dense_weil, operator_matrix
+from strategies import NON_CYCLIC
+
+
+def _matrices(w):
+    """rho(T), rho(S), rho(Z) of the operators, as d x d matrices."""
+    d = w.dimension
+    return tuple(operator_matrix(f, d) for f in (w.apply_t, w.apply_s, w.apply_z))
+
 
 def test_trivial_group_matrices():
     w = weil_rep_of(hyperbolic())
     assert w.dimension == 1
-    assert abs(w.rhoT[0, 0] - 1) < 1e-12
-    assert abs(w.rhoS[0, 0] - 1) < 1e-12
+    rho_t, rho_s, _ = _matrices(w)
+    assert abs(rho_t[0, 0] - 1) < 1e-12
+    assert abs(rho_s[0, 0] - 1) < 1e-12
 
 
 def test_root_two_matrices():
-    w = weil_rep_of(make_lattice([[2]]))
+    rho_t, rho_s, _ = _matrices(weil_rep_of(make_lattice([[2]])))
     expected_t = np.diag([1, 1j])
-    assert np.max(np.abs(w.rhoT - expected_t)) < 1e-12
+    assert np.max(np.abs(rho_t - expected_t)) < 1e-12
     phase = cmath.exp(-2j * cmath.pi / 8) / math.sqrt(2)
     expected_s = phase * np.array([[1, 1], [1, -1]])
-    assert np.max(np.abs(w.rhoS - expected_s)) < 1e-12
+    assert np.max(np.abs(rho_s - expected_s)) < 1e-12
 
 
 def test_root_two_rho_z():
-    w = weil_rep_of(make_lattice([[2]]))
+    _, _, rho_z = _matrices(weil_rep_of(make_lattice([[2]])))
     expected_z = cmath.exp(-2j * cmath.pi / 4) * np.eye(2)
-    assert np.max(np.abs(w.rhoZ - expected_z)) < 1e-12
+    assert np.max(np.abs(rho_z - expected_z)) < 1e-12
+
+
+def _check_against_dense(df):
+    """Every entry of the operators' matrices within 1e-12 of the oracle's."""
+    assert df.cardinality <= 400
+    w = build_weil_rep(df)
+    for got, want in zip(_matrices(w), dense_weil(df)):
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_operators_match_dense_oracle(corpus):
+    # <4>+<6> has orders (4, 6), which do not divide each other
+    forms = [*corpus.values(), *NON_CYCLIC.values()]
+    forms.append(direct_sum(make_lattice([[4]]), make_lattice([[6]])))
+    forms += [lambda_lattice(g) for g in (50, 100, 150, 200, 201)]
+    for lat in forms:
+        _check_against_dense(discriminant_form(lat))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.dense_pieces)
+def test_operators_match_dense_oracle_on_random_forms(pieces):
+    _check_against_dense(discriminant_form(strategies.lattice_of(pieces)))
 
 
 def test_group_cap():
     with pytest.raises(TooLarge):
         build_weil_rep(discriminant_form(make_lattice([[4]])), cap=3)
+
+
+def test_build_rejects_orders_the_pairing_does_not_fit():
+    # <4> has A = Z/4 with b(g, g) = 1/4; as Z/2, b(g, g) * 2 is not integral
+    df = discriminant_form(make_lattice([[4]]))
+    wrong = dataclasses.replace(df, orders=(2,), cardinality=2)
+    with pytest.raises(ValueError, match="not integral"):
+        build_weil_rep(wrong)
 
 
 def test_relations_corpus(corpus):
@@ -57,14 +106,15 @@ def test_relations_corpus(corpus):
 
 def test_rho_s_symmetric(corpus):
     for lat in corpus.values():
-        w = weil_rep_of(lat)
-        assert np.max(np.abs(w.rhoS - w.rhoS.T)) < 1e-12
+        _, rho_s, _ = _matrices(weil_rep_of(lat))
+        assert np.max(np.abs(rho_s - rho_s.T)) < 1e-12
 
 
 def test_unitarity(corpus):
     for lat in corpus.values():
         w = weil_rep_of(lat)
-        err = np.max(np.abs(w.rhoS @ w.rhoS.conj().T - np.eye(w.dimension)))
+        _, rho_s, _ = _matrices(w)
+        err = np.max(np.abs(rho_s @ rho_s.conj().T - np.eye(w.dimension)))
         assert err < 1e-9
 
 
@@ -91,27 +141,21 @@ def test_traces_trivial():
 def test_rho_t_tensor_under_direct_sum():
     a = make_lattice([[2]])
     b = make_lattice([[-4]])
-    wa = weil_rep_of(a)
-    wb = weil_rep_of(b)
-    ws = weil_rep_of(direct_sum(a, b))
-    tensor = np.kron(np.diag(np.diag(wa.rhoT)), np.diag(np.diag(wb.rhoT)))
-    got = sorted(np.round(np.diag(ws.rhoT), 9).tolist(), key=lambda z: (z.real, z.imag))
+    (ta, _, _), (tb, _, _) = _matrices(weil_rep_of(a)), _matrices(weil_rep_of(b))
+    ts, _, _ = _matrices(weil_rep_of(direct_sum(a, b)))
+    tensor = np.kron(ta, tb)
+    got = sorted(np.round(np.diag(ts), 9).tolist(), key=lambda z: (z.real, z.imag))
     want = sorted(np.round(np.diag(tensor), 9).tolist(), key=lambda z: (z.real, z.imag))
     assert got == want
-
-
-def test_matrices_json_export():
-    w = weil_rep_of(make_lattice([[2]]))
-    obj = json.loads(w.matrices_json())
-    assert set(obj) == {"rhoT", "rhoS", "rhoZ"}
-    assert obj["rhoT"][1][1] == pytest.approx([0.0, 1.0])
 
 
 def test_level_from_t_order(corpus):
     # rho(T)^N = 1 and no smaller positive power works
     for name, lat in corpus.items():
         w = weil_rep_of(lat)
-        diag = np.diag(w.rhoT)
+        rho_t, _, _ = _matrices(w)
+        assert np.array_equal(rho_t, np.diag(np.diag(rho_t))), name
+        diag = np.diag(rho_t)
         n = w.level
         assert np.max(np.abs(diag**n - 1)) < 1e-9, name
         for m in range(1, n):
@@ -124,32 +168,51 @@ def test_lambda_g_dimension_is_2g_minus_2():
         assert weil_rep_of(lambda_lattice(g)).dimension == 2 * g - 2
 
 
-@pytest.mark.parametrize("where", ["diagonal", "order 2N", "off-diagonal"])
+@pytest.mark.parametrize("where", ["diagonal", "order 2N"])
 def test_relations_fail_on_a_perturbed_rho_t(where):
     w = weil_rep_of(lambda_lattice(9))
     assert verify_relations(w).passed
-    rho_t = w.rhoT.copy()
+    t_diag = w.t_diag.copy()
     if where == "diagonal":
-        rho_t[3, 3] *= np.exp(1e-6j)
-    elif where == "order 2N":
-        # a root of unity whose N-th power is -1
-        rho_t[3, 3] *= np.exp(1j * np.pi / w.level)
+        t_diag[3] *= np.exp(1e-6j)
     else:
-        rho_t[3, 5] = 1e-6
-    rep = verify_relations(dataclasses.replace(w, rhoT=rho_t))
+        # a root of unity whose N-th power is -1
+        t_diag[3] *= np.exp(1j * np.pi / w.level)
+    rep = verify_relations(dataclasses.replace(w, t_diag=t_diag))
     assert rep.maxErrTN > 1e-7
     assert not rep.passed
 
 
-def test_trace_st_matches_dense_product():
+WRONG_XI = {"Lambda_9": lambda_lattice(9), "U(2)+U(6)": NON_CYCLIC["U(2)+U(6)"]}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_XI))
+def test_relations_fail_on_a_wrong_xi_index(name):
+    w = weil_rep_of(WRONG_XI[name])
+    assert verify_relations(w).passed
+    xi = w.xi.copy()
+    xi[[3, 5]] = xi[[5, 3]]
+    assert not verify_relations(dataclasses.replace(w, xi=xi)).passed
+
+
+def test_relations_fail_on_a_wrong_rho_z_phase():
+    w = weil_rep_of(lambda_lattice(9))
+    assert verify_relations(w).passed
+    # e(+sig/4), the phase of the dual representation; sig = 7 mod 8
+    wrong = w.z_phase.conjugate()
+    assert abs(wrong - w.z_phase) > 1
+    rep = verify_relations(dataclasses.replace(w, z_phase=wrong))
+    assert rep.maxErrS2Z > 1e-7
+    assert not rep.passed
+
+
+def test_trace_st_matches_dense_product(corpus):
     # <2>+<-2> has the non-cyclic group (Z/2)^2
-    df = discriminant_form(direct_sum(make_lattice([[2]]), make_lattice([[-2]])))
-    assert df.ngens == 2
-    w = build_weil_rep(df)
-    assert abs(traces(w).trST - np.trace(w.rhoS @ w.rhoT)) < 1e-12
-    # and for a rhoT that is not diagonal, next to an S that is not symmetric
-    rng = np.random.default_rng(5)
-    dense_s, dense_t = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
-    np.fill_diagonal(dense_t, np.diag(w.rhoT))
-    tr = traces(dataclasses.replace(w, rhoS=dense_s, rhoT=dense_t))
-    assert abs(tr.trST - np.trace(dense_s @ dense_t)) < 1e-12
+    forms = {**corpus, **NON_CYCLIC}
+    assert discriminant_form(forms["<2>+<-2>"]).ngens == 2
+    for name, lat in forms.items():
+        w = weil_rep_of(lat)
+        rho_t, rho_s, _ = _matrices(w)
+        tr = traces(w)
+        assert abs(tr.trS - np.trace(rho_s)) < 1e-12, name
+        assert abs(tr.trST - np.trace(rho_s @ rho_t)) < 1e-12, name
