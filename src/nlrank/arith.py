@@ -91,10 +91,7 @@ def square_count(g: int) -> int:
     return (g - 1) // (r * m) + 1  # the cofactor m left is 1 or a prime
 
 
-GAUSS_SUM_CAP = 10**6
-
-
-def gauss_sum(df: DiscriminantForm, cap: int = GAUSS_SUM_CAP) -> complex:
+def gauss_sum(df: DiscriminantForm) -> complex:
     """Sum of exp(pi*i*<gamma,gamma>) over the discriminant group.
 
     Evaluated as the sum of count * e(v/N) over the distinct values v of the
@@ -102,7 +99,5 @@ def gauss_sum(df: DiscriminantForm, cap: int = GAUSS_SUM_CAP) -> complex:
     by Milgram's formula, sqrt(|A|) * exp(2*pi*i*sig/8) with sig from
     `signature`, and by the `Fraction` oracle test of the encoding.
     """
-    if df.cardinality > cap:
-        raise TooLarge(f"group of order {df.cardinality} exceeds cap {cap}")
     values, counts = df.q_histogram
     return complex(counts @ np.exp((2j * np.pi / df.level) * values))

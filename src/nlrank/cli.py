@@ -2,7 +2,7 @@
 
 Verbs: rank, lattice, weil, dim, nl, crosscheck.  Output is deterministic
 for fixed arguments; rationals render as num/den pairs, never as floats.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error (or out of memory), 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from fractions import Fraction
 from . import nl as nlmod
 from . import rank as rankmod
 from .cuspdim import dim_cusp_df, picard_rank_via_cusp
-from .errors import NLRankError, TooLarge
+from .errors import NLRankError
 from .lattices import CATALOG_NAMES, catalog, discriminant_form, signature
-from .weil import build_weil_rep, group_cap, verify_relations
+from .weil import build_weil_rep, verify_relations
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -74,7 +74,7 @@ def _cmd_weil(args, out) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _Usage(f"need a finite --tol > 0, got {args.tol}")
     lat = _lattice_from_args(args)
-    w = build_weil_rep(discriminant_form(lat), cap=group_cap())
+    w = build_weil_rep(discriminant_form(lat))
     rep = verify_relations(w, tol=args.tol)
     obj = {
         "name": lat.name,
@@ -105,9 +105,6 @@ def _parse_weight(text: str) -> Fraction:
 def _cmd_dim(args, out) -> int:
     lat = catalog("Lambda_g", g=args.g)
     df = discriminant_form(lat)
-    cap = group_cap()
-    if df.cardinality > cap:
-        raise TooLarge(f"group of order {df.cardinality} exceeds cap {cap}")
     weight = args.weight if args.weight is not None else Fraction(lat.rank, 2)
     rep = dim_cusp_df(df, weight)
     if args.format == "json":
@@ -242,6 +239,10 @@ def dispatch(argv, out=None, err=None) -> int:
         return USAGE_EXIT
     except NLRankError as exc:
         err.write(f"error: {exc}\n")
+        return DOMAIN_EXIT
+    except MemoryError as exc:
+        # no verb caps its group's order: a group too big for memory ends here
+        err.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return DOMAIN_EXIT
 
 

@@ -56,10 +56,6 @@ class HypothesisNotAsserted(NLRankError):
     pass
 
 
-class BadGroupCap(NLRankError):
-    pass
-
-
 # Noether-Lefschetz labels
 class NegativeDiscriminant(NLRankError):
     pass

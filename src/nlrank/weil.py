@@ -12,45 +12,36 @@ as a matrix:
   reshaped to `orders`, read at xi(gamma).
 
 Applying rho(S) costs O(|A| log |A|) time and the operators O(|A| * ngens)
-memory.  The metaplectic relations are checked on a fixed set of probe
-vectors (see `verify_relations`), and the traces are read from the
-diagonals.  Complex double precision throughout; every downstream consumer
-snaps to roots of unity or integers.
+memory, so the group's order is bounded by memory alone.  The metaplectic
+relations are checked on a fixed set of probe vectors (see
+`verify_relations`).  T^N = 1 is checked, and the traces' eigenvalue content
+read, from one snap of rho(T)'s diagonal to the nearest N-th roots of unity
+(`WeilRep.t_snap`), whose residual does not grow with N.  Complex double
+precision throughout; every downstream consumer snaps to roots of unity or
+integers.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BadGroupCap, SnapFailure, TooLarge
+from .errors import SnapFailure
 from .lattices import DiscriminantForm, Lattice, discriminant_form
 
-DEFAULT_GROUP_CAP = 4096
+# how far a diagonal entry of rho(T) may sit from an N-th root of unity
+# before `traces` raises SnapFailure
+T_SNAP_TOL = 1e-6
 
 # the probes: PROBE_RANDOM random unit vectors drawn from PROBE_SEED, then
 # the basis vectors e_0, e_{d//2} and e_{d-1}
 PROBE_SEED = 20130101
 PROBE_RANDOM = 4
-
-
-def group_cap() -> int:
-    """NLRANK_MAX_GROUP if set, which must be a positive integer, else the default."""
-    text = os.environ.get("NLRANK_MAX_GROUP")
-    if text is None:
-        return DEFAULT_GROUP_CAP
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise BadGroupCap(f"NLRANK_MAX_GROUP must be a positive integer, got {text!r}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -83,6 +74,17 @@ class WeilRep:
     def level(self) -> int:
         return self.df.level
 
+    @cached_property
+    def t_snap(self) -> tuple[np.ndarray, np.ndarray]:
+        """rho(T)'s diagonal snapped to the N-th roots of unity, N the level.
+
+        For each gamma, k = the nearest integer to N * arg t(gamma) / 2pi,
+        reduced mod N, and dist = |t(gamma) - e(k/N)|.
+        """
+        n = self.level
+        k = np.rint(np.angle(self.t_diag) * (n / (2 * math.pi))).astype(np.int64) % n
+        return k, np.abs(self.t_diag - np.exp((2j * np.pi / n) * k))
+
     def apply_t(self, v: np.ndarray) -> np.ndarray:
         return self.t_diag.reshape((-1,) + (1,) * (v.ndim - 1)) * v
 
@@ -95,19 +97,14 @@ class WeilRep:
         return self.z_phase * v[self.df.neg_index]
 
 
-def build_weil_rep(df: DiscriminantForm, cap: int | None = None) -> WeilRep:
+def build_weil_rep(df: DiscriminantForm) -> WeilRep:
     """The three operators of the Weil representation on C[A].
 
     The integer form of b(g_i, g_j) * d_j is (N*b(g_i, g_j) mod N) * d_j / N
     with N the level, read from the generator pairing; xi(gamma) is then one
-    (|A|, ngens) @ (ngens, ngens) product reduced mod `orders`.  Groups of
-    order above `cap` (default `group_cap()`) raise TooLarge.
+    (|A|, ngens) @ (ngens, ngens) product reduced mod `orders`.
     """
-    if cap is None:
-        cap = group_cap()
     d = df.cardinality
-    if d > cap:
-        raise TooLarge(f"group of order {d} exceeds cap {cap}")
     n = df.level
     orders = np.array(df.orders, dtype=np.int64)
     # N*b(g_i, g_j), in [0, 2N): the diagonal of _upper holds N*q(g_i)/2
@@ -129,8 +126,8 @@ def build_weil_rep(df: DiscriminantForm, cap: int | None = None) -> WeilRep:
     )
 
 
-def weil_rep_of(lat: Lattice, cap: int | None = None) -> WeilRep:
-    return build_weil_rep(discriminant_form(lat), cap)
+def weil_rep_of(lat: Lattice) -> WeilRep:
+    return build_weil_rep(discriminant_form(lat))
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -177,8 +174,11 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
     S^2 = Z, (ST)^3 = S^2, S unitary as <Su, Sv> = <u, v>, and S^2 moving
     the weight at -gamma to gamma with modulus kept (the Z-swap) are each
     checked on the columns of `_probes` and report the largest entry of the
-    residual; T^N = 1 for N the level is checked on the diagonal of rho(T).
-    Reports errors, never raises.
+    residual.  T^N = 1 for N the level is checked on the diagonal of rho(T)
+    as N times the largest distance of an entry to its nearest N-th root of
+    unity (`WeilRep.t_snap`): to first order that is |t^N - 1|, without the
+    rounding error of an N-th power, which grows with N.  Reports errors,
+    never raises.
     """
     p = _probes(w.dimension)
     sp = w.apply_s(p)
@@ -188,7 +188,7 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
         st3p = w.apply_s(w.apply_t(st3p))
     err_s2z = _max_abs(s2p - w.apply_z(p))
     err_st3 = _max_abs(st3p - s2p)
-    err_tn = _max_abs(w.t_diag**w.level - 1)
+    err_tn = w.level * _max_abs(w.t_snap[1])
     err_unitary = _max_abs(sp.conj().T @ sp - p.conj().T @ p)
     err_swap = _max_abs(np.abs(s2p) - np.abs(p[w.df.neg_index]))
     passed = all(
@@ -215,18 +215,19 @@ class TraceReport:
     eigT_multiplicities: dict[Fraction, int]
 
 
-def traces(w: WeilRep, snap_tol: float = 1e-6) -> TraceReport:
+def traces(w: WeilRep) -> TraceReport:
     """Traces of T, S, ST and the exact eigenvalue content of rho(T).
 
     The diagonal of rho(S) is e(-sig/8)/sqrt(|A|) * e(-q(gamma)), the
-    square of the conjugate of rho(T)'s diagonal times the phase.  Each
-    diagonal entry of rho(T) is snapped to the nearest N-th root of unity
-    (N = level); entries further than snap_tol raise SnapFailure.
+    square of the conjugate of rho(T)'s diagonal times the phase.  The
+    eigenvalue content comes from `WeilRep.t_snap`, the snap `verify_relations`
+    also reads; an entry further than the module constant T_SNAP_TOL from its
+    N-th root of unity (N = level) raises SnapFailure.
     """
     n = w.level
     z = w.t_diag
-    k = np.rint(np.angle(z) / (2 * math.pi) * n).astype(np.int64) % n
-    off = np.abs(z - np.exp((2j * np.pi / n) * k)) > snap_tol
+    k, dist = w.t_snap
+    off = dist > T_SNAP_TOL
     if off.any():
         raise SnapFailure(f"rhoT entry {z[off][0]} is not an {n}-th root of unity")
     keys, counts = np.unique(k, return_counts=True)

@@ -130,12 +130,6 @@ def test_gauss_sum_root_two():
     assert abs(gauss_sum(df) - (1 + 1j)) < 1e-12
 
 
-def test_gauss_sum_cap():
-    df = discriminant_form(make_lattice([[2]]))
-    with pytest.raises(TooLarge):
-        gauss_sum(df, cap=1)
-
-
 def test_milgram_identity(corpus):
     for name, lat in corpus.items():
         df = discriminant_form(lat)

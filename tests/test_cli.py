@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlrank import cli
+from nlrank import cli, picard_rank
 from nlrank.cli import dispatch
 
 
@@ -57,31 +57,32 @@ def test_rank_above_int64_bound_is_domain_error():
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
-def test_bad_group_cap_is_domain_error(monkeypatch, value):
-    monkeypatch.setenv("NLRANK_MAX_GROUP", value)
-    for argv in (["weil", "verify", "--name", "U"], ["dim", "--g", "2"]):
-        code, out, err = run(argv)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "NLRANK_MAX_GROUP" in err
+def test_dim_of_a_large_group():
+    # |A| = 5998: no verb caps the group's order
+    code, out, _ = run(["dim", "--g", "3000"])
+    assert code == 0
+    assert f"d=5998 dim={picard_rank(3000).rank - 1} " in out
+    assert "dim=2411 " in out
 
 
-def test_group_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("NLRANK_MAX_GROUP", "1")
-    assert run(["weil", "verify", "--name", "U"])[0] == 0
-    code, _, err = run(["weil", "verify", "--name", "U(N)", "--N", "2"])
+def test_weil_verify_of_a_large_group():
+    code, out, _ = run(
+        ["weil", "verify", "--name", "Lambda_g", "--g", "3000", "--format", "json"]
+    )
+    assert code == 0
+    assert '"dimension": 5998' in out and '"pass": true' in out
+
+
+def test_out_of_memory_is_domain_error(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "dim_cusp_df", exhausted)
+    code, out, err = run(["dim", "--g", "2"])
     assert code == 1
-    assert "exceeds cap 1" in err
-
-
-def test_dim_reads_group_cap_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "group_cap", lambda: calls.append(1) or 1)
-    code, _, err = run(["dim", "--g", "3"])
-    assert code == 1
-    assert "exceeds cap 1" in err
-    assert len(calls) == 1
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
 
 
 def test_unknown_catalog_name_is_usage_error():
