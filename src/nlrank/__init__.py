@@ -5,61 +5,57 @@ and 1 + dim of a space of vector-valued cusp forms attached to the Weil
 representation of the discriminant form of Lambda_g.
 """
 
-from .arith import frac_square_sum, gauss_sum, jacobi, square_count
-from .cuspdim import CuspDimReport, dim_cusp, dim_cusp_df, picard_rank_via_cusp
-from .lattices import (
-    DiscriminantForm,
-    Lattice,
-    Signature,
-    catalog,
-    direct_sum,
-    discriminant_form,
-    e8,
-    hyperbolic,
-    k3_lattice,
-    lambda_lattice,
-    make_lattice,
-    signature,
-    smith_normal_form,
-)
-from .nl import NLLabel, enumerate_nl, nl_label, projection_oracle
-from .rank import RankReport, alpha, beta, picard_rank, rank_table
-from .weil import WeilRep, build_weil_rep, traces, verify_relations, weil_rep_of
+import importlib
 
-__all__ = [
-    "CuspDimReport",
-    "DiscriminantForm",
-    "Lattice",
-    "NLLabel",
-    "RankReport",
-    "Signature",
-    "WeilRep",
-    "alpha",
-    "beta",
-    "build_weil_rep",
-    "catalog",
-    "dim_cusp",
-    "dim_cusp_df",
-    "direct_sum",
-    "discriminant_form",
-    "e8",
-    "enumerate_nl",
-    "frac_square_sum",
-    "gauss_sum",
-    "hyperbolic",
-    "jacobi",
-    "k3_lattice",
-    "lambda_lattice",
-    "make_lattice",
-    "nl_label",
-    "picard_rank",
-    "picard_rank_via_cusp",
-    "projection_oracle",
-    "rank_table",
-    "signature",
-    "smith_normal_form",
-    "square_count",
-    "traces",
-    "verify_relations",
-    "weil_rep_of",
-]
+# export -> defining submodule.  Names resolve on first access (PEP 562), so
+# `import nlrank` loads no submodule, and numpy only with one that needs it.
+_EXPORTS = {
+    "frac_square_sum": "arith",
+    "gauss_sum": "arith",
+    "jacobi": "arith",
+    "square_count": "arith",
+    "CuspDimReport": "cuspdim",
+    "dim_cusp": "cuspdim",
+    "dim_cusp_df": "cuspdim",
+    "picard_rank_via_cusp": "cuspdim",
+    "DiscriminantForm": "lattices",
+    "Lattice": "lattices",
+    "Signature": "lattices",
+    "catalog": "lattices",
+    "direct_sum": "lattices",
+    "discriminant_form": "lattices",
+    "e8": "lattices",
+    "hyperbolic": "lattices",
+    "k3_lattice": "lattices",
+    "lambda_lattice": "lattices",
+    "make_lattice": "lattices",
+    "signature": "lattices",
+    "smith_normal_form": "lattices",
+    "NLLabel": "nl",
+    "enumerate_nl": "nl",
+    "nl_label": "nl",
+    "projection_oracle": "nl",
+    "RankReport": "rank",
+    "alpha": "rank",
+    "beta": "rank",
+    "picard_rank": "rank",
+    "rank_table": "rank",
+    "WeilRep": "weil",
+    "build_weil_rep": "weil",
+    "traces": "weil",
+    "verify_relations": "weil",
+    "weil_rep_of": "weil",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,8 +10,7 @@ histogram, is a floating-point Milgram oracle for discriminant forms.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadGenus,
@@ -19,7 +18,9 @@ from .errors import (
     NonpositiveDenominator,
     TooLarge,
 )
-from .lattices import DiscriminantForm
+
+if TYPE_CHECKING:
+    from .lattices import DiscriminantForm
 
 
 def jacobi(a: int, b: int) -> int:
@@ -64,6 +65,8 @@ def frac_square_sum(g: int) -> Fraction:
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
     check_frac_sum_genus(g)
+    import numpy as np
+
     m = 4 * g - 4
     total = 0
     for start in range(0, g, _CHUNK):
@@ -99,5 +102,7 @@ def gauss_sum(df: DiscriminantForm) -> complex:
     by Milgram's formula, sqrt(|A|) * exp(2*pi*i*sig/8) with sig from
     `signature`, and by the `Fraction` oracle test of the encoding.
     """
+    import numpy as np
+
     values, counts = df.q_histogram
     return complex(counts @ np.exp((2j * np.pi / df.level) * values))

@@ -3,6 +3,11 @@
 Verbs: rank, lattice, weil, dim, nl, crosscheck.  Output is deterministic
 for fixed arguments; rationals render as num/den pairs, never as floats.
 Exit codes: 0 success, 1 domain error (or out of memory), 2 usage error.
+
+Each verb's handler imports the modules it needs, so start-up pays only for
+them: `nl` and `lattice info` never load numpy; `rank` loads it at its first
+`frac_square_sum`; `dim`, `weil` and `crosscheck` load it with `cuspdim` or
+`weil`.
 """
 
 from __future__ import annotations
@@ -13,12 +18,8 @@ import math
 import sys
 from fractions import Fraction
 
-from . import nl as nlmod
-from . import rank as rankmod
-from .cuspdim import dim_cusp_df, picard_rank_via_cusp
 from .errors import NLRankError
 from .lattices import CATALOG_NAMES, catalog, discriminant_form, signature
-from .weil import build_weil_rep, verify_relations
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -33,6 +34,8 @@ def _cmd_rank(args, out) -> int:
         raise _Usage(f"need 2 <= --from <= --to, got ({args.g_from}, {args.g_to})")
     if args.jobs < 1:
         raise _Usage(f"need --jobs >= 1, got {args.jobs}")
+    from . import rank as rankmod
+
     reports = rankmod.rank_table(args.g_from, args.g_to)
     if args.format == "csv":
         out.write(rankmod.table_to_csv(reports))
@@ -73,6 +76,8 @@ def _cmd_lattice(args, out) -> int:
 def _cmd_weil(args, out) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _Usage(f"need a finite --tol > 0, got {args.tol}")
+    from .weil import build_weil_rep, verify_relations
+
     lat = _lattice_from_args(args)
     w = build_weil_rep(discriminant_form(lat))
     rep = verify_relations(w, tol=args.tol)
@@ -103,6 +108,8 @@ def _parse_weight(text: str) -> Fraction:
 
 
 def _cmd_dim(args, out) -> int:
+    from .cuspdim import dim_cusp_df
+
     lat = catalog("Lambda_g", g=args.g)
     df = discriminant_form(lat)
     weight = args.weight if args.weight is not None else Fraction(lat.rank, 2)
@@ -120,6 +127,8 @@ def _cmd_dim(args, out) -> int:
 def _cmd_nl(args, out) -> int:
     if args.dmax < 0 or args.hmax < 0:
         raise _Usage(f"need --dmax, --hmax >= 0, got ({args.dmax}, {args.hmax})")
+    from . import nl as nlmod
+
     labels = nlmod.enumerate_nl(args.g, args.dmax, args.hmax)
     if args.format == "csv":
         out.write(nlmod.labels_to_csv(labels))
@@ -144,10 +153,15 @@ def _cmd_nl(args, out) -> int:
 def _cmd_crosscheck(args, out) -> int:
     if args.g_from < 2 or args.g_from > args.g_to:
         raise _Usage(f"need 2 <= --from <= --to, got ({args.g_from}, {args.g_to})")
+    from .cuspdim import picard_rank_via_cusp
+    from .rank import picard_rank
+
     failures = 0
     for g in range(args.g_from, args.g_to + 1):
-        closed = rankmod.picard_rank(g).rank
+        # the cusp side first: a group too big for memory fails before the
+        # O(g) closed form has run
         via_cusp = picard_rank_via_cusp(catalog("Lambda_g", g=g))
+        closed = picard_rank(g).rank
         ok = closed == via_cusp
         failures += not ok
         out.write(

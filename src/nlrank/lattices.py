@@ -11,6 +11,9 @@ sums.  Each block's result is kept in a cache bounded to BLOCK_CACHE_SIZE
 blocks, so the U and -E8 blocks that recur in every Lambda_g are computed
 once per process.  A discriminant form's `orders` are therefore the blocks'
 invariant factors, not always the global ones (see `discriminant_form`).
+
+numpy is imported by the int64 kernel members of `DiscriminantForm` only,
+so building lattices and reading their invariants never loads it.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Gram = tuple[tuple[int, ...], ...]
 
@@ -459,6 +463,8 @@ class DiscriminantForm:
     @cached_property
     def _upper(self) -> np.ndarray:
         """N*q(g_i)/2 on the diagonal and N*b(g_i, g_j) above it, mod N."""
+        import numpy as np
+
         n, u = self.level, np.zeros((self.ngens, self.ngens), dtype=np.int64)
         for i, row in enumerate(self.gen_pairing):
             for j in range(i, self.ngens):
@@ -471,6 +477,8 @@ class DiscriminantForm:
     @property
     def exponents(self) -> np.ndarray:
         """(|A|, ngens) array whose row i is the i-th tuple of elements()."""
+        import numpy as np
+
         grid = np.indices(self.orders, dtype=np.int64)
         return grid.reshape(self.ngens, self.cardinality).T
 
@@ -484,6 +492,8 @@ class DiscriminantForm:
     def q_histogram(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, counts): the distinct values of `qn`, ascending, and how
         many elements take each.  values[0] is 0, the value at the identity."""
+        import numpy as np
+
         counts = np.bincount(self.qn, minlength=self.level)
         values = np.flatnonzero(counts != 0)  # nonzero() is ~4x faster on bool
         return values, counts[values]
@@ -494,6 +504,8 @@ class DiscriminantForm:
 
         Those are the exponent tuples whose i-th entry is 0 or orders[i]/2.
         """
+        import numpy as np
+
         index = np.zeros(1, dtype=np.int64)
         for d in self.orders:
             exps = np.array((0, d // 2) if d % 2 == 0 else (0,), dtype=np.int64)
@@ -503,6 +515,8 @@ class DiscriminantForm:
     @cached_property
     def neg_index(self) -> np.ndarray:
         """Index of -gamma for every element gamma."""
+        import numpy as np
+
         index = np.arange(self.cardinality, dtype=np.int64).reshape(self.orders)
         neg = np.ix_(*(-np.arange(d) % d for d in self.orders))
         return index[neg].ravel()

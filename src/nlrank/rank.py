@@ -1,8 +1,9 @@
 """Closed-form Picard rank of the genus-g K3 moduli space.
 
 rank = (31g+24)/24 - alpha_g/4 - beta_g/6 - fracsum - sqcount, evaluated
-in exact rational arithmetic.  The result must come out an integer >= 1;
-anything else signals a transcription bug and raises.
+exactly in integers over the common denominator 24 * den(fracsum).  The
+result must come out an integer >= 1; anything else signals a
+transcription bug and raises.
 """
 
 from __future__ import annotations
@@ -70,21 +71,22 @@ class RankReport:
 
 
 def picard_rank(g: int) -> RankReport:
-    """Exact term-by-term evaluation of the closed-form rank."""
+    """Exact term-by-term evaluation of the closed-form rank.
+
+    With fracsum = p/q in lowest terms, 24*q*rank is the integer
+    (31g + 24 - 6*alpha - 4*beta - 24*sqcount)*q - 24*p, so one divmod
+    decides both the value and its integrality.
+    """
     a = alpha(g)
     b = beta(g)
     fs = frac_square_sum(g)
     sc = square_count(g)
-    value = (
-        Fraction(31 * g + 24, 24)
-        - Fraction(a, 4)
-        - Fraction(b, 6)
-        - fs
-        - sc
-    )
-    if value.denominator != 1 or value < 1:
-        raise NonIntegerResult(f"rank formula gave {value} at g = {g}")
-    return RankReport(g=g, alpha=a, beta=b, fracsum=fs, sqcount=sc, rank=int(value))
+    den = 24 * fs.denominator
+    num = (31 * g + 24 - 6 * a - 4 * b - 24 * sc) * fs.denominator - 24 * fs.numerator
+    rank, rem = divmod(num, den)
+    if rem or rank < 1:
+        raise NonIntegerResult(f"rank formula gave {Fraction(num, den)} at g = {g}")
+    return RankReport(g=g, alpha=a, beta=b, fracsum=fs, sqcount=sc, rank=rank)
 
 
 def rank_table(g_lo: int, g_hi: int) -> list[RankReport]:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlrank import cli, picard_rank
+from nlrank import cuspdim, picard_rank
+from nlrank import rank as rankmod
 from nlrank.cli import dispatch
 
 
@@ -77,8 +78,24 @@ def test_out_of_memory_is_domain_error(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "dim_cusp_df", exhausted)
+    monkeypatch.setattr(cuspdim, "dim_cusp_df", exhausted)
     code, out, err = run(["dim", "--g", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
+
+
+def test_crosscheck_runs_out_of_memory_before_the_closed_form(monkeypatch):
+    def exhausted(lat):
+        raise MemoryError()
+
+    def closed_form(g):
+        raise AssertionError(f"closed form at g = {g} ran before the cusp side")
+
+    monkeypatch.setattr(cuspdim, "picard_rank_via_cusp", exhausted)
+    monkeypatch.setattr(rankmod, "picard_rank", closed_form)
+    code, out, err = run(["crosscheck", "--from", "1000000000", "--to", "1000000000"])
     assert code == 1
     assert out == ""
     assert err.startswith("error: out of memory")
@@ -167,6 +184,42 @@ def test_only_weil_loads_numpy_fft():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_numpy_loads_only_in_verbs_that_use_it():
+    """import, nl and lattice info load no numpy; rank loads numpy but not
+    numpy.fft; weil verify loads numpy.fft."""
+    script = (
+        "import io, sys\n"
+        "def loaded(*names):\n"
+        "    print(*(name in sys.modules for name in names))\n"
+        "import nlrank\n"
+        "loaded('numpy')\n"
+        "import nlrank.cli\n"
+        "loaded('numpy')\n"
+        "for argv in (['nl', '--g', '2', '--dmax', '1', '--hmax', '1'],\n"
+        "             ['lattice', 'info', '--name', 'K3']):\n"
+        "    assert nlrank.cli.dispatch(argv, out=io.StringIO()) == 0\n"
+        "loaded('numpy')\n"
+        "assert nlrank.cli.dispatch(['rank', '--from', '2', '--to', '3'], out=io.StringIO()) == 0\n"
+        "loaded('numpy', 'numpy.fft')\n"
+        "assert nlrank.cli.dispatch(['weil', 'verify', '--name', 'U'], out=io.StringIO()) == 0\n"
+        "loaded('numpy.fft')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["False", "False", "False"]
+    numpy_loaded, fft_loaded = lines[3].split()
+    assert numpy_loaded == "True"
+    if int(np.__version__.split(".")[0]) >= 2:  # numpy 1.x imports numpy.fft with numpy
+        assert fft_loaded == "False"
+    assert lines[4:] == ["True"]
 
 
 def test_dim():

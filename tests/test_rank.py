@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from nlrank import alpha, beta, jacobi, picard_rank, rank_table
 from nlrank import rank as rankmod
 from nlrank.arith import FRAC_SUM_MAX_GENUS
-from nlrank.errors import BadGenus, BadRange, TooLarge
+from nlrank.cli import dispatch
+from nlrank.errors import BadGenus, BadRange, NonIntegerResult, TooLarge
 from nlrank.rank import table_to_csv
 
 
@@ -97,3 +99,29 @@ def test_csv_schema():
     assert lines[0] == "g,alpha,beta,fracsum_num,fracsum_den,sqcount,rank"
     assert lines[1] == "2,0,2,1,4,1,2"
     assert lines[2] == "3,1,0,5,8,1,3"
+
+
+def test_non_integer_rank_raises(monkeypatch):
+    true_rank = picard_rank(5).rank
+    exact = rankmod.frac_square_sum
+
+    def off_by_one_step(g):
+        return exact(g) + Fraction(1, 4 * g - 4)
+
+    monkeypatch.setattr(rankmod, "frac_square_sum", off_by_one_step)
+    with pytest.raises(NonIntegerResult) as exc:
+        picard_rank(5)
+    assert str(exc.value) == f"rank formula gave {true_rank - Fraction(1, 16)} at g = 5"
+
+    out, err = io.StringIO(), io.StringIO()
+    assert dispatch(["rank", "--from", "5", "--to", "5"], out=out, err=err) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: rank formula gave ")
+
+
+def test_rank_below_one_raises(monkeypatch):
+    true_rank = picard_rank(2).rank
+    exact = rankmod.square_count
+    monkeypatch.setattr(rankmod, "square_count", lambda g: exact(g) + true_rank)
+    with pytest.raises(NonIntegerResult, match=r"^rank formula gave 0 at g = 2$"):
+        picard_rank(2)
