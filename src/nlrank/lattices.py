@@ -12,6 +12,11 @@ blocks, so the U and -E8 blocks that recur in every Lambda_g are computed
 once per process.  A discriminant form's `orders` are therefore the blocks'
 invariant factors, not always the global ones (see `discriminant_form`).
 
+A lattice given by its Gram matrix finds its blocks by a search (`_blocks`);
+a `direct_sum` takes them from its summands instead.  U and +-E8 are shared
+frozen instances, so the catalog lattices are built from summands whose
+blocks are already known.
+
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
 """
@@ -80,7 +85,9 @@ class Lattice:
 
     @cached_property
     def blocks(self) -> tuple[tuple[tuple[int, ...], Gram], ...]:
-        """Orthogonal blocks of the Gram matrix (see `_blocks`), found once."""
+        """Orthogonal blocks of the Gram matrix, found once by `_blocks`.
+
+        A `direct_sum` sets them from its summands' blocks instead."""
         return tuple(_blocks(self.gram))
 
     def inner(self, x, y) -> Fraction:
@@ -149,34 +156,48 @@ def _e8_gram() -> Gram:
     return _as_gram(g)
 
 
-_E8_GRAM = _e8_gram()
-_MINUS_E8_GRAM = tuple(tuple(-x for x in row) for row in _E8_GRAM)
+_U = Lattice(((0, 1), (1, 0)), "U")
+_E8 = Lattice(_e8_gram(), "E8")
+_MINUS_E8 = Lattice(tuple(tuple(-x for x in row) for row in _E8.gram), "-E8")
 
 
 def hyperbolic(scale: int = 1) -> Lattice:
-    """U(N): the rank-two lattice [[0, N], [N, 0]]."""
+    """U(N): the rank-two lattice [[0, N], [N, 0]].
+
+    U itself (N = 1) is one shared instance, like E8 and -E8 from `e8`:
+    `Lattice` is frozen, so every caller may hold it, and its `blocks` are
+    found once per process.
+    """
     if scale < 1:
         raise BadScale(f"U(N) needs N >= 1, got {scale}")
-    name = "U" if scale == 1 else f"U({scale})"
-    return Lattice(((0, scale), (scale, 0)), name)
+    if scale == 1:
+        return _U
+    return Lattice(((0, scale), (scale, 0)), f"U({scale})")
 
 
 def e8(negative: bool = False) -> Lattice:
-    if negative:
-        return Lattice(_MINUS_E8_GRAM, "-E8")
-    return Lattice(_E8_GRAM, "E8")
+    """E8, or -E8 if negative, in a root basis: one shared frozen instance each."""
+    return _MINUS_E8 if negative else _E8
 
 
 def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
-    """Orthogonal direct sum: block-diagonal Gram matrix."""
-    total = sum(lat.rank for lat in lattices)
-    g = [[0] * total for _ in range(total)]
-    off = 0
-    for lat in lattices:
-        for i, row in enumerate(lat.gram):
-            g[off + i][off:off + lat.rank] = row
-        off += lat.rank
-    return Lattice(_as_gram(g), name)
+    """Orthogonal direct sum: block-diagonal Gram matrix.
+
+    The sum's `blocks` are taken from the summands' blocks, shifted by each
+    summand's row offset, so no block search runs on the sum's Gram matrix;
+    they are ordered by smallest index, as `_blocks` orders them.
+    """
+    ranks = [lat.rank for lat in lattices]
+    total = sum(ranks)
+    rows, blocks, off = [], [], 0
+    for lat, n in zip(lattices, ranks):
+        left, right = (0,) * off, (0,) * (total - off - n)
+        rows += [left + tuple(row) + right for row in lat.gram]
+        blocks += [(tuple([i + off for i in idx]), sub) for idx, sub in lat.blocks]
+        off += n
+    result = Lattice(tuple(rows), name)
+    vars(result)["blocks"] = tuple(blocks)  # seeds the cached property
+    return result
 
 
 def k3_lattice() -> Lattice:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -210,9 +209,10 @@ class TraceReport:
     trT: complex
     trS: complex
     trST: complex
-    # multiplicity of each N-th root of unity exp(2*pi*i*r) on the diagonal
-    # of rhoT, keyed by the reduced exponent r in [0,1)
-    eigT_multiplicities: dict[Fraction, int]
+    level: int
+    # multiplicity of each N-th root of unity e(k/N) on the diagonal of
+    # rhoT, N = level, keyed by the integer exponent k in [0, N)
+    eigT_multiplicities: dict[int, int]
 
 
 def traces(w: WeilRep) -> TraceReport:
@@ -231,11 +231,11 @@ def traces(w: WeilRep) -> TraceReport:
     if off.any():
         raise SnapFailure(f"rhoT entry {z[off][0]} is not an {n}-th root of unity")
     keys, counts = np.unique(k, return_counts=True)
-    mult = {Fraction(int(r), n): int(c) for r, c in zip(keys, counts)}
     s_diag = w.s_phase * z.conj() ** 2
     return TraceReport(
         trT=complex(z.sum()),
         trS=complex(s_diag.sum()),
         trST=complex(s_diag @ z),
-        eigT_multiplicities=mult,
+        level=n,
+        eigT_multiplicities=dict(zip(keys.tolist(), counts.tolist())),
     )

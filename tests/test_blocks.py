@@ -2,9 +2,11 @@
 
 `signature` and `discriminant_form` work per connected block of the Gram
 matrix and cache each block's result; `oracles.discriminant_form_whole` is
-the whole-matrix construction they replace.
+the whole-matrix construction they replace.  `direct_sum` carries its
+summands' blocks, and the block search `_blocks` is their oracle.
 """
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +175,7 @@ def test_degenerate_block_inside_larger_gram_raises():
 
 
 def test_blocks_found_once_per_lattice(monkeypatch):
+    """A direct sum carries its summands' blocks: no search runs on its Gram."""
     calls = []
 
     def counting(gram):
@@ -184,8 +187,64 @@ def test_blocks_found_once_per_lattice(monkeypatch):
     signature(lat)
     discriminant_form(lat)
     picard_rank_via_cusp(lat)
-    assert calls == [lat.gram]
+    # only summands built from a Gram (<-98>, and U or -E8 if no earlier
+    # test read their blocks) are searched, each once
+    assert lat.gram not in calls
+    assert all(len(gram) < lat.rank for gram in calls)
+    assert len(calls) == len(set(calls))
     assert lat.blocks == tuple(_blocks(lat.gram))
+
+
+@settings(max_examples=25, deadline=None)
+@given(strategies.pieces, strategies.pieces)
+def test_carried_blocks_match_block_search(xs, ys):
+    x, y = strategies.lattice_of(xs), strategies.lattice_of(ys)
+    for lat in (x, direct_sum(x, y), direct_sum(y, x, x)):
+        assert lat.blocks == tuple(_blocks(lat.gram))
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [*(lambda_lattice(g) for g in (2, 3, 50, 1000)), k3_lattice()],
+    ids=lambda lat: lat.name,
+)
+def test_catalog_blocks_match_block_search(lat):
+    assert lat.blocks == tuple(_blocks(lat.gram))
+
+
+def test_summands_are_shared_frozen_instances():
+    assert hyperbolic() is hyperbolic()
+    assert e8() is e8()
+    assert e8(True) is e8(True)
+    assert catalog("U") is hyperbolic()
+    assert catalog("minusE8") is e8(True)
+    assert hyperbolic(2) == Lattice(((0, 2), (2, 0)), "U(2)")
+    literal = {
+        hyperbolic(): Lattice(((0, 1), (1, 0)), "U"),
+        e8(): make_lattice(_e8_literal(1), name="E8"),
+        e8(True): make_lattice(_e8_literal(-1), name="-E8"),
+    }
+    for shared, lat in literal.items():
+        assert (shared.gram, shared.name) == (lat.gram, lat.name)
+        with pytest.raises(FrozenInstanceError):
+            shared.name = "X"
+        with pytest.raises(FrozenInstanceError):
+            shared.gram = lat.gram
+
+
+def _e8_literal(sign):
+    """sign * the Cartan matrix of E8, Bourbaki numbering, written out."""
+    rows = (
+        (2, 0, -1, 0, 0, 0, 0, 0),
+        (0, 2, 0, -1, 0, 0, 0, 0),
+        (-1, 0, 2, -1, 0, 0, 0, 0),
+        (0, -1, -1, 2, -1, 0, 0, 0),
+        (0, 0, 0, -1, 2, -1, 0, 0),
+        (0, 0, 0, 0, -1, 2, -1, 0),
+        (0, 0, 0, 0, 0, -1, 2, -1),
+        (0, 0, 0, 0, 0, 0, -1, 2),
+    )
+    return [[sign * x for x in row] for row in rows]
 
 
 def test_block_cache_hits_on_a_second_lambda_g():

@@ -145,6 +145,54 @@ def test_lattice_info_json():
     assert '"signature": [2, 19]' in out
 
 
+LATTICE_INFO_JSON = [
+    (
+        ["--name", "U"],
+        '{"det": -1, "disc_cardinality": 1, "disc_orders": [], "level": 1, '
+        '"name": "U", "rank": 2, "sig_mod_8": 0, "signature": [1, 1]}',
+    ),
+    (
+        ["--name", "U(N)", "--N", "6"],
+        '{"det": -36, "disc_cardinality": 36, "disc_orders": [6, 6], "level": 6, '
+        '"name": "U(6)", "rank": 2, "sig_mod_8": 0, "signature": [1, 1]}',
+    ),
+    (
+        ["--name", "E8"],
+        '{"det": 1, "disc_cardinality": 1, "disc_orders": [], "level": 1, '
+        '"name": "E8", "rank": 8, "sig_mod_8": 0, "signature": [8, 0]}',
+    ),
+    (
+        ["--name", "minusE8"],
+        '{"det": 1, "disc_cardinality": 1, "disc_orders": [], "level": 1, '
+        '"name": "-E8", "rank": 8, "sig_mod_8": 0, "signature": [0, 8]}',
+    ),
+    (
+        ["--name", "K3"],
+        '{"det": -1, "disc_cardinality": 1, "disc_orders": [], "level": 1, '
+        '"name": "K3", "rank": 22, "sig_mod_8": 0, "signature": [3, 19]}',
+    ),
+    (
+        ["--name", "Lambda_g", "--g", "2"],
+        '{"det": -2, "disc_cardinality": 2, "disc_orders": [2], "level": 4, '
+        '"name": "Lambda_2", "rank": 21, "sig_mod_8": 7, "signature": [2, 19]}',
+    ),
+    (
+        ["--name", "Lambda_g", "--g", "37"],
+        '{"det": -72, "disc_cardinality": 72, "disc_orders": [72], "level": 144, '
+        '"name": "Lambda_37", "rank": 21, "sig_mod_8": 7, "signature": [2, 19]}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, want", LATTICE_INFO_JSON, ids=[" ".join(s) for s, _ in LATTICE_INFO_JSON]
+)
+def test_lattice_info_json_exact(spec, want):
+    code, out, err = run(["lattice", "info", *spec, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == want + "\n"
+
+
 def test_weil_verify():
     code, out, _ = run(["weil", "verify", "--name", "U", "--format", "json"])
     assert code == 0

@@ -8,7 +8,6 @@ matrices entry by entry from the pairing.
 import cmath
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,17 +117,31 @@ def test_trace_t_equals_gauss_sum(corpus):
         assert abs(tr.trT - gauss_sum(df)) < 1e-9, name
 
 
+def test_eig_t_multiplicities_are_the_q_histogram(corpus):
+    """The snapped eigenvalue content of rho(T) is exact: e(k/N) occurs as
+    often as N*q/2 = k mod N does."""
+    for name, lat in corpus.items():
+        df = discriminant_form(lat)
+        tr = traces(build_weil_rep(df))
+        values, counts = df.q_histogram
+        want = dict(zip(values.tolist(), counts.tolist()))
+        assert tr.level == df.level, name
+        assert tr.eigT_multiplicities == want, name
+
+
 def test_traces_root_two():
     w = weil_rep_of(make_lattice([[2]]))
     tr = traces(w)
     assert abs(tr.trT - (1 + 1j)) < 1e-12
-    assert tr.eigT_multiplicities == {Fraction(0): 1, Fraction(1, 4): 1}
+    assert tr.level == 4
+    assert tr.eigT_multiplicities == {0: 1, 1: 1}
 
 
 def test_traces_trivial():
     tr = traces(weil_rep_of(hyperbolic()))
     assert abs(tr.trT - 1) < 1e-12
-    assert tr.eigT_multiplicities == {Fraction(0): 1}
+    assert tr.level == 1
+    assert tr.eigT_multiplicities == {0: 1}
 
 
 def test_rho_t_tensor_under_direct_sum():
