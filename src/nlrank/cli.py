@@ -158,8 +158,8 @@ def _cmd_crosscheck(args, out) -> int:
 
     failures = 0
     for g in range(args.g_from, args.g_to + 1):
-        # the cusp side first: a group too big for memory fails before the
-        # O(g) closed form has run
+        # the cusp side first: a genus past its int64 bound fails before
+        # the O(g) closed form has run
         via_cusp = picard_rank_via_cusp(catalog("Lambda_g", g=g))
         closed = picard_rank(g).rank
         ok = closed == via_cusp

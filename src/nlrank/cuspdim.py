@@ -4,11 +4,13 @@ The dimension of S_{k,M} for half-integral k > 2 comes from Riemann-Roch
 on the modular curve: a main term d*(k+5)/12 on the plus/minus eigenspace
 rank, elliptic corrections at the order-4 and order-6 points expressed
 through quadratic Gauss sums of the discriminant form, and a parabolic
-correction from the T-eigenvalues.  All are read from the histogram of the
-discriminant form's q-values plus its elements with 2*gamma = 0: exact
-integer sums except the three Gauss sums, which are float sums of
-counts * e(j*v/N) over the distinct values v only; the value is snapped to
-an integer.
+correction from the T-eigenvalues.  All are read from one streamed pass
+over the discriminant form's q-values (`DiscriminantForm.qn_slices`, a
+bounded slice at a time) plus its elements with 2*gamma = 0: running
+integer sums for the zero count and the sum of the values, and float sums
+of e(j*v/N), j = 1, 2, 3, for the three Gauss sums, with the roots read
+from `arith.unit_roots`.  No array as long as the group is built, so memory
+does not grow with |A|.  The value is snapped to an integer.
 
 The forms counted are of type rho* = conj(rho), the dual of the Weil
 representation rho that `nlrank.weil` builds, as in Bruinier's treatment
@@ -27,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import unit_roots
 from .errors import (
     BadSignature,
     HypothesisNotAsserted,
@@ -92,26 +95,29 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
 
     # one representative of each pair {gamma, -gamma}: as q(-gamma) = q(gamma),
     # that is half the full-group sum, plus or minus half the sum over the
-    # elements with 2*gamma = 0 (those only carry symmetric forms); the
-    # full-group sums are read from the histogram of q-values
-    values, counts = df.q_histogram  # n * q(gamma)/2 mod n, values[0] = 0
-    q_two = df.qn[df.two_torsion]
+    # elements with 2*gamma = 0 (those only carry symmetric forms).  qn_at
+    # raises TooLarge here, before anything is enumerated, for a group whose
+    # q-values overflow int64
+    q_two = df.qn_at(df.two_torsion).tolist()  # n * q(gamma)/2 mod n
     rank_pm = (d + eps * len(q_two)) // 2
-    # -v mod n is n - v for every value but values[0] = 0
-    alpha_t = Fraction(
-        int(counts[1:] @ (n - values[1:])) + eps * int((-q_two % n).sum()), 2 * n
-    )
-    n_iso = (int(counts[0]) + eps * int(np.count_nonzero(q_two == 0))) // 2
 
-    # G(j) = sum of e(j*q/2) over A as sums of counts * z^j, z = e(v/n) at
-    # the distinct values v only
-    z = np.exp((2j * math.pi / n) * values)
-    wz = counts * z
-    wz2 = wz * z
-    g1 = complex(wz.sum())
-    g2 = complex(wz2.sum())
+    # the full-group sums, streamed: the zero count, the sum of the values,
+    # and G(j) = sum of e(j*q/2) over A for j = 1, 2, 3
+    roots = unit_roots(n)
+    zeros = total = 0
+    g1 = g2 = g3 = 0j
+    for v in df.qn_slices():
+        zeros += len(v) - int(np.count_nonzero(v))
+        total += int(v.sum())
+        z = roots(v)
+        g1 += z.sum()
+        g2 += z @ z  # numpy's dot does not conjugate: the sum of z^2
+        g3 += (z * z) @ z
+    # -v mod n is n - v for every value but 0
+    alpha_t = Fraction(n * (d - zeros) - total + eps * sum(-x % n for x in q_two), 2 * n)
+    n_iso = (zeros + eps * q_two.count(0)) // 2
+    g1, g2, g3 = complex(g1), complex(g2), complex(g3).conjugate()
     g2_part = g2.real if symm else g2.imag
-    g3 = complex(wz2 @ z).conjugate()
 
     main = rank_pm * (k + 5) / 12
     e4 = cmath.exp(1j * cmath.pi * (two_k + sig + 1 - eps) / 4)

@@ -14,8 +14,15 @@ invariant factors, not always the global ones (see `discriminant_form`).
 
 A lattice given by its Gram matrix finds its blocks by a search (`_blocks`);
 a `direct_sum` takes them from its summands instead.  U and +-E8 are shared
-frozen instances, so the catalog lattices are built from summands whose
-blocks are already known.
+frozen instances, and Lambda_g is <2-2g> plus one shared U^2 + (-E8)^2, so
+the catalog lattices are built from summands whose blocks are already known.
+
+A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
+generators' values of q and b, by one formula (`qn_at`): for the whole group
+at once (`qn`, which the Weil operators read) or streamed in slices of SLICE
+elements (`qn_slices`, which the cusp dimension and the Gauss sum read, so
+their memory does not grow with the group).  A form whose int64 products
+could overflow raises TooLarge before any element is evaluated.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -31,7 +38,7 @@ from functools import cached_property, lru_cache
 from math import lcm, prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric
+from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric, TooLarge
 
 if TYPE_CHECKING:
     import numpy as np
@@ -211,8 +218,8 @@ def lambda_lattice(g: int) -> Lattice:
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
     w = Lattice(((2 - 2 * g,),), f"<{2 - 2 * g}>")
-    u = hyperbolic()
-    return direct_sum(w, u, u, e8(True), e8(True), name=f"Lambda_{g}")
+    vars(w)["blocks"] = (((0,), w.gram),)  # a rank-one Gram is one block
+    return direct_sum(w, _U2_MINUS_E8_2, name=f"Lambda_{g}")
 
 
 CATALOG_NAMES = ("U", "U(N)", "E8", "minusE8", "K3", "Lambda_g")
@@ -382,6 +389,11 @@ def _blocks(gram: Gram) -> list[tuple[tuple[int, ...], Gram]]:
     return blocks
 
 
+# the part of Lambda_g that does not depend on g, shared like U and -E8
+# (built here, after `_blocks`, which reading its summands' blocks needs)
+_U2_MINUS_E8_2 = direct_sum(_U, _U, _MINUS_E8, _MINUS_E8)
+
+
 class _Block(NamedTuple):
     pos: int
     neg: int
@@ -423,6 +435,23 @@ def signature(lat: Lattice) -> Signature:
     return Signature(sum(b.pos for b in blocks), sum(b.neg for b in blocks))
 
 
+def _reduce(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n in place, for x >= 0, as x -= n * (x // n): numpy's floor
+    division by a scalar runs several times faster than its `%`."""
+    r = x // n
+    r *= n
+    x -= r
+    return x
+
+
+# elements per slice of `DiscriminantForm.qn_slices`: every temporary of a
+# slice, the complex128 roots of unity included (64 KiB), then stays below
+# glibc's default 128 KiB mmap threshold, so slices reuse heap memory instead
+# of mapping fresh pages; at 8192 a complex slice is exactly 128 KiB and
+# every slice costs page faults again
+SLICE = 4096
+
+
 @dataclass(frozen=True)
 class DiscriminantForm:
     """The finite quadratic module (A, q, b) of an even lattice.
@@ -434,10 +463,9 @@ class DiscriminantForm:
     The int64 arrays `exponents`, `qn` and `neg_index` encode (A, q) over
     the common denominator N = level, indexed in elements() order, and
     `_upper` holds N*q/2 and N*b on the generators; the exact q() and b()
-    are their test oracle.  `q_histogram`
-    (the distinct values of `qn` with their counts) and `two_torsion` (the
-    elements with 2*gamma = 0) are what the Gauss sums and the cusp
-    dimension read.
+    are their test oracle.  `qn_slices` (the same values in bounded slices)
+    and `two_torsion` (the elements with 2*gamma = 0) are what the Gauss
+    sums and the cusp dimension read.
     """
 
     orders: tuple[int, ...]
@@ -479,8 +507,23 @@ class DiscriminantForm:
                         total += x * y * row[j]
         return total % 1
 
-    # products below are of entries reduced mod N, so sums stay under
-    # ngens * N^2: inside int64 for any group that fits in memory
+    def check_int64(self) -> None:
+        """Raise TooLarge unless every int64 product of `qn_at` is exact.
+
+        With entries of `_upper` below N and exponents below orders[i],
+        each partial sum stays below N * sum(orders); for Lambda_g that is
+        (4g-4)(2g-2) = 8(g-1)^2, so g-1 < 2^30.  Checked before any element
+        is evaluated, so a group too large for int64 fails at once instead
+        of streaming for hours.
+        """
+        bound = self.level * sum(self.orders)
+        if bound >= 1 << 63:
+            raise TooLarge(
+                f"level {self.level} times the order sum {sum(self.orders)} is "
+                f"{bound} >= 2^63: q-values of |A| = {self.cardinality} would "
+                "overflow int64"
+            )
+
     @cached_property
     def _upper(self) -> np.ndarray:
         """N*q(g_i)/2 on the diagonal and N*b(g_i, g_j) above it, mod N."""
@@ -503,21 +546,60 @@ class DiscriminantForm:
         grid = np.indices(self.orders, dtype=np.int64)
         return grid.reshape(self.ngens, self.cardinality).T
 
-    @cached_property
-    def qn(self) -> np.ndarray:
-        """N*q(gamma)/2 mod N for every element, N the level."""
-        e = self.exponents
-        return (e @ self._upper % self.level * e).sum(axis=1) % self.level
+    def qn_at(self, index: np.ndarray) -> np.ndarray:
+        """N*q(gamma)/2 mod N at the elements with these indices in elements().
 
-    @cached_property
-    def q_histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, counts): the distinct values of `qn`, ascending, and how
-        many elements take each.  values[0] is 0, the value at the identity."""
+        N*q/2 = sum_i e_i * (sum_{j >= i} u_ij * e_j mod N) mod N, with e the
+        exponents and u = `_upper` (see `_reduce` for the mod).  The
+        exponents of a cyclic form are the indices themselves; otherwise
+        they are read off the indices by floor division, row-major over
+        `orders`.  Raises TooLarge (see `check_int64`) first.
+        """
         import numpy as np
 
-        counts = np.bincount(self.qn, minlength=self.level)
-        values = np.flatnonzero(counts != 0)  # nonzero() is ~4x faster on bool
-        return values, counts[values]
+        self.check_int64()
+        n = self.level
+        if self.ngens == 1:
+            x = _reduce(index * int(self._upper[0, 0]), n)
+            x *= index
+        else:
+            e = np.empty((self.ngens, len(index)), dtype=np.int64)
+            rest = index
+            for i in range(self.ngens - 1, 0, -1):
+                d = self.orders[i]
+                r = rest // d
+                e[i] = rest - d * r
+                rest = r
+            if self.ngens:
+                e[0] = rest
+            x = _reduce(self._upper @ e, n)
+            x *= e
+            x = x.sum(axis=0)
+        return _reduce(x, n)
+
+    @cached_property
+    def qn(self) -> np.ndarray:
+        """N*q(gamma)/2 mod N for every element, N the level (see `qn_at`)."""
+        import numpy as np
+
+        return self.qn_at(np.arange(self.cardinality, dtype=np.int64))
+
+    def qn_slices(self):
+        """`qn` in consecutive slices of at most SLICE elements, elements() order.
+
+        Views of `qn` once it has been built (the Weil operators build it);
+        otherwise each slice is evaluated by `qn_at`, which raises TooLarge
+        (see `check_int64`) before the first.
+        """
+        import numpy as np
+
+        d, qn = self.cardinality, vars(self).get("qn")
+        for start in range(0, d, SLICE):
+            stop = min(start + SLICE, d)
+            if qn is not None:
+                yield qn[start:stop]
+            else:
+                yield self.qn_at(np.arange(start, stop, dtype=np.int64))
 
     @property
     def two_torsion(self) -> np.ndarray:

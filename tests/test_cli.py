@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,30 @@ def test_crosscheck_runs_out_of_memory_before_the_closed_form(monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
+
+
+def test_dim_above_the_int64_bound_fails_fast():
+    # Lambda_g with g-1 >= 2^30 is refused before any element is evaluated
+    start = time.perf_counter()
+    code, out, err = run(["dim", "--g", "1000000000000"])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_crosscheck_above_the_int64_bound_fails_before_the_closed_form(monkeypatch):
+    # 2*10^9 is within the closed form's bound but not the cusp kernel's
+    def closed_form(g):
+        raise AssertionError(f"closed form at g = {g} ran before the cusp side")
+
+    monkeypatch.setattr(rankmod, "picard_rank", closed_form)
+    code, out, err = run(["crosscheck", "--from", "2000000000", "--to", "2000000000"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
     assert err.count("\n") == 1
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -140,3 +141,17 @@ def test_monotone_in_weight_logged_only():
 def test_report_json():
     rep = dim_cusp(lambda_lattice(2), HALF_21)
     assert '"dim": 1' in rep.to_json()
+
+
+def test_cusp_pipeline_memory_does_not_grow_with_the_group():
+    # |A| = 2*10^6: one int64 value per element would alone take 16 MB
+    g = 10**6
+    lat = lambda_lattice(g)
+    tracemalloc.start()
+    try:
+        rank = picard_rank_via_cusp(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert rank == picard_rank(g).rank

@@ -3,7 +3,7 @@
 `DiscriminantForm.exponents`, `qn` and `neg_index`, and the pairing
 `oracles.bn` builds from the generator pairing, are compared element by
 element with the exact `Fraction` reference `elements()`, `q()` and `b()`;
-`q_histogram` and `two_torsion` with `qn` and `neg_index`; and the
+`qn_slices` and `two_torsion` with `qn` and `neg_index`; and the
 consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
 `Fraction` walks over the same reference, with the element-by-element
 `oracles.dim_cusp_df_elementwise` and with the eigenvalues of the dense
@@ -11,6 +11,7 @@ dual Weil representation (`oracles.dim_cusp_from_eigenvalues`).
 """
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from nlrank import (
     build_weil_rep,
     dim_cusp_df,
+    direct_sum,
     discriminant_form,
     e8,
     gauss_sum,
@@ -31,7 +33,8 @@ from nlrank import (
     make_lattice,
     verify_relations,
 )
-from nlrank.lattices import DiscriminantForm
+from nlrank.errors import TooLarge
+from nlrank.lattices import SLICE, DiscriminantForm
 
 import strategies
 from oracles import (
@@ -63,7 +66,7 @@ def _check_kernel(df, pairs=None):
     assert df.exponents.shape == (d, df.ngens)
     assert [tuple(map(int, row)) for row in df.exponents] == elems
     index = {e: i for i, e in enumerate(elems)}
-    _check_histogram(df)
+    _check_slices(df)
     qn, neg_index = df.qn.tolist(), df.neg_index.tolist()
     for i, e in enumerate(elems):
         assert qn[i] == df.q(e) * n / 2 % n, e
@@ -77,16 +80,25 @@ def _check_kernel(df, pairs=None):
             assert pairing[i][j] == df.b(elems[i], elems[j]) * n, (elems[i], elems[j])
 
 
-def _check_histogram(df):
-    """`two_torsion` and `q_histogram` against `neg_index` and `qn`."""
+def _check_slices(df):
+    """`two_torsion` and `qn_slices` against `neg_index` and `qn`.
+
+    The slices are evaluated on a copy of the form that has not built
+    `qn`, and the reference `qn` on another, so `df` itself is left as it
+    was: a later `dim_cusp_df(df, k)` still streams.
+    """
     d = df.cardinality
     assert np.array_equal(df.two_torsion, np.flatnonzero(df.neg_index == np.arange(d)))
-    values, counts = df.q_histogram
-    assert counts.sum() == d
-    assert [a.tolist() for a in np.unique(df.qn, return_counts=True)] == [
-        values.tolist(),
-        counts.tolist(),
-    ]
+    streamed = dataclasses.replace(df)
+    slices = list(streamed.qn_slices())
+    assert "qn" not in vars(streamed)
+    assert [len(v) for v in slices[:-1]] == [SLICE] * (len(slices) - 1)
+    assert 0 < len(slices[-1]) <= SLICE
+    assert all(v.dtype == np.int64 for v in slices)
+    qn = dataclasses.replace(df).qn
+    assert np.array_equal(np.concatenate(slices), qn)
+    # once `qn` is built, the slices are its views
+    assert np.array_equal(np.concatenate(list(streamed.qn_slices())), streamed.qn)
 
 
 def _walk(df, k):
@@ -121,7 +133,8 @@ def test_kernel_trivial_group(name):
     assert df.qn.tolist() == [0]
     assert df.neg_index.tolist() == [0]
     assert df.two_torsion.tolist() == [0]
-    assert [a.tolist() for a in df.q_histogram] == [[0], [1]]
+    assert [a.tolist() for a in np.unique(df.qn, return_counts=True)] == [[0], [1]]
+    assert [v.tolist() for v in df.qn_slices()] == [[0]]
     assert bn(df).tolist() == [[0]]
 
 
@@ -218,8 +231,67 @@ def test_dim_matches_elementwise_oracle_lambda_g():
     weights = [Fraction(j, 2) for j in (19, 21, 23, 24, 25)]
     for g in list(range(2, 301)) + [10**4, 10**5]:
         df = discriminant_form(lambda_lattice(g))
-        _check_histogram(df)
+        _check_slices(df)
         assert _check_against_elementwise(df, weights) == {True, False}, g
+
+
+def _binary(c):
+    """[[2, 1], [1, c]]: a cyclic group of odd order |2c - 1|."""
+    return make_lattice([[2, 1], [1, c]])
+
+
+# groups just below, on and just past the slice boundaries of `qn_slices`:
+# Lambda_g has |A| = 2g - 2 = 4094, 4096, 4098 and 8194, the binary forms
+# the odd orders 4095, 4097 and 8193, and the sums of U(N) up to 5
+# generators cover several slices
+SLICE_EDGE_FORMS = {
+    **{f"Lambda_{g}": lambda_lattice(g) for g in (2048, 2049, 2050, 4098)},
+    **{f"|A|={abs(2 * c - 1)}": _binary(c) for c in (2048, -2048, -4096)},
+    "U(3)+U(40)": direct_sum(hyperbolic(3), hyperbolic(40)),
+    "U(2)^2+<-4100>": direct_sum(hyperbolic(2), hyperbolic(2), make_lattice([[-4100]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_EDGE_FORMS))
+def test_dim_matches_elementwise_oracle_across_slices(name):
+    df = discriminant_form(SLICE_EDGE_FORMS[name])
+    assert df.cardinality >= SLICE - 2
+    _check_slices(df)
+    # qn at both ends of every slice against the exact q()
+    edges = sorted({i for s in range(0, df.cardinality, SLICE) for i in (s - 1, s, s + 1)})
+    edges = [i for i in edges if 0 <= i < df.cardinality] + [df.cardinality - 1]
+    qn = df.qn
+    for i in edges:
+        e = tuple(int(x) for x in np.unravel_index(i, df.orders))
+        assert qn[i] == df.q(e) * df.level / 2 % df.level, (name, i)
+    # weights 9 to 13: half-integral ones for the odd signatures, integral
+    # ones for the even; each streamed on a copy that has not built `qn`
+    # gives the same report as on `df`, whose `qn` the oracle builds
+    weights = [Fraction(j, 2) for j in range(18, 27)]
+    assert _check_against_elementwise(df, weights) == {True, False}
+    assert "qn" in vars(df)
+    for k in weights:
+        assert dim_cusp_df(dataclasses.replace(df), k) == dim_cusp_df(df, k), k
+
+
+def test_int64_bound_of_lambda_g():
+    # N * sum(orders) = (4g-4)(2g-2) = 8(g-1)^2 for Lambda_g, below 2^63
+    # exactly while g-1 < 2^30
+    top = discriminant_form(lambda_lattice(2**30))
+    top.check_int64()
+    d, n = top.cardinality, top.level
+    index = np.array([1, d // 2 - 1, d // 2 + 1, d - 2, d - 1], dtype=np.int64)
+    for i, v in zip(index.tolist(), top.qn_at(index).tolist()):
+        assert v == top.q((i,)) * n / 2 % n, i
+    over = discriminant_form(lambda_lattice(2**30 + 1))
+    with pytest.raises(TooLarge):
+        over.check_int64()
+    with pytest.raises(TooLarge):
+        next(over.qn_slices())
+    with pytest.raises(TooLarge):
+        over.qn_at(np.zeros(1, dtype=np.int64))
+    with pytest.raises(TooLarge):
+        dim_cusp_df(over, HALF_21)
 
 
 @settings(max_examples=40, deadline=None)

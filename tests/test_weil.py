@@ -123,7 +123,7 @@ def test_eig_t_multiplicities_are_the_q_histogram(corpus):
     for name, lat in corpus.items():
         df = discriminant_form(lat)
         tr = traces(build_weil_rep(df))
-        values, counts = df.q_histogram
+        values, counts = np.unique(df.qn, return_counts=True)
         want = dict(zip(values.tolist(), counts.tolist()))
         assert tr.level == df.level, name
         assert tr.eigT_multiplicities == want, name
