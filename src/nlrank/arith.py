@@ -3,7 +3,7 @@
 Jacobi symbols are computed by reciprocity (no factorization); the
 fractional-part sum and the square count are the two combinatorial terms
 of the closed-form rank (an O(g) int64 sum over bounded chunks and a closed
-form from the factorization of 4g-4).  The Gauss sum, streamed over the
+form from the factorization of 4g-4).  The Gauss sum, over the whole
 discriminant form's q-values, is a floating-point Milgram oracle for
 discriminant forms; its roots of unity come from `unit_roots`, two tables of
 about sqrt(N) entries each, which the cusp dimension reads too.
@@ -132,11 +132,10 @@ def unit_roots(n: int):
 def gauss_sum(df: DiscriminantForm) -> complex:
     """Sum of exp(pi*i*<gamma,gamma>) over the discriminant group.
 
-    Evaluated as the sum of e(v/N) over the form's q-values v = N*q/2 mod N,
-    streamed in slices (`DiscriminantForm.qn_slices`) with the roots from
-    `unit_roots`.  It is checked by Milgram's formula,
+    Evaluated as the sum of e(v/N) over the form's q-values v = N*q/2 mod N
+    (`DiscriminantForm.qn`, the array the Weil operators read) with the
+    roots from `unit_roots`.  It is checked by Milgram's formula,
     sqrt(|A|) * exp(2*pi*i*sig/8) with sig from `signature`, and by the
     `Fraction` oracle test of the encoding.
     """
-    roots = unit_roots(df.level)
-    return complex(sum(roots(v).sum() for v in df.qn_slices()))
+    return complex(unit_roots(df.level)(df.qn).sum())

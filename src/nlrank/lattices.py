@@ -20,9 +20,9 @@ the catalog lattices are built from summands whose blocks are already known.
 A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
 generators' values of q and b, by one formula (`qn_at`): for the whole group
 at once (`qn`, which the Weil operators read) or streamed in slices of SLICE
-elements (`qn_slices`, which the cusp dimension and the Gauss sum read, so
-their memory does not grow with the group).  A form whose int64 products
-could overflow raises TooLarge before any element is evaluated.
+elements (`qn_slices`, which the cusp dimension reads, so its memory does
+not grow with the group).  A form whose int64 products could overflow
+raises TooLarge before any element is evaluated.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -218,7 +218,6 @@ def lambda_lattice(g: int) -> Lattice:
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
     w = Lattice(((2 - 2 * g,),), f"<{2 - 2 * g}>")
-    vars(w)["blocks"] = (((0,), w.gram),)  # a rank-one Gram is one block
     return direct_sum(w, _U2_MINUS_E8_2, name=f"Lambda_{g}")
 
 
@@ -444,11 +443,13 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-# elements per slice of `DiscriminantForm.qn_slices`: every temporary of a
-# slice, the complex128 roots of unity included (64 KiB), then stays below
-# glibc's default 128 KiB mmap threshold, so slices reuse heap memory instead
-# of mapping fresh pages; at 8192 a complex slice is exactly 128 KiB and
-# every slice costs page faults again
+# elements per slice of `DiscriminantForm.qn_slices`: for a cyclic form
+# (Lambda_g among them) every temporary of a slice, the complex128 roots of
+# unity included (64 KiB), then stays below glibc's default 128 KiB mmap
+# threshold, so slices reuse heap memory instead of mapping fresh pages; at
+# 8192 a complex slice is exactly 128 KiB and every slice costs page faults
+# again.  A form with k > 1 generators also holds k x SLICE int64 exponents
+# (32 KiB each), which reach the threshold from k = 4 on
 SLICE = 4096
 
 
@@ -464,8 +465,8 @@ class DiscriminantForm:
     the common denominator N = level, indexed in elements() order, and
     `_upper` holds N*q/2 and N*b on the generators; the exact q() and b()
     are their test oracle.  `qn_slices` (the same values in bounded slices)
-    and `two_torsion` (the elements with 2*gamma = 0) are what the Gauss
-    sums and the cusp dimension read.
+    and `two_torsion` (the elements with 2*gamma = 0) are what the cusp
+    dimension reads, its Gauss sums included.
     """
 
     orders: tuple[int, ...]
@@ -538,13 +539,28 @@ class DiscriminantForm:
                 u[i, j] = x.numerator % n
         return u
 
+    def _exponents_at(self, index: np.ndarray) -> np.ndarray:
+        """(ngens, len(index)) exponents of the elements with these indices
+        in elements(), read off by floor division, row-major over `orders`."""
+        import numpy as np
+
+        e = np.empty((self.ngens, len(index)), dtype=np.int64)
+        rest = index
+        for i in range(self.ngens - 1, 0, -1):
+            d = self.orders[i]
+            r = rest // d
+            e[i] = rest - d * r
+            rest = r
+        if self.ngens:
+            e[0] = rest
+        return e
+
     @property
     def exponents(self) -> np.ndarray:
         """(|A|, ngens) array whose row i is the i-th tuple of elements()."""
         import numpy as np
 
-        grid = np.indices(self.orders, dtype=np.int64)
-        return grid.reshape(self.ngens, self.cardinality).T
+        return self._exponents_at(np.arange(self.cardinality, dtype=np.int64)).T
 
     def qn_at(self, index: np.ndarray) -> np.ndarray:
         """N*q(gamma)/2 mod N at the elements with these indices in elements().
@@ -552,26 +568,16 @@ class DiscriminantForm:
         N*q/2 = sum_i e_i * (sum_{j >= i} u_ij * e_j mod N) mod N, with e the
         exponents and u = `_upper` (see `_reduce` for the mod).  The
         exponents of a cyclic form are the indices themselves; otherwise
-        they are read off the indices by floor division, row-major over
-        `orders`.  Raises TooLarge (see `check_int64`) first.
+        they come from `_exponents_at`.  Raises TooLarge (see
+        `check_int64`) first.
         """
-        import numpy as np
-
         self.check_int64()
         n = self.level
         if self.ngens == 1:
             x = _reduce(index * int(self._upper[0, 0]), n)
             x *= index
         else:
-            e = np.empty((self.ngens, len(index)), dtype=np.int64)
-            rest = index
-            for i in range(self.ngens - 1, 0, -1):
-                d = self.orders[i]
-                r = rest // d
-                e[i] = rest - d * r
-                rest = r
-            if self.ngens:
-                e[0] = rest
+            e = self._exponents_at(index)
             x = _reduce(self._upper @ e, n)
             x *= e
             x = x.sum(axis=0)
@@ -587,19 +593,14 @@ class DiscriminantForm:
     def qn_slices(self):
         """`qn` in consecutive slices of at most SLICE elements, elements() order.
 
-        Views of `qn` once it has been built (the Weil operators build it);
-        otherwise each slice is evaluated by `qn_at`, which raises TooLarge
-        (see `check_int64`) before the first.
+        Each slice is evaluated by `qn_at`, which raises TooLarge (see
+        `check_int64`) before the first.
         """
         import numpy as np
 
-        d, qn = self.cardinality, vars(self).get("qn")
+        d = self.cardinality
         for start in range(0, d, SLICE):
-            stop = min(start + SLICE, d)
-            if qn is not None:
-                yield qn[start:stop]
-            else:
-                yield self.qn_at(np.arange(start, stop, dtype=np.int64))
+            yield self.qn_at(np.arange(start, min(start + SLICE, d), dtype=np.int64))
 
     @property
     def two_torsion(self) -> np.ndarray:
