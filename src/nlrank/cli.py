@@ -2,7 +2,8 @@
 
 Verbs: rank, lattice, weil, dim, nl, crosscheck.  Output is deterministic
 for fixed arguments; rationals render as num/den pairs, never as floats.
-Exit codes: 0 success, 1 domain error (or out of memory), 2 usage error.
+Exit codes: 0 success, 1 domain error (or out of memory, or a closed
+stdout), 2 usage error.
 
 Each verb's handler imports the modules it needs, so start-up pays only for
 them: `nl` and `lattice info` never load numpy; `rank` loads it at its first
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -26,6 +28,9 @@ DOMAIN_EXIT = 1
 
 
 def _lattice_from_args(args):
+    flag = {"U(N)": "N", "Lambda_g": "g"}.get(args.name)
+    if flag and getattr(args, flag) is None:
+        raise _Usage(f"--name {args.name} needs --{flag}")
     return catalog(args.name, g=args.g, scale=args.N)
 
 
@@ -101,9 +106,12 @@ def _cmd_weil(args, out) -> int:
 
 
 def _parse_weight(text: str) -> Fraction:
-    weight = Fraction(text)
-    if weight.denominator not in (1, 2):
-        raise argparse.ArgumentTypeError(f"weight must be half-integral, got {text}")
+    try:
+        weight = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        weight = None
+    if weight is None or weight.denominator not in (1, 2):
+        raise argparse.ArgumentTypeError(f"weight must be a half-integer, got {text!r}")
     return weight
 
 
@@ -261,7 +269,15 @@ def dispatch(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a reader closed the pipe (`| head`): stdout goes to devnull so the
+        # flush at exit cannot raise again (the SIGPIPE note of `signal`'s docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = DOMAIN_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Everything here is exact: Gram matrices are arbitrary-precision integers,
 signatures come from rational congruence diagonalization, and discriminant
 groups come from an integer Smith normal form with unimodular transforms.
-No floating point enters this module.
+The determinant is (-1)^negative * |M^dual / M|, read from these two.  No
+floating point enters this module.
 
 Both invariants are computed per orthogonal block of the Gram matrix (a
 connected component of its nonzero pattern) and assembled as orthogonal
@@ -21,8 +22,9 @@ A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
 generators' values of q and b, by one formula (`qn_at`): for the whole group
 at once (`qn`, which the Weil operators read) or streamed in slices of SLICE
 elements (`qn_slices`, which the cusp dimension reads, so its memory does
-not grow with the group).  A form whose int64 products could overflow
-raises TooLarge before any element is evaluated.
+not grow with the group).  The index maps of -gamma and xi(gamma) are one
+map, M*gamma mod `orders` (`_image_index`).  A form whose int64 products
+could overflow raises TooLarge before any element is evaluated.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -52,30 +54,6 @@ def _as_gram(rows) -> Gram:
     return tuple(tuple(map(int, row)) for row in rows)
 
 
-def _int_det(rows: Gram) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Even nondegenerate lattice given by its integer Gram matrix."""
@@ -88,7 +66,7 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> int:
-        return _int_det(self.gram)
+        return (-1) ** signature(self).negative * discriminant_form(self).cardinality
 
     @cached_property
     def blocks(self) -> tuple[tuple[tuple[int, ...], Gram], ...]:
@@ -143,9 +121,9 @@ def make_lattice(gram, name: str | None = None) -> Lattice:
     for i in range(n):
         if g[i][i] % 2 != 0:
             raise NotEven(f"odd diagonal entry gram[{i}][{i}] = {g[i][i]}")
-    if n > 0 and _int_det(g) == 0:
-        raise Degenerate("Gram matrix is singular")
-    return Lattice(g, name)
+    lat = Lattice(g, name)
+    signature(lat)  # raises Degenerate on a singular block
+    return lat
 
 
 # Gram matrix of E8 in a root basis (Dynkin diagram in Bourbaki numbering:
@@ -461,10 +439,10 @@ class DiscriminantForm:
     in Q/Z (stored in [0,1)).  Elements are exponent tuples against the
     stored generators, which are rational vectors in the lattice basis.
 
-    The int64 arrays `exponents`, `qn` and `neg_index` encode (A, q) over
-    the common denominator N = level, indexed in elements() order, and
-    `_upper` holds N*q/2 and N*b on the generators; the exact q() and b()
-    are their test oracle.  `qn_slices` (the same values in bounded slices)
+    The int64 arrays `qn`, `neg_index` and `dual_index` encode (A, q, b)
+    over the common denominator N = level, indexed in elements() order,
+    and `_upper` holds N*q/2 and N*b on the generators; the exact q() and
+    b() are their test oracle.  `qn_slices` (the same values in bounded slices)
     and `two_torsion` (the elements with 2*gamma = 0) are what the cusp
     dimension reads, its Gauss sums included.
     """
@@ -555,12 +533,20 @@ class DiscriminantForm:
             e[0] = rest
         return e
 
-    @property
-    def exponents(self) -> np.ndarray:
-        """(|A|, ngens) array whose row i is the i-th tuple of elements()."""
+    def _image_index(self, m: np.ndarray) -> np.ndarray:
+        """Index in elements() of M*gamma mod `orders` for every gamma, M an
+        (ngens, ngens) int64 matrix with row i in [0, orders[i]), so every
+        entry of M*gamma is below the bound of `check_int64`."""
         import numpy as np
 
-        return self._exponents_at(np.arange(self.cardinality, dtype=np.int64)).T
+        self.check_int64()
+        e = m @ self._exponents_at(np.arange(self.cardinality, dtype=np.int64))
+        _reduce(e, np.array(self.orders, dtype=np.int64)[:, None])
+        index = np.zeros(self.cardinality, dtype=np.int64)
+        for d, row in zip(self.orders, e):
+            index *= d
+            index += row
+        return index
 
     def qn_at(self, index: np.ndarray) -> np.ndarray:
         """N*q(gamma)/2 mod N at the elements with these indices in elements().
@@ -618,12 +604,24 @@ class DiscriminantForm:
 
     @cached_property
     def neg_index(self) -> np.ndarray:
-        """Index of -gamma for every element gamma."""
+        """Index of -gamma for every element gamma: M = diag(d_i - 1)."""
         import numpy as np
 
-        index = np.arange(self.cardinality, dtype=np.int64).reshape(self.orders)
-        neg = np.ix_(*(-np.arange(d) % d for d in self.orders))
-        return index[neg].ravel()
+        return self._image_index(np.diag(np.array(self.orders, dtype=np.int64) - 1))
+
+    @cached_property
+    def dual_index(self) -> np.ndarray:
+        """Index of xi(gamma) for every element gamma (see `weil`):
+        M[j, i] = b(g_i, g_j) * d_j mod d_j, ValueError if not integral."""
+        import numpy as np
+
+        n = self.level
+        d = np.array(self.orders, dtype=np.int64)[:, None]
+        bn = self._upper + self._upper.T  # N*b(g_j, g_i), below 2N
+        # b * d_j = N*b / (N / d_j), with no product that could overflow
+        if (n % d).any() or (bn % (n // d)).any():
+            raise ValueError(f"b(g_i, g_j) * d_j is not integral at level {n}")
+        return self._image_index(bn // (n // d) % d)
 
 
 def discriminant_form(lat: Lattice) -> DiscriminantForm:

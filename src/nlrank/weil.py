@@ -1,24 +1,25 @@
 """Weil representation of Mp2(Z) on the group ring of a discriminant form.
 
 The standard generators act on C[A] as three operators, none of them held
-as a matrix:
+as a matrix, each read from the form's int64 kernel:
 
-- rho(T) is diagonal with entries e(q(gamma)/2), read from the form's `qn`;
+- rho(T) is diagonal with entries e(q(gamma)/2), the roots of unity
+  `arith.unit_roots` gives at the form's `qn`;
 - rho(Z) = rho(S)^2 sends e_gamma to e(-sig/4) e_{-gamma} (`neg_index`);
 - rho(S) is a discrete Fourier transform over A = Z/d_1 + ... + Z/d_m.  As
   b(gamma, delta) = sum_j delta_j * xi(gamma)_j / d_j mod 1 with
   xi(gamma)_j = sum_i gamma_i * b(g_i, g_j) * d_j mod d_j,
   (rho(S) v)(gamma) is e(-sig/8)/sqrt(|A|) times `numpy.fft.fftn` of v,
-  reshaped to `orders`, read at xi(gamma).
+  reshaped to `orders`, read at xi(gamma) (`dual_index`).
 
 Applying rho(S) costs O(|A| log |A|) time and the operators O(|A| * ngens)
 memory, so the group's order is bounded by memory alone.  The metaplectic
 relations are checked on a fixed set of probe vectors (see
 `verify_relations`).  T^N = 1 is checked, and the traces' eigenvalue content
-read, from one snap of rho(T)'s diagonal to the nearest N-th roots of unity
-(`WeilRep.t_snap`), whose residual does not grow with N.  Complex double
-precision throughout; every downstream consumer snaps to roots of unity or
-integers.
+read, from one comparison of rho(T)'s diagonal with the N-th roots of unity
+e(q(gamma)/2) from the same `unit_roots` (`WeilRep.t_snap`), whose residual
+does not grow with N.  Complex double precision throughout; every
+downstream consumer snaps to roots of unity or integers.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .arith import unit_roots
 from .errors import SnapFailure
 from .lattices import DiscriminantForm, Lattice, discriminant_form
 
-# how far a diagonal entry of rho(T) may sit from an N-th root of unity
-# before `traces` raises SnapFailure
+# how far a diagonal entry of rho(T) may sit from its N-th root of unity
+# e(q(gamma)/2) before `traces` raises SnapFailure
 T_SNAP_TOL = 1e-6
 
 # the probes: PROBE_RANDOM random unit vectors drawn from PROBE_SEED, then
@@ -66,23 +68,15 @@ class WeilRep:
         return self.df.cardinality
 
     @property
-    def sig_mod_8(self) -> int:
-        return self.df.sig_mod_8
-
-    @property
     def level(self) -> int:
         return self.df.level
 
     @cached_property
     def t_snap(self) -> tuple[np.ndarray, np.ndarray]:
-        """rho(T)'s diagonal snapped to the N-th roots of unity, N the level.
-
-        For each gamma, k = the nearest integer to N * arg t(gamma) / 2pi,
-        reduced mod N, and dist = |t(gamma) - e(k/N)|.
-        """
-        n = self.level
-        k = np.rint(np.angle(self.t_diag) * (n / (2 * math.pi))).astype(np.int64) % n
-        return k, np.abs(self.t_diag - np.exp((2j * np.pi / n) * k))
+        """rho(T)'s diagonal against its N-th roots of unity, N the level:
+        k = the form's `qn` and dist = |t(gamma) - e(k/N)| by `unit_roots`."""
+        k = self.df.qn
+        return k, np.abs(self.t_diag - unit_roots(self.level)(k))
 
     def apply_t(self, v: np.ndarray) -> np.ndarray:
         return self.t_diag.reshape((-1,) + (1,) * (v.ndim - 1)) * v
@@ -97,30 +91,12 @@ class WeilRep:
 
 
 def build_weil_rep(df: DiscriminantForm) -> WeilRep:
-    """The three operators of the Weil representation on C[A].
-
-    The integer form of b(g_i, g_j) * d_j is (N*b(g_i, g_j) mod N) * d_j / N
-    with N the level, read from the generator pairing; xi(gamma) is then one
-    (|A|, ngens) @ (ngens, ngens) product reduced mod `orders`.
-    """
-    d = df.cardinality
-    n = df.level
-    orders = np.array(df.orders, dtype=np.int64)
-    # N*b(g_i, g_j), in [0, 2N): the diagonal of _upper holds N*q(g_i)/2
-    bn = df._upper + df._upper.T
-    if (bn * orders % n).any():
-        raise ValueError(f"b(g_i, g_j) * d_j is not integral at level {n}")
-    dual = bn * orders // n % orders  # dual[i, j] = b(g_i, g_j) * d_j mod d_j
-    # elements() is row-major over `orders`
-    strides = np.array(
-        [math.prod(df.orders[j + 1:]) for j in range(df.ngens)], dtype=np.int64
-    )
-    xi = df.exponents @ dual % orders @ strides
+    """The three operators of the Weil representation on C[A]."""
     return WeilRep(
         df=df,
-        t_diag=np.exp((2j * np.pi / n) * df.qn),
-        xi=xi,
-        s_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(d),
+        t_diag=unit_roots(df.level)(df.qn),
+        xi=df.dual_index,
+        s_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(df.cardinality),
         z_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4),
     )
 
@@ -174,10 +150,11 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
     the weight at -gamma to gamma with modulus kept (the Z-swap) are each
     checked on the columns of `_probes` and report the largest entry of the
     residual.  T^N = 1 for N the level is checked on the diagonal of rho(T)
-    as N times the largest distance of an entry to its nearest N-th root of
-    unity (`WeilRep.t_snap`): to first order that is |t^N - 1|, without the
-    rounding error of an N-th power, which grows with N.  Reports errors,
-    never raises.
+    as N times the largest distance of an entry t(gamma) to its N-th root of
+    unity e(q(gamma)/2) (`WeilRep.t_snap`): to first order that bounds
+    |t^N - 1|, without the rounding error of an N-th power, which grows with
+    N, and it also catches an entry moved onto another N-th root.  Reports
+    errors, never raises.
     """
     p = _probes(w.dimension)
     sp = w.apply_s(p)
@@ -222,7 +199,7 @@ def traces(w: WeilRep) -> TraceReport:
     square of the conjugate of rho(T)'s diagonal times the phase.  The
     eigenvalue content comes from `WeilRep.t_snap`, the snap `verify_relations`
     also reads; an entry further than the module constant T_SNAP_TOL from its
-    N-th root of unity (N = level) raises SnapFailure.
+    N-th root of unity e(q(gamma)/2) (N = level) raises SnapFailure.
     """
     n = w.level
     z = w.t_diag

@@ -167,7 +167,7 @@ def bn(df: DiscriminantForm) -> np.ndarray:
 
     |A|^2 int64 entries, from the exponent rows and the generator pairing.
     """
-    n, e = df.level, df.exponents
+    n, e = df.level, df._exponents_at(np.arange(df.cardinality, dtype=np.int64)).T
     return e @ ((df._upper + df._upper.T) % n) % n @ e.T % n
 
 

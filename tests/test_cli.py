@@ -13,6 +13,9 @@ from nlrank import rank as rankmod
 from nlrank.cli import dispatch
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run(argv):
     out = io.StringIO()
     err = io.StringIO()
@@ -134,6 +137,15 @@ def test_unknown_catalog_name_is_usage_error():
         assert out == ""
 
 
+@pytest.mark.parametrize("verb", [["lattice", "info"], ["weil", "verify"]], ids=" ".join)
+@pytest.mark.parametrize("name, flag", [("U(N)", "--N"), ("Lambda_g", "--g")])
+def test_missing_catalog_parameter_is_usage_error(verb, name, flag):
+    code, out, err = run([*verb, "--name", name])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: --name {name} needs {flag}\n")
+
+
 def test_negative_nl_bounds_are_usage_errors():
     for flag in ("--dmax", "--hmax"):
         argv = ["nl", "--g", "2", "--dmax", "1", "--hmax", "1"]
@@ -144,10 +156,14 @@ def test_negative_nl_bounds_are_usage_errors():
         assert "usage" in err
 
 
-def test_non_half_integral_weight_is_usage_error():
-    code, out, _ = run(["dim", "--g", "2", "--weight", "1/3"])
-    assert code == 2
-    assert out == ""
+def test_non_half_integral_weight_is_usage_error(capsys):
+    # argparse writes its own errors to sys.stderr
+    for text in ("1/3", "abc", "1/0", ""):
+        code, out, _ = run(["dim", "--g", "2", "--weight", text])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert f"argument --weight: weight must be a half-integer, got {text!r}" in err
     code, out, _ = run(["dim", "--g", "2", "--weight", "23/2"])
     assert code == 0
     assert "k=23/2" in out
@@ -305,6 +321,22 @@ def test_crosscheck_ok():
     code, out, _ = run(["crosscheck", "--from", "2", "--to", "6"])
     assert code == 0
     assert "MISMATCH" not in out
+
+
+def test_closed_stdout_is_a_clean_exit():
+    """A reader that closes the pipe after one line (`| head -1`) ends the
+    run with exit 1 and nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nlrank.cli", "crosscheck", "--from", "2", "--to", "3000"],
+        env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert first == "g=2 rank_formula=2 cusp_pipeline=2 ok\n"
+    assert err == ""  # no traceback
 
 
 def test_determinism_two_runs():

@@ -1,8 +1,9 @@
 """Oracle tests for the integer encoding of discriminant forms.
 
-`DiscriminantForm.exponents`, `qn` and `neg_index`, and the pairing
-`oracles.bn` builds from the generator pairing, are compared element by
-element with the exact `Fraction` reference `elements()`, `q()` and `b()`;
+The exponents `DiscriminantForm._exponents_at` reads off, `qn`, `neg_index`
+and `dual_index`, and the pairing `oracles.bn` builds from the generator
+pairing, are compared element by element with the exact `Fraction`
+reference `elements()`, `q()` and `b()`;
 `qn_slices` and `two_torsion` with `qn` and `neg_index`; and the
 consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
 `Fraction` walks over the same reference, with the element-by-element
@@ -61,17 +62,22 @@ def _check_kernel(df, pairs=None):
     d = len(elems)
     assert d == df.cardinality
     pairing = bn(df)
-    for arr in (df.exponents, df.qn, df.neg_index, pairing):
+    exponents = df._exponents_at(np.arange(d, dtype=np.int64)).T
+    for arr in (exponents, df.qn, df.neg_index, df.dual_index, pairing):
         assert arr.dtype == np.int64
-    assert df.exponents.shape == (d, df.ngens)
-    assert [tuple(map(int, row)) for row in df.exponents] == elems
+    assert exponents.shape == (d, df.ngens)
+    assert [tuple(map(int, row)) for row in exponents] == elems
     index = {e: i for i, e in enumerate(elems)}
     _check_slices(df)
-    qn, neg_index = df.qn.tolist(), df.neg_index.tolist()
+    qn, neg_index, dual_index = df.qn.tolist(), df.neg_index.tolist(), df.dual_index.tolist()
+    units = [tuple(int(i == j) for i in range(df.ngens)) for j in range(df.ngens)]
     for i, e in enumerate(elems):
         assert qn[i] == df.q(e) * n / 2 % n, e
         neg = tuple((-x) % m for x, m in zip(e, df.orders))
         assert neg_index[i] == index[neg], e
+        # xi(gamma)_j = b(gamma, g_j) * d_j
+        xi = tuple(int(df.b(e, u) * m) for u, m in zip(units, df.orders))
+        assert dual_index[i] == index[xi], e
     rows, cols = pairs if pairs is not None else (range(d), range(d))
     assert pairing.shape == (d, d)
     pairing = pairing.tolist()
@@ -129,6 +135,7 @@ def test_kernel_trivial_group(name):
     _check_kernel(df)
     assert df.qn.tolist() == [0]
     assert df.neg_index.tolist() == [0]
+    assert df.dual_index.tolist() == [0]
     assert df.two_torsion.tolist() == [0]
     assert [a.tolist() for a in np.unique(df.qn, return_counts=True)] == [[0], [1]]
     assert [v.tolist() for v in df.qn_slices()] == [[0]]
@@ -285,6 +292,14 @@ def test_int64_bound_of_lambda_g():
         over.qn_at(np.zeros(1, dtype=np.int64))
     with pytest.raises(TooLarge):
         dim_cusp_df(over, HALF_21)
+
+
+def test_dual_index_matrix_at_the_int64_bound(monkeypatch):
+    # N*b * d_j overflows int64 at g = 2^30; the matrix of xi must not.
+    # Only the matrix is read: the group, of 2^31 elements, is not built
+    top = discriminant_form(lambda_lattice(2**30))
+    monkeypatch.setattr(DiscriminantForm, "_image_index", lambda self, m: m)
+    assert top.dual_index.tolist() == [[int(top.b((1,), (1,)) * top.orders[0])]]
 
 
 @settings(max_examples=40, deadline=None)

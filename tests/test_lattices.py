@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,13 @@ def test_make_lattice_rejects_asymmetric():
 def test_make_lattice_rejects_degenerate():
     with pytest.raises(Degenerate):
         make_lattice([[2, 2], [2, 2]])
+
+
+def test_make_lattice_rejects_a_singular_block_behind_a_nonsingular_one():
+    # U + [[2, 2], [2, 2]]: the U block is nondegenerate, the second is not
+    gram = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 2], [0, 0, 2, 2]]
+    with pytest.raises(Degenerate, match="singular"):
+        make_lattice(gram)
 
 
 def test_catalog_k3():
@@ -144,9 +152,12 @@ def test_discriminant_form_root_two():
 
 
 def test_cardinality_matches_det(corpus):
+    # det() is read from the signature and the discriminant form, so the
+    # oracle is the Gram matrix's determinant in floating point
     for lat in corpus.values():
         df = discriminant_form(lat)
         assert df.cardinality == abs(lat.det())
+        assert lat.det() == round(np.linalg.det(np.array(lat.gram, dtype=float)))
 
 
 def test_quadratic_form_polarization(corpus):

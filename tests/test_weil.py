@@ -25,6 +25,7 @@ from nlrank import (
     verify_relations,
     weil_rep_of,
 )
+from nlrank.errors import SnapFailure
 import strategies
 from oracles import dense_weil, operator_matrix
 from strategies import NON_CYCLIC
@@ -180,6 +181,7 @@ PERTURBED_T = [
     pytest.param(9, "order 2N", id="order 2N"),
     pytest.param(2000, "diagonal", id="Lambda_2000-diagonal"),
     pytest.param(2000, "order 2N", id="Lambda_2000-order 2N"),
+    pytest.param(9, "another root", id="another root"),
 ]
 
 
@@ -190,9 +192,12 @@ def test_relations_fail_on_a_perturbed_rho_t(g, where):
     t_diag = w.t_diag.copy()
     if where == "diagonal":
         t_diag[3] *= np.exp(1e-6j)
-    else:
+    elif where == "order 2N":
         # a root of unity whose N-th power is -1
         t_diag[3] *= np.exp(1j * np.pi / w.level)
+    else:
+        # still an N-th root of unity, but not e(q(gamma)/2)
+        t_diag[3] *= np.exp(2j * np.pi / w.level)
     rep = verify_relations(dataclasses.replace(w, t_diag=t_diag))
     assert rep.maxErrTN > 1e-7
     assert not rep.passed
@@ -203,6 +208,15 @@ def test_t_order_residual_does_not_grow_with_level():
     rep = verify_relations(weil_rep_of(lambda_lattice(2000)))
     assert rep.level == 7996
     assert rep.maxErrTN < 1e-13
+
+
+def test_traces_refuse_an_entry_moved_to_another_root():
+    w = weil_rep_of(lambda_lattice(9))
+    assert verify_relations(w).maxErrTN == 0.0
+    t_diag = w.t_diag.copy()
+    t_diag[3] *= np.exp(2j * np.pi / w.level)
+    with pytest.raises(SnapFailure):
+        traces(dataclasses.replace(w, t_diag=t_diag))
 
 
 WRONG_XI = {"Lambda_9": lambda_lattice(9), "U(2)+U(6)": NON_CYCLIC["U(2)+U(6)"]}
