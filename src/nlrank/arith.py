@@ -5,13 +5,12 @@ fractional-part sum and the square count are the two combinatorial terms
 of the closed-form rank (an O(g) int64 sum over bounded chunks and a closed
 form from the factorization of 4g-4).  The Gauss sum, over the whole
 discriminant form's q-values, is a floating-point Milgram oracle for
-discriminant forms; its roots of unity come from `unit_roots`, two tables of
-about sqrt(N) entries each, which the cusp dimension reads too.
+discriminant forms; its roots of unity are the form's `roots`, the same map
+the cusp dimension and the Weil operators read.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -103,39 +102,13 @@ def square_count(g: int) -> int:
     return (g - 1) // (r * m) + 1  # the cofactor m left is 1 or a prime
 
 
-def unit_roots(n: int):
-    """The map v -> e(v/n) = exp(2*pi*i*v/n) on int64 arrays of v in [0, n).
-
-    With b = ceil(sqrt(n)), e(v/n) = hi[v // b] * lo[v - b*(v // b)] from
-    the tables lo[r] = e(r/n), r < b, and hi[t] = e(t*b/n): two lookups
-    and one product per value, within a few ulp of `numpy.exp`, and only
-    about 2*sqrt(n) calls of `exp`.
-    """
-    import numpy as np
-
-    b = math.isqrt(n - 1) + 1
-    w = 2j * np.pi / n
-    lo = np.exp(w * np.arange(b))
-    hi = np.exp(w * (b * np.arange((n - 1) // b + 1)))
-
-    def roots(v: np.ndarray) -> np.ndarray:
-        t = v // b
-        z = hi[t]
-        t *= b
-        np.subtract(v, t, out=t)
-        z *= lo[t]
-        return z
-
-    return roots
-
-
 def gauss_sum(df: DiscriminantForm) -> complex:
     """Sum of exp(pi*i*<gamma,gamma>) over the discriminant group.
 
     Evaluated as the sum of e(v/N) over the form's q-values v = N*q/2 mod N
     (`DiscriminantForm.qn`, the array the Weil operators read) with the
-    roots from `unit_roots`.  It is checked by Milgram's formula,
+    form's own `roots`.  It is checked by Milgram's formula,
     sqrt(|A|) * exp(2*pi*i*sig/8) with sig from `signature`, and by the
     `Fraction` oracle test of the encoding.
     """
-    return complex(unit_roots(df.level)(df.qn).sum())
+    return complex(df.roots(df.qn).sum())

@@ -2,8 +2,10 @@
 
 Verbs: rank, lattice, weil, dim, nl, crosscheck.  Output is deterministic
 for fixed arguments; rationals render as num/den pairs, never as floats.
-Exit codes: 0 success, 1 domain error (or out of memory, or a closed
-stdout), 2 usage error.
+The floats are `weil verify`'s residuals and the Riemann-Roch terms: `dim`'s
+`boundary_terms`, and the breakdown `crosscheck` writes to stderr for a
+mismatched genus.  Exit codes: 0 success, 1 domain error (or out of memory,
+or a closed stdout), 2 usage error.
 
 Each verb's handler imports the modules it needs, so start-up pays only for
 them: `nl` and `lattice info` never load numpy; `rank` loads it at its first
@@ -34,7 +36,7 @@ def _lattice_from_args(args):
     return catalog(args.name, g=args.g, scale=args.N)
 
 
-def _cmd_rank(args, out) -> int:
+def _cmd_rank(args, out, err) -> int:
     if args.g_from < 2 or args.g_from > args.g_to:
         raise _Usage(f"need 2 <= --from <= --to, got ({args.g_from}, {args.g_to})")
     if args.jobs < 1:
@@ -56,7 +58,7 @@ def _cmd_rank(args, out) -> int:
     return 0
 
 
-def _cmd_lattice(args, out) -> int:
+def _cmd_lattice(args, out, err) -> int:
     lat = _lattice_from_args(args)
     sig = signature(lat)
     df = discriminant_form(lat)
@@ -78,7 +80,7 @@ def _cmd_lattice(args, out) -> int:
     return 0
 
 
-def _cmd_weil(args, out) -> int:
+def _cmd_weil(args, out, err) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _Usage(f"need a finite --tol > 0, got {args.tol}")
     from .weil import build_weil_rep, verify_relations
@@ -115,7 +117,7 @@ def _parse_weight(text: str) -> Fraction:
     return weight
 
 
-def _cmd_dim(args, out) -> int:
+def _cmd_dim(args, out, err) -> int:
     from .cuspdim import dim_cusp_df
 
     lat = catalog("Lambda_g", g=args.g)
@@ -132,7 +134,7 @@ def _cmd_dim(args, out) -> int:
     return 0
 
 
-def _cmd_nl(args, out) -> int:
+def _cmd_nl(args, out, err) -> int:
     if args.dmax < 0 or args.hmax < 0:
         raise _Usage(f"need --dmax, --hmax >= 0, got ({args.dmax}, {args.hmax})")
     from . import nl as nlmod
@@ -158,24 +160,38 @@ def _cmd_nl(args, out) -> int:
     return 0
 
 
-def _cmd_crosscheck(args, out) -> int:
+# the Riemann-Roch terms of a mismatched genus's breakdown
+_RR_TERMS = ("rank_pm", "main", "elliptic_order4", "elliptic_order6", "parabolic",
+             "isotropic")
+
+
+def _cmd_crosscheck(args, out, err) -> int:
     if args.g_from < 2 or args.g_from > args.g_to:
         raise _Usage(f"need 2 <= --from <= --to, got ({args.g_from}, {args.g_to})")
-    from .cuspdim import picard_rank_via_cusp
+    from .cuspdim import dim_cusp, picard_rank_via_cusp
     from .rank import picard_rank
 
     failures = 0
     for g in range(args.g_from, args.g_to + 1):
         # the cusp side first: a genus past its int64 bound fails before
         # the O(g) closed form has run
-        via_cusp = picard_rank_via_cusp(catalog("Lambda_g", g=g))
-        closed = picard_rank(g).rank
-        ok = closed == via_cusp
+        lat = catalog("Lambda_g", g=g)
+        via_cusp = picard_rank_via_cusp(lat)
+        closed = picard_rank(g)
+        ok = closed.rank == via_cusp
         failures += not ok
         out.write(
-            f"g={g} rank_formula={closed} cusp_pipeline={via_cusp} "
+            f"g={g} rank_formula={closed.rank} cusp_pipeline={via_cusp} "
             f"{'ok' if ok else 'MISMATCH'}\n"
         )
+        if not ok:  # both breakdowns; Riemann-Roch's is computed only here
+            fs, rr = closed.fracsum, dim_cusp(lat, Fraction(lat.rank, 2))
+            terms = "".join(f"{key}={rr.boundary_terms[key]} " for key in _RR_TERMS)
+            err.write(
+                f"g={g} closed_form: alpha={closed.alpha} beta={closed.beta} "
+                f"fracsum={fs.numerator}/{fs.denominator} sqcount={closed.sqcount} "
+                f"rank={closed.rank}\ng={g} riemann_roch: {terms}dim={rr.dim}\n"
+            )
     return 0 if failures == 0 else DOMAIN_EXIT
 
 
@@ -254,7 +270,7 @@ def dispatch(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code else 0
     try:
-        return args.func(args, out)
+        return args.func(args, out, err)
     except _Usage as exc:
         err.write(f"usage error: {exc}\n")
         err.write(parser.format_usage())

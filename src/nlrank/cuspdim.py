@@ -9,8 +9,10 @@ over the discriminant form's q-values (`DiscriminantForm.qn_slices`, a
 bounded slice at a time) plus its elements with 2*gamma = 0: running
 integer sums for the zero count and the sum of the values, and float sums
 of e(j*v/N), j = 1, 2, 3, for the three Gauss sums, with the roots read
-from `arith.unit_roots`.  No array as long as the group is built, so memory
-does not grow with |A|.  The value is snapped to an integer.
+from the form's `roots`.  No array as long as the group is built, so memory
+does not grow with |A|.  Only the fractional part of the exact terms plus
+the two bounded elliptic terms is a float, snapped to an integer, so the
+dimension is exact at any weight.  Nothing here comes from the closed form.
 
 The forms counted are of type rho* = conj(rho), the dual of the Weil
 representation rho that `nlrank.weil` builds, as in Bruinier's treatment
@@ -29,7 +31,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import unit_roots
 from .errors import (
     BadSignature,
     HypothesisNotAsserted,
@@ -103,7 +104,7 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
 
     # the full-group sums, streamed: the zero count, the sum of the values,
     # and G(j) = sum of e(j*q/2) over A for j = 1, 2, 3
-    roots = unit_roots(n)
+    roots = df.roots
     zeros = total = 0
     g1 = g2 = g3 = 0j
     for v in df.qn_slices():
@@ -114,21 +115,28 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
         g2 += z @ z  # numpy's dot does not conjugate: the sum of z^2
         g3 += (z * z) @ z
     # -v mod n is n - v for every value but 0
-    alpha_t = Fraction(n * (d - zeros) - total + eps * sum(-x % n for x in q_two), 2 * n)
+    alpha_num = n * (d - zeros) - total + eps * sum(-x % n for x in q_two)  # over 2n
     n_iso = (zeros + eps * q_two.count(0)) // 2
     g1, g2, g3 = complex(g1), complex(g2), complex(g3).conjugate()
     g2_part = g2.real if symm else g2.imag
 
-    main = rank_pm * (k + 5) / 12
-    e4 = cmath.exp(1j * cmath.pi * (two_k + sig + 1 - eps) / 4)
+    # the phases' exponents are reduced as integers, so exp never sees a
+    # large argument
+    e4 = cmath.exp(1j * cmath.pi * ((two_k + sig + 1 - eps) % 8) / 4)
     term_e4 = (e4 * g2_part).real / (4 * sqrt_d)
-    e6 = cmath.exp(1j * cmath.pi * (3 * sig + 2 * two_k - 10) / 12)
+    e6 = cmath.exp(1j * cmath.pi * ((3 * sig + 2 * two_k - 10) % 24) / 12)
     term_e6 = ((e6 * (g1 + eps * g3)).real) / (3 * math.sqrt(3) * sqrt_d)
 
-    value = float(main) + term_e4 - float(alpha_t) - term_e6 - n_iso
-    dim = round(value)
-    if abs(value - dim) > SNAP_TOL:
-        raise SnapFailure(f"dimension {value} is not within {SNAP_TOL} of an integer")
+    # main - alpha_t - n_iso in integers over one denominator, main being
+    # rank_pm * (2k + 10)/24 = main_num/den: only the fractional part meets floats
+    den = math.lcm(24, 2 * n)
+    main_num = rank_pm * (two_k + 10) * (den // 24)
+    whole, rest = divmod(main_num - alpha_num * (den // (2 * n)) - n_iso * den, den)
+    x = rest / den + term_e4 - term_e6
+    residual = abs(x - round(x))
+    if residual > SNAP_TOL:
+        raise SnapFailure(f"dimension {whole} + {x} is {residual} from an integer")
+    dim = whole + round(x)
     if dim < 0:
         raise SnapFailure(f"negative dimension {dim} from Riemann-Roch")
     return CuspDimReport(
@@ -139,12 +147,12 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
         symmetric=symm,
         boundary_terms={
             "rank_pm": rank_pm,
-            "main": float(main),
+            "main": main_num / den,
             "elliptic_order4": term_e4,
             "elliptic_order6": -term_e6,
-            "parabolic": -float(alpha_t),
+            "parabolic": -alpha_num / (2 * n),
             "isotropic": -n_iso,
-            "raw_value": value,
+            "raw_value": whole + x,
         },
     )
 

@@ -3,8 +3,10 @@
 Everything here is exact: Gram matrices are arbitrary-precision integers,
 signatures come from rational congruence diagonalization, and discriminant
 groups come from an integer Smith normal form with unimodular transforms.
-The determinant is (-1)^negative * |M^dual / M|, read from these two.  No
-floating point enters this module.
+The determinant is (-1)^negative * |M^dual / M|, read from these two.  The
+exact invariants use no floating point; `DiscriminantForm.roots`, the map
+v -> e(v/N) that the Gauss sums and rho(T) read, is the kernel's one
+complex-valued member, built once per form.
 
 Both invariants are computed per orthogonal block of the Gram matrix (a
 connected component of its nonzero pattern) and assembled as orthogonal
@@ -37,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric, TooLarge
@@ -568,6 +570,33 @@ class DiscriminantForm:
             x *= e
             x = x.sum(axis=0)
         return _reduce(x, n)
+
+    @cached_property
+    def roots(self):
+        """The map v -> e(v/N) on int64 arrays of v in [0, N), N the level.
+
+        With b = ceil(sqrt(N)), e(v/N) = hi[v // b] * lo[v - b*(v // b)] from
+        the tables lo[r] = e(r/N), r < b, and hi[t] = e(t*b/N): two lookups
+        and one product per value, within a few ulp of `numpy.exp`, and only
+        about 2*sqrt(N) calls of `exp`, once per form.
+        """
+        import numpy as np
+
+        n = self.level
+        b = isqrt(n - 1) + 1
+        w = 2j * np.pi / n
+        lo = np.exp(w * np.arange(b))
+        hi = np.exp(w * (b * np.arange((n - 1) // b + 1)))
+
+        def roots(v: np.ndarray) -> np.ndarray:
+            t = v // b
+            z = hi[t]
+            t *= b
+            np.subtract(v, t, out=t)
+            z *= lo[t]
+            return z
+
+        return roots
 
     @cached_property
     def qn(self) -> np.ndarray:

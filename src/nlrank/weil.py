@@ -3,8 +3,8 @@
 The standard generators act on C[A] as three operators, none of them held
 as a matrix, each read from the form's int64 kernel:
 
-- rho(T) is diagonal with entries e(q(gamma)/2), the roots of unity
-  `arith.unit_roots` gives at the form's `qn`;
+- rho(T) is diagonal with entries e(q(gamma)/2), the form's `roots` at its
+  `qn`;
 - rho(Z) = rho(S)^2 sends e_gamma to e(-sig/4) e_{-gamma} (`neg_index`);
 - rho(S) is a discrete Fourier transform over A = Z/d_1 + ... + Z/d_m.  As
   b(gamma, delta) = sum_j delta_j * xi(gamma)_j / d_j mod 1 with
@@ -17,8 +17,9 @@ memory, so the group's order is bounded by memory alone.  The metaplectic
 relations are checked on a fixed set of probe vectors (see
 `verify_relations`).  T^N = 1 is checked, and the traces' eigenvalue content
 read, from one comparison of rho(T)'s diagonal with the N-th roots of unity
-e(q(gamma)/2) from the same `unit_roots` (`WeilRep.t_snap`), whose residual
-does not grow with N.  Complex double precision throughout; every
+e(q(gamma)/2) from the same `roots` (`WeilRep.t_snap`), whose residual
+does not grow with N.  Like the cusp dimension, this module imports nothing
+from the closed form.  Complex double precision throughout; every
 downstream consumer snaps to roots of unity or integers.
 """
 
@@ -31,7 +32,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import unit_roots
 from .errors import SnapFailure
 from .lattices import DiscriminantForm, Lattice, discriminant_form
 
@@ -74,9 +74,9 @@ class WeilRep:
     @cached_property
     def t_snap(self) -> tuple[np.ndarray, np.ndarray]:
         """rho(T)'s diagonal against its N-th roots of unity, N the level:
-        k = the form's `qn` and dist = |t(gamma) - e(k/N)| by `unit_roots`."""
+        k = the form's `qn` and dist = |t(gamma) - e(k/N)| by the form's `roots`."""
         k = self.df.qn
-        return k, np.abs(self.t_diag - unit_roots(self.level)(k))
+        return k, np.abs(self.t_diag - self.df.roots(k))
 
     def apply_t(self, v: np.ndarray) -> np.ndarray:
         return self.t_diag.reshape((-1,) + (1,) * (v.ndim - 1)) * v
@@ -94,7 +94,7 @@ def build_weil_rep(df: DiscriminantForm) -> WeilRep:
     """The three operators of the Weil representation on C[A]."""
     return WeilRep(
         df=df,
-        t_diag=unit_roots(df.level)(df.qn),
+        t_diag=df.roots(df.qn),
         xi=df.dual_index,
         s_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(df.cardinality),
         z_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4),
@@ -114,7 +114,7 @@ def _probes(d: int) -> np.ndarray:
 
     The random ones have real and imaginary parts uniform in [-1/2, 1/2)
     before normalising, from splitmix64 (Steele, Lea and Flood, 2014) of
-    PROBE_SEED + i * 0x9E3779B97F4A7C15: integer arithmetic, so the same
+    PROBE_SEED + i * 0x9E3779B97F4A7C15: integer operations only, so the same
     on every machine, and no numpy.random, whose import takes longer than
     a whole check of a small form.
     """

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlrank import discriminant_form, frac_square_sum, gauss_sum, jacobi, square_count
-from nlrank.arith import FRAC_SUM_MAX_GENUS, unit_roots
+from nlrank.arith import FRAC_SUM_MAX_GENUS
 from nlrank.errors import BadGenus, EvenDenominator, NonpositiveDenominator, TooLarge
 from nlrank.lattices import make_lattice
 
@@ -141,15 +141,3 @@ def test_milgram_identity(corpus):
             2j * cmath.pi * df.sig_mod_8 / 8
         )
         assert abs(gauss_sum(df) - expected) < 1e-9, name
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 99, 100, 101, 4096, 10**6 + 3, 4 * 10**9 - 4])
-def test_unit_roots_match_exp(n):
-    import numpy as np
-
-    rng = np.random.default_rng(n)
-    v = np.concatenate(
-        [np.arange(min(n, 3000)), np.arange(max(n - 3000, 0), n), rng.integers(0, n, 5000)]
-    ).astype(np.int64)
-    want = np.exp((2j * np.pi / n) * v)
-    assert np.max(np.abs(unit_roots(n)(v) - want)) < 2e-15

@@ -323,6 +323,34 @@ def test_crosscheck_ok():
     assert "MISMATCH" not in out
 
 
+def test_crosscheck_mismatch_prints_both_breakdowns(monkeypatch):
+    """A mismatched genus keeps its stdout row and exit 1, and writes the
+    closed form's terms and the Riemann-Roch terms to stderr."""
+    code, out, err = run(["crosscheck", "--from", "5", "--to", "6"])
+    assert (code, err) == (0, "")
+    real = cuspdim.picard_rank_via_cusp
+    monkeypatch.setattr(cuspdim, "picard_rank_via_cusp", lambda lat: real(lat) + 1)
+    code, out, err = run(["crosscheck", "--from", "5", "--to", "6"])
+    assert code == 1
+    assert out == (
+        "g=5 rank_formula=4 cusp_pipeline=5 MISMATCH\n"
+        "g=6 rank_formula=6 cusp_pipeline=7 MISMATCH\n"
+    )
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 4
+    for g, closed, rr in ((5, lines[0], lines[1]), (6, lines[2], lines[3])):
+        assert closed.startswith(f"g={g} closed_form: ")
+        assert rr.startswith(f"g={g} riemann_roch: ")
+        for key in ("alpha", "beta", "fracsum", "sqcount", "rank"):
+            assert f" {key}=" in closed, key
+        for key in ("rank_pm", "main", "elliptic_order4", "elliptic_order6",
+                    "parabolic", "isotropic", "dim"):
+            assert f" {key}=" in rr, key
+    assert lines[0] == "g=5 closed_form: alpha=1 beta=2 fracsum=7/8 sqcount=2 rank=4"
+    assert lines[1].endswith(" dim=3")
+
+
 def test_closed_stdout_is_a_clean_exit():
     """A reader that closes the pipe after one line (`| head -1`) ends the
     run with exit 1 and nothing on stderr."""

@@ -155,3 +155,16 @@ def test_cusp_pipeline_memory_does_not_grow_with_the_group():
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
     assert rank == picard_rank(g).rank
+
+
+def test_dim_is_exact_at_huge_weights():
+    # dim(k + 12t) = dim(k) + rank_pm * t: the main term grows by rank_pm * t
+    # and every other term is periodic in k with period 12
+    t = 10**20
+    for g in range(2, 31):
+        df = discriminant_form(lambda_lattice(g))
+        for two_k in range(5, 28, 2):  # Lambda_g has odd signature
+            k = Fraction(two_k, 2)
+            rep, far = dim_cusp_df(df, k), dim_cusp_df(df, k + 12 * t)
+            assert rep.parity_ok and far.parity_ok, (g, k)
+            assert far.dim == rep.dim + rep.boundary_terms["rank_pm"] * t, (g, k)

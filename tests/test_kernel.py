@@ -4,8 +4,8 @@ The exponents `DiscriminantForm._exponents_at` reads off, `qn`, `neg_index`
 and `dual_index`, and the pairing `oracles.bn` builds from the generator
 pairing, are compared element by element with the exact `Fraction`
 reference `elements()`, `q()` and `b()`;
-`qn_slices` and `two_torsion` with `qn` and `neg_index`; and the
-consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
+`qn_slices` and `two_torsion` with `qn` and `neg_index`; `roots` with
+`numpy.exp`, and as built once per form; and the consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
 `Fraction` walks over the same reference, with the element-by-element
 `oracles.dim_cusp_df_elementwise` and with the eigenvalues of the dense
 dual Weil representation (`oracles.dim_cusp_from_eigenvalues`).
@@ -15,6 +15,7 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from nlrank import (
     k3_lattice,
     lambda_lattice,
     make_lattice,
+    traces,
     verify_relations,
 )
 from nlrank.errors import TooLarge
@@ -161,6 +163,49 @@ def test_kernel_rejects_level_that_is_not_a_common_denominator():
     )
     with pytest.raises(ValueError):
         wrong.qn
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 99, 100, 101, 4096, 10**6 + 3, 4 * 10**9 - 4])
+def test_unit_roots_match_exp(n):
+    # U(n) has level n; its group, of n^2 elements, is never built
+    df = discriminant_form(hyperbolic(n))
+    assert df.level == n
+    rng = np.random.default_rng(n)
+    v = np.concatenate(
+        [np.arange(min(n, 3000)), np.arange(max(n - 3000, 0), n), rng.integers(0, n, 5000)]
+    ).astype(np.int64)
+    want = np.exp((2j * np.pi / n) * v)
+    assert np.max(np.abs(df.roots(v) - want)) < 2e-15
+
+
+def test_root_tables_are_built_once_per_form(monkeypatch):
+    """The Weil chain and the Gauss sum share one `roots`; `dim_cusp_df`
+    builds it once per form, whatever the number of weights."""
+    built = []
+    build = DiscriminantForm.__dict__["roots"].func
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    roots = cached_property(counted)
+    roots.__set_name__(DiscriminantForm, "roots")
+    monkeypatch.setattr(DiscriminantForm, "roots", roots)
+    # weights of both parities: for each form, two of the four are of the
+    # wrong parity and return before any root is read
+    weights = [Fraction(21, 2), Fraction(23, 2), Fraction(12), Fraction(13)]
+    for lat in (lambda_lattice(7), NON_CYCLIC["U(2)+U(6)"]):
+        df = discriminant_form(lat)
+        w = build_weil_rep(df)
+        verify_relations(w)
+        traces(w)
+        gauss_sum(df)
+        assert len(built) == 1 and built[0] is df
+        built.clear()
+        df = discriminant_form(lat)
+        assert sum(dim_cusp_df(df, k).parity_ok for k in weights) == 2
+        assert len(built) == 1 and built[0] is df
+        built.clear()
 
 
 @pytest.mark.parametrize("name", sorted(NON_CYCLIC))

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +23,39 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         nlrank.no_such_name  # noqa: B018
     assert not hasattr(nlrank, "no_such_name")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _loaded_after(script, names):
+    """Run script in a child process and list which of the modules in
+    names it has loaded."""
+    probe = f"import sys\n{script}\nprint([m for m in {names!r} if m in sys.modules])\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_the_two_pipelines_import_nothing_of_each_other():
+    cusp_side = (
+        "from fractions import Fraction\n"
+        "from nlrank.cuspdim import dim_cusp_df, picard_rank_via_cusp\n"
+        "from nlrank.lattices import direct_sum, discriminant_form, hyperbolic, lambda_lattice\n"
+        "from nlrank.weil import build_weil_rep, traces, verify_relations\n"
+        "picard_rank_via_cusp(lambda_lattice(7))\n"
+        "# U(2)+U(6) has rank 4, so its weight 2 is below Riemann-Roch's range\n"
+        "for lat, k in ((lambda_lattice(7), Fraction(21, 2)),\n"
+        "               (direct_sum(hyperbolic(2), hyperbolic(6)), Fraction(12))):\n"
+        "    df = discriminant_form(lat)\n"
+        "    dim_cusp_df(df, k)\n"
+        "    w = build_weil_rep(df)\n"
+        "    verify_relations(w)\n"
+        "    traces(w)\n"
+    )
+    assert _loaded_after(cusp_side, ["nlrank.arith", "nlrank.rank"]) == "[]"
+    closed_side = "from nlrank.rank import picard_rank, rank_table\npicard_rank(7)\nrank_table(2, 50)\n"
+    assert _loaded_after(closed_side, ["nlrank.lattices", "nlrank.cuspdim", "nlrank.weil"]) == "[]"
