@@ -2,9 +2,10 @@
 
 Jacobi symbols are computed by reciprocity (no factorization); the
 fractional-part sum and the square count are the two combinatorial terms
-of the closed-form rank (an O(g) int64 sum over bounded chunks and a closed
-form from the factorization of 4g-4).  The Gauss sum, over the whole
-discriminant form's q-values, is a floating-point Milgram oracle for
+of the closed-form rank, both read from one factorization of 4g-4 (the
+first through Hurwitz class numbers, `nlrank.hurwitz`) in Python integers,
+so they are exact for every g and load no numpy.  The Gauss sum, over the
+whole discriminant form's q-values, is a floating-point Milgram oracle for
 discriminant forms; its roots of unity are the form's `roots`, the same map
 the cusp dimension and the Weil operators read.
 """
@@ -12,14 +13,11 @@ the cusp dimension and the Weil operators read.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import (
-    BadGenus,
-    EvenDenominator,
-    NonpositiveDenominator,
-    TooLarge,
-)
+from .errors import BadGenus, EvenDenominator, NonpositiveDenominator
+from .hurwitz import h6
 
 if TYPE_CHECKING:
     from .lattices import DiscriminantForm
@@ -45,42 +43,59 @@ def jacobi(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
-# k*k is exact in int64 for k <= g-1 while (g-1)^2 < 2^63
-FRAC_SUM_MAX_GENUS = 3_037_000_500
-# values of k per chunk: the int64 chunk (64 KiB) stays below glibc's
-# default 128 KiB mmap threshold, so chunks reuse heap memory instead of
-# mapping fresh pages each time
-_CHUNK = 1 << 13
+@lru_cache(maxsize=1)
+def _factor(m: int) -> tuple:
+    """The prime factorization of m >= 1 as ((p, e), ...), by trial division.
+
+    `frac_square_sum` and `square_count` of one genus both factor m = 4g-4;
+    the one-entry cache makes that one factorization.
+    """
+    factors, p = [], 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e:
+            factors.append((p, e))
+        p += 2 if p > 2 else 1
+    if m > 1:  # the cofactor left is a prime
+        factors.append((m, 1))
+    return tuple(factors)
 
 
-def check_frac_sum_genus(g: int) -> None:
-    """Raise TooLarge when frac_square_sum(g) would overflow int64."""
-    if g > FRAC_SUM_MAX_GENUS:
-        raise TooLarge(
-            f"genus {g} exceeds {FRAC_SUM_MAX_GENUS}, the largest with fracsum exact in int64"
-        )
+def _root_radical(m: int) -> int:
+    """The least r with m | r^2: prod p^ceil(e/2) over m = prod p^e."""
+    r = 1
+    for p, e in _factor(m):
+        r *= p ** ((e + 1) // 2)
+    return r
 
 
 def frac_square_sum(g: int) -> Fraction:
     """Sum over 0 <= k <= g-1 of the fractional part of k^2/(4g-4).
 
-    The numerator sum of k^2 mod m, m = 4g-4, is h(h+1)(2h+1)/6 - m * sum
-    floor(k^2/m) with h = g-1; the floors are summed in int64 over chunks
-    of at most _CHUNK values of k, so memory stays bounded whatever g is.
+    With m = 4g-4 = 4h, F = sum_{k<g} (k^2 mod m) is read from class numbers:
+    4F = T(m) + 2h(h mod 4) and T(m) = sum_{k mod m} (k^2 mod m)
+    = m^2/2 - m*Z/2 - m*sum h_w(-n), n | m with n = 0, 3 mod 4, where
+    Z = m/r counts the k mod m with m | k^2 (r as in `square_count`) and h_w
+    is the class number with weights 1/2 and 1/3 at n = 4 and 3.  As
+    h_w(n) = sum mu(f) H(n/f^2) over f^2 | n, H the Hurwitz class number,
+    that sum is the sum of H(n) over the n | m with m/n squarefree, and
+    fracsum = F/m is
+
+        24 * fracsum = 12h - 3Z + 3(h mod 4) - sum 6*H(n).
+
+    The cost is one factorization of m, shared with `square_count`, and
+    2^omega(m) values of `hurwitz.h6`, exact for every g.
     """
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
-    check_frac_sum_genus(g)
-    import numpy as np
-
     m, h = 4 * g - 4, g - 1
-    floors = 0
-    for start in range(0, g, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, g), dtype=np.int64)
-        k *= k
-        k //= m
-        floors += int(k.sum())
-    return Fraction(h * (h + 1) * (2 * h + 1) // 6 - m * floors, m)
+    divisors = [m]
+    for p, _ in _factor(m):
+        divisors += [n // p for n in divisors]
+    num = 12 * h - 3 * (m // _root_radical(m)) + 3 * (h % 4) - sum(map(h6, divisors))
+    return Fraction(num, 24)
 
 
 def square_count(g: int) -> int:
@@ -88,18 +103,11 @@ def square_count(g: int) -> int:
 
     m | k^2 exactly when r | k, for r = prod p^ceil(e/2) over m = prod p^e
     (the least r with m | r^2), so the count is floor((g-1)/r) + 1.  r comes
-    from trial division of m.
+    from the factorization of m that `frac_square_sum` shares.
     """
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
-    m, r, p = 4 * g - 4, 1, 2
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m, e = m // p, e + 1
-        r *= p ** ((e + 1) // 2)
-        p += 2 if p > 2 else 1
-    return (g - 1) // (r * m) + 1  # the cofactor m left is 1 or a prime
+    return (g - 1) // _root_radical(4 * g - 4) + 1
 
 
 def gauss_sum(df: DiscriminantForm) -> complex:

@@ -8,14 +8,15 @@ mismatched genus.  Exit codes: 0 success, 1 domain error (or out of memory,
 or a closed stdout), 2 usage error.
 
 Each verb's handler imports the modules it needs, so start-up pays only for
-them: `nl` and `lattice info` never load numpy; `rank` loads it at its first
-`frac_square_sum`; `dim`, `weil` and `crosscheck` load it with `cuspdim` or
-`weil`.
+them: `rank`, `nl` and `lattice info` never load numpy; `dim`, `weil` and
+`crosscheck` load it with `cuspdim` or `weil`.  `rank` and `crosscheck`
+write each row as it is made.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -43,18 +44,24 @@ def _cmd_rank(args, out, err) -> int:
         raise _Usage(f"need --jobs >= 1, got {args.jobs}")
     from . import rank as rankmod
 
-    reports = rankmod.rank_table(args.g_from, args.g_to)
-    if args.format == "csv":
-        out.write(rankmod.table_to_csv(reports))
-    elif args.format == "json":
-        out.write(rankmod.table_to_json(reports) + "\n")
-    else:
-        for rep in reports:
+    # each row is written as it is made; the CSV header and the JSON "[" come
+    # with the first row, so a first row that fails leaves stdout empty
+    writer = csv.writer(out, lineterminator="\n")
+    for i, rep in enumerate(rankmod.rank_table(args.g_from, args.g_to)):
+        if args.format == "csv":
+            if i == 0:
+                writer.writerow(rankmod.CSV_COLUMNS)
+            writer.writerow(rep.csv_row())
+        elif args.format == "json":
+            out.write(("[" if i == 0 else ", ") + json.dumps(rep.to_json_obj(), sort_keys=True))
+        else:
             out.write(
                 f"g={rep.g} alpha={rep.alpha} beta={rep.beta} "
                 f"fracsum={rep.fracsum.numerator}/{rep.fracsum.denominator} "
                 f"sqcount={rep.sqcount} rank={rep.rank}\n"
             )
+    if args.format == "json":
+        out.write("]\n")
     return 0
 
 
@@ -174,7 +181,7 @@ def _cmd_crosscheck(args, out, err) -> int:
     failures = 0
     for g in range(args.g_from, args.g_to + 1):
         # the cusp side first: a genus past its int64 bound fails before
-        # the O(g) closed form has run
+        # the closed form has run
         lat = catalog("Lambda_g", g=g)
         via_cusp = picard_rank_via_cusp(lat)
         closed = picard_rank(g)

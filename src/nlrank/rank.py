@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import check_frac_sum_genus, frac_square_sum, jacobi, square_count
+from .arith import frac_square_sum, jacobi, square_count
 from .errors import BadGenus, BadRange, NonIntegerResult
 
 CSV_COLUMNS = ["g", "alpha", "beta", "fracsum_num", "fracsum_den", "sqcount", "rank"]
@@ -89,15 +90,12 @@ def picard_rank(g: int) -> RankReport:
     return RankReport(g=g, alpha=a, beta=b, fracsum=fs, sqcount=sc, rank=rank)
 
 
-def rank_table(g_lo: int, g_hi: int) -> list[RankReport]:
-    """Rank reports for g_lo..g_hi inclusive, in genus order.
-
-    A g_hi above the int64 bound of `frac_square_sum` fails before any row.
-    """
+def rank_table(g_lo: int, g_hi: int) -> Iterator[RankReport]:
+    """Rank reports for g_lo..g_hi inclusive, in genus order, made one at a
+    time as they are read.  The range is checked before the first row."""
     if g_lo < 2 or g_lo > g_hi:
         raise BadRange(f"need 2 <= g_lo <= g_hi, got ({g_lo}, {g_hi})")
-    check_frac_sum_genus(g_hi)
-    return [picard_rank(g) for g in range(g_lo, g_hi + 1)]
+    return (picard_rank(g) for g in range(g_lo, g_hi + 1))
 
 
 def table_to_csv(reports) -> str:

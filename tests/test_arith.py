@@ -7,12 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlrank import discriminant_form, frac_square_sum, gauss_sum, jacobi, square_count
-from nlrank.arith import FRAC_SUM_MAX_GENUS
-from nlrank.errors import BadGenus, EvenDenominator, NonpositiveDenominator, TooLarge
+from nlrank import (
+    arith,
+    discriminant_form,
+    frac_square_sum,
+    gauss_sum,
+    jacobi,
+    picard_rank,
+    square_count,
+)
+from nlrank.errors import BadGenus, EvenDenominator, NonpositiveDenominator
 from nlrank.lattices import make_lattice
 
-from oracles import frac_square_sum_numerator, jacobi_bruteforce, square_count_bruteforce
+from oracles import (
+    FRAC_SUM_INT64_MAX_GENUS,
+    frac_square_sum_int64,
+    frac_square_sum_numerator,
+    jacobi_bruteforce,
+    square_count_bruteforce,
+)
 
 
 def test_jacobi_trivial_denominator():
@@ -110,11 +123,36 @@ def test_frac_square_sum_against_python_sum(g):
     assert frac_square_sum(g) == Fraction(frac_square_sum_numerator(g), 4 * g - 4)
 
 
-def test_frac_square_sum_int64_bound():
-    # the largest k is g-1, and k*k must stay below 2^63
-    assert (FRAC_SUM_MAX_GENUS - 1) ** 2 < 2**63 <= FRAC_SUM_MAX_GENUS**2
-    with pytest.raises(TooLarge):
-        frac_square_sum(FRAC_SUM_MAX_GENUS + 1)
+def test_frac_square_sum_against_int64_oracle_every_small_genus():
+    for g in range(2, 20001):
+        assert frac_square_sum(g) == frac_square_sum_int64(g), g
+
+
+def test_frac_square_sum_against_int64_oracle_seeded_genera():
+    rng = random.Random(20261018)
+    genera = [rng.randrange(20001, 10**7) for _ in range(12)]
+    # one even and one odd highly composite g - 1, so m = 4g-4 has many divisors
+    genera += [2 * 3 * 5 * 7 * 11 * 13 * 17 + 1, 3 * 5 * 7 * 11 * 13 * 17 + 1]
+    for g in genera:
+        assert frac_square_sum(g) == frac_square_sum_int64(g), g
+
+
+def test_frac_square_sum_past_the_int64_bound():
+    # the oracle's k*k overflows int64 here; the class-number form is exact
+    # in Python integers, and the rank built on it must come out an integer
+    g = FRAC_SUM_INT64_MAX_GENUS + 1
+    assert (g - 2) ** 2 < 2**63 <= (g - 1) ** 2
+    fs = picard_rank(g).fracsum
+    assert 0 < fs < g and 24 % fs.denominator == 0
+
+
+def test_one_factorization_per_genus():
+    # frac_square_sum and square_count share the factorization of 4g-4
+    arith._factor.cache_clear()
+    for g in (7, 130, 10**6 + 1):
+        picard_rank(g)
+    info = arith._factor.cache_info()
+    assert info.misses == 3
 
 
 def test_bad_genus():

@@ -56,6 +56,19 @@ def test_the_two_pipelines_import_nothing_of_each_other():
         "    verify_relations(w)\n"
         "    traces(w)\n"
     )
-    assert _loaded_after(cusp_side, ["nlrank.arith", "nlrank.rank"]) == "[]"
-    closed_side = "from nlrank.rank import picard_rank, rank_table\npicard_rank(7)\nrank_table(2, 50)\n"
+    assert _loaded_after(cusp_side, ["nlrank.arith", "nlrank.hurwitz", "nlrank.rank"]) == "[]"
+    closed_side = "from nlrank.rank import picard_rank, rank_table\npicard_rank(7)\nlist(rank_table(2, 50))\n"
     assert _loaded_after(closed_side, ["nlrank.lattices", "nlrank.cuspdim", "nlrank.weil"]) == "[]"
+
+
+@pytest.mark.parametrize("g_from, g_to", [(2, 3), (10**7, 10**7)])
+def test_rank_loads_no_numpy(g_from, g_to):
+    # a small range, and one genus whose class numbers lie past the table
+    rank = (
+        "import io\n"
+        "from nlrank import hurwitz\n"
+        "from nlrank.cli import dispatch\n"
+        f"assert dispatch(['rank', '--from', '{g_from}', '--to', '{g_to}'], out=io.StringIO()) == 0\n"
+        f"assert len(hurwitz._table) < 4 * {g_to} - 4\n"
+    )
+    assert _loaded_after(rank, ["numpy"]) == "[]"

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from nlrank import alpha, beta, jacobi, picard_rank, rank_table
 from nlrank import rank as rankmod
-from nlrank.arith import FRAC_SUM_MAX_GENUS
 from nlrank.cli import dispatch
-from nlrank.errors import BadGenus, BadRange, NonIntegerResult, TooLarge
+from nlrank.errors import BadGenus, BadRange, NonIntegerResult
 from nlrank.rank import table_to_csv
 
 
@@ -71,19 +70,28 @@ def test_alpha_beta_ranges(g):
 
 
 def test_rank_table():
-    reports = rank_table(2, 4)
+    reports = list(rank_table(2, 4))
     assert [r.g for r in reports] == [2, 3, 4]
     assert [r.rank for r in reports] == [2, 3, 4]
-    assert rank_table(2, 2)[0].rank == 2
+    assert next(rank_table(2, 2)).rank == 2
 
 
-def test_rank_table_above_int64_bound_fails_before_any_row(monkeypatch):
-    def no_rows(g):
-        raise AssertionError(f"row {g} computed before the bound check")
+def test_rank_table_makes_each_row_when_read(monkeypatch):
+    made = []
+    exact = rankmod.picard_rank
+    monkeypatch.setattr(rankmod, "picard_rank", lambda g: made.append(g) or exact(g))
+    with pytest.raises(BadRange):
+        rank_table(5, 2)
+    rows = rank_table(2, 10**12)
+    assert made == []
+    assert [next(rows).rank, next(rows).rank] == [2, 3]
+    assert made == [2, 3]
 
-    monkeypatch.setattr(rankmod, "picard_rank", no_rows)
-    with pytest.raises(TooLarge):
-        rank_table(2, FRAC_SUM_MAX_GENUS + 1)
+
+def test_rank_table_past_the_int64_bound():
+    # g - 1 = 3_037_000_500, whose square is past int64
+    (rep,) = rank_table(3_037_000_501, 3_037_000_501)
+    assert rep.g == 3_037_000_501 and rep.rank >= 1
 
 
 def test_rank_table_bad_range():
