@@ -9,8 +9,8 @@ or a closed stdout), 2 usage error.
 
 Each verb's handler imports the modules it needs, so start-up pays only for
 them: `rank`, `nl` and `lattice info` never load numpy; `dim`, `weil` and
-`crosscheck` load it with `cuspdim` or `weil`.  `rank` and `crosscheck`
-write each row as it is made.
+`crosscheck` load it with `cuspdim` or `weil`.  `rank`, `nl` and `crosscheck`
+write each row as it is made; `nl` merges one sorted run per h (`nl.iter_nl`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,31 @@ USAGE_EXIT = 2
 DOMAIN_EXIT = 1
 
 
+def _write_rows(out, fmt, columns, rows) -> None:
+    """Write each row's csv_row(), to_json_obj() or pretty() as it is made.  The CSV header
+    or JSON "[" comes with the first row (each caller has one): a failing one writes nothing."""
+    writer = csv.writer(out, lineterminator="\n")
+    for i, row in enumerate(rows):
+        if fmt == "csv":
+            if i == 0:
+                writer.writerow(columns)
+            writer.writerow(row.csv_row())
+        elif fmt == "json":
+            out.write(("[" if i == 0 else ", ") + json.dumps(row.to_json_obj()))
+        else:
+            out.write(row.pretty() + "\n")
+    if fmt == "json":
+        out.write("]\n")
+
+
+def _write_record(out, fmt, obj) -> None:
+    """Write one key/value record: key-sorted JSON, or `key: value` lines."""
+    if fmt == "json":
+        out.write(json.dumps(obj, sort_keys=True) + "\n")
+    else:
+        out.writelines(f"{key}: {obj[key]}\n" for key in sorted(obj))
+
+
 def _lattice_from_args(args):
     flag = {"U(N)": "N", "Lambda_g": "g"}.get(args.name)
     if flag and getattr(args, flag) is None:
@@ -44,24 +69,7 @@ def _cmd_rank(args, out, err) -> int:
         raise _Usage(f"need --jobs >= 1, got {args.jobs}")
     from . import rank as rankmod
 
-    # each row is written as it is made; the CSV header and the JSON "[" come
-    # with the first row, so a first row that fails leaves stdout empty
-    writer = csv.writer(out, lineterminator="\n")
-    for i, rep in enumerate(rankmod.rank_table(args.g_from, args.g_to)):
-        if args.format == "csv":
-            if i == 0:
-                writer.writerow(rankmod.CSV_COLUMNS)
-            writer.writerow(rep.csv_row())
-        elif args.format == "json":
-            out.write(("[" if i == 0 else ", ") + json.dumps(rep.to_json_obj(), sort_keys=True))
-        else:
-            out.write(
-                f"g={rep.g} alpha={rep.alpha} beta={rep.beta} "
-                f"fracsum={rep.fracsum.numerator}/{rep.fracsum.denominator} "
-                f"sqcount={rep.sqcount} rank={rep.rank}\n"
-            )
-    if args.format == "json":
-        out.write("]\n")
+    _write_rows(out, args.format, rankmod.CSV_COLUMNS, rankmod.rank_table(args.g_from, args.g_to))
     return 0
 
 
@@ -79,11 +87,7 @@ def _cmd_lattice(args, out, err) -> int:
         "level": df.level,
         "sig_mod_8": df.sig_mod_8,
     }
-    if args.format == "json":
-        out.write(json.dumps(info, sort_keys=True) + "\n")
-    else:
-        for key in sorted(info):
-            out.write(f"{key}: {info[key]}\n")
+    _write_record(out, args.format, info)
     return 0
 
 
@@ -106,11 +110,7 @@ def _cmd_weil(args, out, err) -> int:
         "maxErrZSwap": rep.maxErrZSwap,
         "pass": rep.passed,
     }
-    if args.format == "json":
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
-    else:
-        for key in sorted(obj):
-            out.write(f"{key}: {obj[key]}\n")
+    _write_record(out, args.format, obj)
     return 0 if rep.passed else DOMAIN_EXIT
 
 
@@ -146,24 +146,7 @@ def _cmd_nl(args, out, err) -> int:
         raise _Usage(f"need --dmax, --hmax >= 0, got ({args.dmax}, {args.hmax})")
     from . import nl as nlmod
 
-    labels = nlmod.enumerate_nl(args.g, args.dmax, args.hmax)
-    if args.format == "csv":
-        out.write(nlmod.labels_to_csv(labels))
-    elif args.format == "json":
-        out.write(
-            json.dumps(
-                [dict(zip(nlmod.CSV_COLUMNS, lab.csv_row())) for lab in labels]
-            )
-            + "\n"
-        )
-    else:
-        for lab in labels:
-            out.write(
-                f"h={lab.h} d={lab.d} delta={lab.delta} "
-                f"n={lab.n.numerator}/{lab.n.denominator} gamma={lab.gamma}"
-                + (" degenerate" if lab.degenerate else "")
-                + "\n"
-            )
+    _write_rows(out, args.format, nlmod.CSV_COLUMNS, nlmod.iter_nl(args.g, args.dmax, args.hmax))
     return 0
 
 
@@ -192,12 +175,11 @@ def _cmd_crosscheck(args, out, err) -> int:
             f"{'ok' if ok else 'MISMATCH'}\n"
         )
         if not ok:  # both breakdowns; Riemann-Roch's is computed only here
-            fs, rr = closed.fracsum, dim_cusp(lat, Fraction(lat.rank, 2))
+            rr = dim_cusp(lat, Fraction(lat.rank, 2))
             terms = "".join(f"{key}={rr.boundary_terms[key]} " for key in _RR_TERMS)
             err.write(
-                f"g={g} closed_form: alpha={closed.alpha} beta={closed.beta} "
-                f"fracsum={fs.numerator}/{fs.denominator} sqcount={closed.sqcount} "
-                f"rank={closed.rank}\ng={g} riemann_roch: {terms}dim={rr.dim}\n"
+                f"g={g} closed_form: {closed.pretty().split(' ', 1)[1]}\n"
+                f"g={g} riemann_roch: {terms}dim={rr.dim}\n"
             )
     return 0 if failures == 0 else DOMAIN_EXIT
 

@@ -96,9 +96,10 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
 
     # one representative of each pair {gamma, -gamma}: as q(-gamma) = q(gamma),
     # that is half the full-group sum, plus or minus half the sum over the
-    # elements with 2*gamma = 0 (those only carry symmetric forms).  qn_at
-    # raises TooLarge here, before anything is enumerated, for a group whose
-    # q-values overflow int64
+    # elements with 2*gamma = 0 (those only carry symmetric forms).  A group
+    # whose q-values overflow int64 raises TooLarge first, before even its
+    # 2-torsion indices (int64 too) are built
+    df.check_int64()
     q_two = df.qn_at(df.two_torsion).tolist()  # n * q(gamma)/2 mod n
     rank_pm = (d + eps * len(q_two)) // 2
 

@@ -102,10 +102,6 @@ class Signature:
     positive: int
     negative: int
 
-    @property
-    def rank(self) -> int:
-        return self.positive + self.negative
-
 
 def make_lattice(gram, name: str | None = None) -> Lattice:
     """Validate a Gram matrix and wrap it as a Lattice.

@@ -11,8 +11,12 @@ formula.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 
 from .errors import BadGenus, NegativeDiscriminant
@@ -30,10 +34,6 @@ class NLLabel:
     gamma: int
     degenerate: bool
 
-    @property
-    def n_abs(self) -> Fraction:
-        return abs(self.n)
-
     def csv_row(self) -> list:
         return [
             self.g,
@@ -45,6 +45,14 @@ class NLLabel:
             self.gamma,
             int(self.degenerate),
         ]
+
+    def to_json_obj(self) -> dict:
+        return dict(zip(CSV_COLUMNS, self.csv_row()))
+
+    def pretty(self) -> str:
+        tail = " degenerate" if self.degenerate else ""
+        return (f"h={self.h} d={self.d} delta={self.delta} "
+                f"n={self.n.numerator}/{self.n.denominator} gamma={self.gamma}{tail}")
 
 
 def nl_label(g: int, h: int, d: int) -> NLLabel:
@@ -80,22 +88,29 @@ def projection_oracle(g: int, h: int, d: int) -> Fraction:
     return xx / 2
 
 
-def enumerate_nl(g: int, d_max: int, h_max: int) -> list[NLLabel]:
-    """All valid labels on the grid 0 <= d <= d_max, 0 <= h <= h_max.
-
-    Sorted by (Delta descending, d, h); degenerate labels included.
+def iter_nl(g: int, d_max: int, h_max: int) -> Iterator[NLLabel]:
+    """All valid labels on the grid 0 <= d <= d_max, 0 <= h <= h_max, made as
+    they are read, sorted by (Delta descending, d, h); degenerate ones included.
+    Each h is one run of d from d_max down, so Delta descends in it; the runs
+    are merged, and the first h with no valid d ends them, so memory grows with
+    min(h_max, d_max^2/(4g-4)), never with d_max.  Bounds and g are checked first.
     """
     if d_max < 0 or h_max < 0:
         raise ValueError("grid bounds must be nonnegative")
-    out = []
-    for d in range(d_max + 1):
-        for h in range(h_max + 1):
-            try:
-                out.append(nl_label(g, h, d))
-            except NegativeDiscriminant:
-                pass
-    out.sort(key=lambda lab: (-lab.delta, lab.d, lab.h))
-    return out
+    nl_label(g, 0, 0)  # the genus check, before the first label
+    runs = []
+    for h in range(h_max + 1):
+        c = 4 * (g - 1) * (h - 1)  # Delta = d^2 - c
+        d_lo = math.isqrt(c - 1) + 1 if c > 0 else 0
+        if d_lo > d_max:
+            break
+        runs.append(map(partial(nl_label, g, h), range(d_max, d_lo - 1, -1)))
+    return heapq.merge(*runs, key=lambda lab: (-lab.delta, lab.d, lab.h))
+
+
+def enumerate_nl(g: int, d_max: int, h_max: int) -> list[NLLabel]:
+    """The labels of `iter_nl` as a list."""
+    return list(iter_nl(g, d_max, h_max))
 
 
 def labels_to_csv(labels) -> str:

@@ -61,14 +61,20 @@ class RankReport:
         ]
 
     def to_json_obj(self) -> dict:
+        # keys in sorted order: `rank`'s JSON objects are key-sorted
         return {
-            "g": self.g,
             "alpha": self.alpha,
             "beta": self.beta,
             "fracsum": [self.fracsum.numerator, self.fracsum.denominator],
-            "sqcount": self.sqcount,
+            "g": self.g,
             "rank": self.rank,
+            "sqcount": self.sqcount,
         }
+
+    def pretty(self) -> str:
+        fs = self.fracsum
+        return (f"g={self.g} alpha={self.alpha} beta={self.beta} fracsum="
+                f"{fs.numerator}/{fs.denominator} sqcount={self.sqcount} rank={self.rank}")
 
 
 def picard_rank(g: int) -> RankReport:

@@ -9,13 +9,14 @@ from math import lcm, prod
 import numpy as np
 
 from nlrank.cuspdim import SNAP_TOL, CuspDimReport
-from nlrank.errors import SnapFailure, WeightTooSmall
+from nlrank.errors import NegativeDiscriminant, SnapFailure, WeightTooSmall
 from nlrank.lattices import (
     DiscriminantForm,
     Lattice,
     _congruence_signature,
     smith_normal_form,
 )
+from nlrank.nl import NLLabel, nl_label
 
 
 def jacobi_bruteforce(a: int, b: int) -> int:
@@ -91,6 +92,22 @@ def frac_square_sum_numerator(g: int) -> int:
     """Sum of k^2 mod 4g-4 over 0 <= k <= g-1 in Python integers."""
     m = 4 * g - 4
     return sum(k * k % m for k in range(g))
+
+
+def enumerate_nl_grid(g: int, d_max: int, h_max: int) -> list[NLLabel]:
+    """Every cell of the grid 0 <= d <= d_max, 0 <= h <= h_max tried as a
+    label, the invalid ones skipped, then one sort by (Delta descending, d, h)."""
+    if d_max < 0 or h_max < 0:
+        raise ValueError("grid bounds must be nonnegative")
+    out = []
+    for d in range(d_max + 1):
+        for h in range(h_max + 1):
+            try:
+                out.append(nl_label(g, h, d))
+            except NegativeDiscriminant:
+                pass
+    out.sort(key=lambda lab: (-lab.delta, lab.d, lab.h))
+    return out
 
 
 def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from nlrank import cuspdim, picard_rank
+from nlrank import nl as nlmod
 from nlrank import rank as rankmod
 from nlrank.cli import dispatch
+from oracles import enumerate_nl_grid
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -75,6 +78,22 @@ def test_rank_stream_is_byte_identical_to_the_tables(lo, hi):
     assert run(argv) == (0, pretty, "")
 
 
+@pytest.mark.parametrize("g, dmax, hmax", [(2, 15, 15), (17, 15, 15), (30, 40, 9), (5, 0, 2),
+                                            (2, 0, 0)])
+def test_nl_stream_is_byte_identical_to_the_sorted_grid(g, dmax, hmax):
+    argv = ["nl", "--g", str(g), "--dmax", str(dmax), "--hmax", str(hmax)]
+    labels = enumerate_nl_grid(g, dmax, hmax)
+    as_json = json.dumps([dict(zip(nlmod.CSV_COLUMNS, lab.csv_row())) for lab in labels])
+    pretty = "".join(
+        f"h={lab.h} d={lab.d} delta={lab.delta} n={lab.n.numerator}/{lab.n.denominator} "
+        f"gamma={lab.gamma}" + (" degenerate" if lab.degenerate else "") + "\n"
+        for lab in labels
+    )
+    assert run([*argv, "--format", "csv"]) == (0, nlmod.labels_to_csv(labels), "")
+    assert run([*argv, "--format", "json"]) == (0, as_json + "\n", "")
+    assert run(argv) == (0, pretty, "")
+
+
 def test_dim_of_a_large_group():
     # |A| = 5998: no verb caps the group's order
     code, out, _ = run(["dim", "--g", "3000"])
@@ -120,14 +139,16 @@ def test_crosscheck_runs_out_of_memory_before_the_closed_form(monkeypatch):
 
 
 def test_dim_above_the_int64_bound_fails_fast():
-    # Lambda_g with g-1 >= 2^30 is refused before any element is evaluated
-    start = time.perf_counter()
-    code, out, err = run(["dim", "--g", "1000000000000"])
-    assert time.perf_counter() - start < 2
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
+    # Lambda_g with g-1 >= 2^30 is refused before any element is evaluated,
+    # also where |A| itself is past int64
+    for g in ("1000000000000", str(10**30)):
+        start = time.perf_counter()
+        code, out, err = run(["dim", "--g", g])
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 def test_crosscheck_above_the_int64_bound_fails_before_the_closed_form(monkeypatch):
@@ -136,11 +157,12 @@ def test_crosscheck_above_the_int64_bound_fails_before_the_closed_form(monkeypat
         raise AssertionError(f"closed form at g = {g} ran before the cusp side")
 
     monkeypatch.setattr(rankmod, "picard_rank", closed_form)
-    code, out, err = run(["crosscheck", "--from", "2000000000", "--to", "2000000000"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
+    for g in ("2000000000", str(10**30)):  # the second has |A| past int64
+        code, out, err = run(["crosscheck", "--from", g, "--to", g])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 def test_unknown_catalog_name_is_usage_error():
@@ -359,20 +381,31 @@ def test_crosscheck_mismatch_prints_both_breakdowns(monkeypatch):
     assert lines[1].endswith(" dim=3")
 
 
+# one streaming verb each: a run that the closed pipe cuts short, and its first line
+CLOSED_PIPE_RUNS = [
+    (["crosscheck", "--from", "2", "--to", "3000"], "g=2 rank_formula=2 cusp_pipeline=2 ok\n"),
+    (["rank", "--from", "2", "--to", "100000"],
+     "g=2 alpha=0 beta=2 fracsum=1/4 sqcount=1 rank=2\n"),
+    (["nl", "--g", "2", "--dmax", "100000", "--hmax", "3"],
+     "h=0 d=100000 delta=10000000004 n=-2500000001/1 gamma=0\n"),
+]
+
+
 def test_closed_stdout_is_a_clean_exit():
     """A reader that closes the pipe after one line (`| head -1`) ends the
     run with exit 1 and nothing on stderr."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "nlrank.cli", "crosscheck", "--from", "2", "--to", "3000"],
-        env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True,
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
-    assert first == "g=2 rank_formula=2 cusp_pipeline=2 ok\n"
-    assert err == ""  # no traceback
+    for argv, want in CLOSED_PIPE_RUNS:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nlrank.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1, argv
+        assert first == want
+        assert err == "", argv  # no traceback
 
 
 def test_determinism_two_runs():

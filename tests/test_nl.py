@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from nlrank import enumerate_nl, nl_label, projection_oracle
 from nlrank.errors import BadGenus, NegativeDiscriminant
-from nlrank.nl import labels_to_csv
+from nlrank.nl import iter_nl, labels_to_csv
+from oracles import enumerate_nl_grid
 
 
 def test_label_g2_h0_d1():
@@ -88,6 +90,38 @@ def test_enumerate_degenerate_included():
     assert (0, 16) in deltas
     assert (1, 0) in deltas
     assert all(lab.h != 2 for lab in labels)
+
+
+def _outcome(labels, g, d_max, h_max):
+    try:
+        return list(labels(g, d_max, h_max))
+    except (BadGenus, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-2, 60), st.integers(-1, 40), st.integers(-1, 40))
+def test_merged_runs_equal_the_sorted_grid(g, d_max, h_max):
+    """The stream of merged runs equals the full grid's try/except and sort,
+    bad genera and negative bounds included."""
+    assert _outcome(iter_nl, g, d_max, h_max) == _outcome(enumerate_nl_grid, g, d_max, h_max)
+
+
+def test_stream_checks_its_arguments_before_the_first_label():
+    # a grid of 10^8 rows: the error comes at the call, with nothing built
+    with pytest.raises(BadGenus, match="genus must be >= 2, got 1"):
+        iter_nl(1, 0, 10**8)
+    with pytest.raises(ValueError, match="grid bounds must be nonnegative"):
+        iter_nl(2, -1, 10**8)
+
+
+def test_huge_h_bound_ends_at_the_first_empty_run():
+    # d <= 3 leaves no valid d past h = 3, whatever h_max is
+    start = time.perf_counter()
+    labels = enumerate_nl(2, 3, 10**8)
+    assert time.perf_counter() - start < 1
+    assert len(labels) == 11
+    assert labels == enumerate_nl_grid(2, 3, 3)
 
 
 def test_csv_schema():
