@@ -4,15 +4,18 @@ The dimension of S_{k,M} for half-integral k > 2 comes from Riemann-Roch
 on the modular curve: a main term d*(k+5)/12 on the plus/minus eigenspace
 rank, elliptic corrections at the order-4 and order-6 points expressed
 through quadratic Gauss sums of the discriminant form, and a parabolic
-correction from the T-eigenvalues.  All are read from one streamed pass
-over the discriminant form's q-values (`DiscriminantForm.qn_slices`, a
-bounded slice at a time) plus its elements with 2*gamma = 0: running
-integer sums for the zero count and the sum of the values, and float sums
-of e(j*v/N), j = 1, 2, 3, for the three Gauss sums, with the roots read
-from the form's `roots`.  No array as long as the group is built, so memory
-does not grow with |A|.  Only the fractional part of the exact terms plus
-the two bounded elliptic terms is a float, snapped to an integer, so the
-dimension is exact at any weight.  Nothing here comes from the closed form.
+correction from the T-eigenvalues.  Every term is even under
+gamma -> -gamma, as q(-gamma) = q(gamma), so all are read from one streamed
+walk over half the discriminant group (`DiscriminantForm.half_walk`, a
+bounded slice at a time): one element of each pair {gamma, -gamma} with
+gamma != -gamma, then each element with 2*gamma = 0 once.  It keeps
+running integer sums for the zero count and the sum of the values, and
+float sums of e(j*v/N), j = 1, 2, 3, for the three Gauss sums, with the
+roots read from the form's `roots`; a full-group sum is twice the walk's
+minus that of the 2-torsion.  No array as long as the group is built, so
+memory does not grow with |A|.  Only the fractional part of the exact terms
+plus the two bounded elliptic terms is a float, snapped to an integer, so
+the dimension is exact at any weight.  Nothing here comes from the closed form.
 
 The forms counted are of type rho* = conj(rho), the dual of the Weil
 representation rho that `nlrank.weil` builds, as in Bruinier's treatment
@@ -52,6 +55,9 @@ class CuspDimReport:
     parity_ok: bool
     symmetric: bool | None
     boundary_terms: dict = field(default_factory=dict)
+    # |x - round(x)| of the one float that is snapped (see `dim_cusp_df`),
+    # 0 when nothing is; not part of `to_json`
+    snap_residual: float = 0.0
 
     def to_json(self) -> str:
         obj = {
@@ -94,31 +100,40 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     sqrt_d = math.sqrt(d)
     sig = df.sig_mod_8
 
-    # one representative of each pair {gamma, -gamma}: as q(-gamma) = q(gamma),
-    # that is half the full-group sum, plus or minus half the sum over the
-    # elements with 2*gamma = 0 (those only carry symmetric forms).  A group
-    # whose q-values overflow int64 raises TooLarge first, before even its
-    # 2-torsion indices (int64 too) are built
-    df.check_int64()
-    q_two = df.qn_at(df.two_torsion).tolist()  # n * q(gamma)/2 mod n
-    rank_pm = (d + eps * len(q_two)) // 2
-
-    # the full-group sums, streamed: the zero count, the sum of the values,
-    # and G(j) = sum of e(j*q/2) over A for j = 1, 2, 3
+    # every term is even under gamma -> -gamma, as q(-gamma) = q(gamma), so
+    # the sums run over one element of each pair {gamma, -gamma} with
+    # gamma != -gamma plus the set T of gamma = -gamma (`half_walk`, which
+    # puts T last and raises TooLarge before its first slice); a full-group
+    # sum S(A) is then 2*S(walk) - S(T).  Streamed: the zero count, the sum
+    # of the values and G(j) = sum of e(j*q/2), j = 1, 2, 3
     roots = df.roots
     zeros = total = 0
     g1 = g2 = g3 = 0j
-    for v in df.qn_slices():
+    two = []  # n * q(gamma)/2 mod n on T
+    for index, n_two in df.half_walk():
+        v = df.qn_at(index)
         zeros += len(v) - int(np.count_nonzero(v))
         total += int(v.sum())
         z = roots(v)
         g1 += z.sum()
         g2 += z @ z  # numpy's dot does not conjugate: the sum of z^2
         g3 += (z * z) @ z
+        if n_two:
+            two += v[len(v) - n_two :].tolist()
+    # on T, q(gamma) is in Z/2 (4q(gamma) = q(2*gamma) = 0 mod 2), so
+    # e(v/n) = i^m with m = 4v/n, and S(T) of each G(j) is exact
+    quarter = [4 * x // n for x in two]
+    c0, c1, c2, c3 = (quarter.count(m) for m in range(4))
+    zeros = 2 * zeros - c0
+    total = 2 * total - sum(two)
+    g1 = 2 * complex(g1) - complex(c0 - c2, c1 - c3)
+    g2 = 2 * complex(g2) - (c0 - c1 + c2 - c3)
+    g3 = (2 * complex(g3) - complex(c0 - c2, c3 - c1)).conjugate()
+    # the 2-torsion only carries symmetric forms
+    rank_pm = (d + eps * len(two)) // 2
     # -v mod n is n - v for every value but 0
-    alpha_num = n * (d - zeros) - total + eps * sum(-x % n for x in q_two)  # over 2n
-    n_iso = (zeros + eps * q_two.count(0)) // 2
-    g1, g2, g3 = complex(g1), complex(g2), complex(g3).conjugate()
+    alpha_num = n * (d - zeros) - total + eps * sum(-x % n for x in two)  # over 2n
+    n_iso = (zeros + eps * c0) // 2
     g2_part = g2.real if symm else g2.imag
 
     # the phases' exponents are reduced as integers, so exp never sees a
@@ -155,6 +170,7 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
             "isotropic": -n_iso,
             "raw_value": whole + x,
         },
+        snap_residual=residual,
     )
 
 

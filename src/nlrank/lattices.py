@@ -22,11 +22,13 @@ the catalog lattices are built from summands whose blocks are already known.
 
 A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
 generators' values of q and b, by one formula (`qn_at`): for the whole group
-at once (`qn`, which the Weil operators read) or streamed in slices of SLICE
-elements (`qn_slices`, which the cusp dimension reads, so its memory does
-not grow with the group).  The index maps of -gamma and xi(gamma) are one
-map, M*gamma mod `orders` (`_image_index`).  A form whose int64 products
-could overflow raises TooLarge before any element is evaluated.
+at once (`qn`, which the Weil operators read) or on the index slices of
+`half_walk`, which the cusp dimension reads.  That walk visits one element
+of each pair {gamma, -gamma} with gamma != -gamma, then each element with
+2*gamma = 0, at most SLICE indices at a time, so its memory does not grow
+with the group.  The index maps of -gamma and xi(gamma) are one map,
+M*gamma mod `orders` (`_image_index`).  A form whose int64 products could
+overflow raises TooLarge before any element is evaluated.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -419,7 +421,7 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-# elements per slice of `DiscriminantForm.qn_slices`: for a cyclic form
+# elements per slice of `DiscriminantForm.half_walk`: for a cyclic form
 # (Lambda_g among them) every temporary of a slice, the complex128 roots of
 # unity included (64 KiB), then stays below glibc's default 128 KiB mmap
 # threshold, so slices reuse heap memory instead of mapping fresh pages; at
@@ -440,9 +442,9 @@ class DiscriminantForm:
     The int64 arrays `qn`, `neg_index` and `dual_index` encode (A, q, b)
     over the common denominator N = level, indexed in elements() order,
     and `_upper` holds N*q/2 and N*b on the generators; the exact q() and
-    b() are their test oracle.  `qn_slices` (the same values in bounded slices)
-    and `two_torsion` (the elements with 2*gamma = 0) are what the cusp
-    dimension reads, its Gauss sums included.
+    b() are their test oracle.  `half_walk` (one element of each pair
+    {gamma, -gamma}, the 2-torsion last, in bounded index slices) is what
+    the cusp dimension reads, its Gauss sums included.
     """
 
     orders: tuple[int, ...]
@@ -601,31 +603,46 @@ class DiscriminantForm:
 
         return self.qn_at(np.arange(self.cardinality, dtype=np.int64))
 
-    def qn_slices(self):
-        """`qn` in consecutive slices of at most SLICE elements, elements() order.
+    def half_walk(self):
+        """One element of each pair {gamma, -gamma}, in int64 index slices.
 
-        Each slice is evaluated by `qn_at`, which raises TooLarge (see
-        `check_int64`) before the first.
+        Yields (index, two): `index` holds at most SLICE positions in
+        elements(), and its last `two` entries are elements with
+        gamma = -gamma.  With i the first coordinate where e_i is neither 0
+        nor orders[i]/2, a gamma != -gamma is walked exactly when
+        1 <= e_i <= (orders[i] - 1)/2, so -gamma (which agrees with gamma
+        before i) is not.  For each prefix of 2-torsion exponents those
+        elements are one contiguous index range; the prefixes left after
+        the last generator are the 2-torsion itself, each walked once, at
+        the end.  Raises TooLarge (see `check_int64`) before the first slice.
         """
         import numpy as np
 
-        d = self.cardinality
-        for start in range(0, d, SLICE):
-            yield self.qn_at(np.arange(start, min(start + SLICE, d), dtype=np.int64))
-
-    @property
-    def two_torsion(self) -> np.ndarray:
-        """Indices, in elements() order, of the gamma with 2*gamma = 0.
-
-        Those are the exponent tuples whose i-th entry is 0 or orders[i]/2.
-        """
-        import numpy as np
-
-        index = np.zeros(1, dtype=np.int64)
+        self.check_int64()
+        ramp = np.arange(SLICE, dtype=np.int64)
+        index, pos = np.empty(SLICE, dtype=np.int64), 0
+        # the 2-torsion exponent prefixes before d, as row-major indices over
+        # those coordinates; rest is the product of the orders after d
+        prefixes, rest = [0], self.cardinality
         for d in self.orders:
-            exps = np.array((0, d // 2) if d % 2 == 0 else (0,), dtype=np.int64)
-            index = (index[:, None] * d + exps).ravel()
-        return index
+            rest //= d
+            for p in prefixes:
+                start, stop = (p * d + 1) * rest, (p * d + (d + 1) // 2) * rest
+                while start < stop:
+                    take = min(stop - start, SLICE - pos)
+                    np.add(ramp[:take], start, out=index[pos : pos + take])
+                    start += take
+                    pos += take
+                    if pos == SLICE:
+                        yield index, 0
+                        index, pos = np.empty(SLICE, dtype=np.int64), 0
+            halves = (0, d // 2) if d % 2 == 0 else (0,)
+            prefixes = [p * d + t for p in prefixes for t in halves]
+        while prefixes:
+            two, prefixes = prefixes[: SLICE - pos], prefixes[SLICE - pos :]
+            index[pos : pos + len(two)] = two
+            yield index[: pos + len(two)], len(two)
+            index, pos = np.empty(SLICE, dtype=np.int64), 0
 
     @cached_property
     def neg_index(self) -> np.ndarray:

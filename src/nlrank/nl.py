@@ -91,21 +91,46 @@ def projection_oracle(g: int, h: int, d: int) -> Fraction:
 def iter_nl(g: int, d_max: int, h_max: int) -> Iterator[NLLabel]:
     """All valid labels on the grid 0 <= d <= d_max, 0 <= h <= h_max, made as
     they are read, sorted by (Delta descending, d, h); degenerate ones included.
-    Each h is one run of d from d_max down, so Delta descends in it; the runs
-    are merged, and the first h with no valid d ends them, so memory grows with
-    min(h_max, d_max^2/(4g-4)), never with d_max.  Bounds and g are checked first.
+    Each h is one run of d from d_max down, so Delta descends in it, and the
+    runs are merged.  Bounds and g are checked first, before any run is opened.
     """
     if d_max < 0 or h_max < 0:
         raise ValueError("grid bounds must be nonnegative")
     nl_label(g, 0, 0)  # the genus check, before the first label
-    runs = []
-    for h in range(h_max + 1):
+    return _merged_runs(g, d_max, h_max)
+
+
+def _merged_runs(g: int, d_max: int, h_max: int) -> Iterator[NLLabel]:
+    """The merge of `iter_nl`, opening run h only when it is needed.
+
+    Run h starts at its largest Delta, d_max^2 - 4(g-1)(h-1), which falls
+    as h grows, so the labels of the open runs are written while their key
+    (-Delta, d, h) comes before that of run h's first label, and then run h
+    is opened; the keys are distinct, as (d, h) is.  The first h with no
+    valid d ends the runs.  So memory grows with the runs the output has
+    reached, never with d_max, and the first label comes at once however
+    large h_max is.
+    """
+    heap = []  # (key, label, run) for each open run's next label
+    h = 0
+    while True:
         c = 4 * (g - 1) * (h - 1)  # Delta = d^2 - c
+        more = h <= h_max and d_max * d_max >= c
+        first = (c - d_max * d_max, d_max, h) if more else (math.inf,)
+        while heap and heap[0][0] < first:
+            _, label, run = heap[0]
+            yield label
+            nxt = next(run, None)
+            if nxt is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, ((-nxt.delta, nxt.d, nxt.h), nxt, run))
+        if not more:
+            return
         d_lo = math.isqrt(c - 1) + 1 if c > 0 else 0
-        if d_lo > d_max:
-            break
-        runs.append(map(partial(nl_label, g, h), range(d_max, d_lo - 1, -1)))
-    return heapq.merge(*runs, key=lambda lab: (-lab.delta, lab.d, lab.h))
+        run = map(partial(nl_label, g, h), range(d_max, d_lo - 1, -1))
+        heapq.heappush(heap, (first, next(run), run))
+        h += 1
 
 
 def enumerate_nl(g: int, d_max: int, h_max: int) -> list[NLLabel]:

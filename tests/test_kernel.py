@@ -4,7 +4,7 @@ The exponents `DiscriminantForm._exponents_at` reads off, `qn`, `neg_index`
 and `dual_index`, and the pairing `oracles.bn` builds from the generator
 pairing, are compared element by element with the exact `Fraction`
 reference `elements()`, `q()` and `b()`;
-`qn_slices` and `two_torsion` with `qn` and `neg_index`; `roots` with
+the walk `half_walk` with `neg_index` and `qn`; `roots` with
 `numpy.exp`, and as built once per form; and the consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
 `Fraction` walks over the same reference, with the element-by-element
 `oracles.dim_cusp_df_elementwise` and with the eigenvalues of the dense
@@ -70,7 +70,7 @@ def _check_kernel(df, pairs=None):
     assert exponents.shape == (d, df.ngens)
     assert [tuple(map(int, row)) for row in exponents] == elems
     index = {e: i for i, e in enumerate(elems)}
-    _check_slices(df)
+    _check_walk(df)
     qn, neg_index, dual_index = df.qn.tolist(), df.neg_index.tolist(), df.dual_index.tolist()
     units = [tuple(int(i == j) for i in range(df.ngens)) for j in range(df.ngens)]
     for i, e in enumerate(elems):
@@ -88,22 +88,34 @@ def _check_kernel(df, pairs=None):
             assert pairing[i][j] == df.b(elems[i], elems[j]) * n, (elems[i], elems[j])
 
 
-def _check_slices(df):
-    """`two_torsion` and `qn_slices` against `neg_index` and `qn`.
+def _check_walk(df):
+    """`half_walk` against `neg_index` and `qn`.
 
-    The slices are evaluated on a copy of the form, which must not build
-    `qn` for them, and the reference `qn` on another.
+    Each pair {gamma, -gamma} with gamma != -gamma is walked exactly once,
+    each gamma = -gamma exactly once, at the end, and every slice counts
+    the ones it ends with.  The walk is evaluated on a copy of the form,
+    which must not build `qn` for it, and the reference `qn` on another.
     """
     d = df.cardinality
-    assert np.array_equal(df.two_torsion, np.flatnonzero(df.neg_index == np.arange(d)))
     streamed = dataclasses.replace(df)
-    slices = list(streamed.qn_slices())
+    walk = list(streamed.half_walk())
+    values = [streamed.qn_at(index) for index, _ in walk]
     assert "qn" not in vars(streamed)
-    assert [len(v) for v in slices[:-1]] == [SLICE] * (len(slices) - 1)
+    slices = [index for index, _ in walk]
+    assert [len(index) for index in slices[:-1]] == [SLICE] * (len(slices) - 1)
     assert 0 < len(slices[-1]) <= SLICE
-    assert all(v.dtype == np.int64 for v in slices)
+    assert all(index.dtype == np.int64 for index in slices)
+    fixed = np.flatnonzero(df.neg_index == np.arange(d))
+    for index, n_two in walk:
+        assert np.array_equal(np.isin(index, fixed), np.arange(len(index)) >= len(index) - n_two)
+    index = np.concatenate(slices)
+    tail = len(index) - len(fixed)
+    assert np.array_equal(np.sort(index[tail:]), fixed)
+    pairs = index[:tail]
+    both = np.sort(np.concatenate([pairs, df.neg_index[pairs]]))
+    assert np.array_equal(both, np.setdiff1d(np.arange(d), fixed))
     qn = dataclasses.replace(df).qn
-    assert np.array_equal(np.concatenate(slices), qn)
+    assert np.array_equal(np.concatenate(values), qn[index])
 
 
 def _walk(df, k):
@@ -138,9 +150,8 @@ def test_kernel_trivial_group(name):
     assert df.qn.tolist() == [0]
     assert df.neg_index.tolist() == [0]
     assert df.dual_index.tolist() == [0]
-    assert df.two_torsion.tolist() == [0]
     assert [a.tolist() for a in np.unique(df.qn, return_counts=True)] == [[0], [1]]
-    assert [v.tolist() for v in df.qn_slices()] == [[0]]
+    assert [(index.tolist(), n_two) for index, n_two in df.half_walk()] == [([0], 1)]
     assert bn(df).tolist() == [[0]]
 
 
@@ -280,7 +291,7 @@ def test_dim_matches_elementwise_oracle_lambda_g():
     weights = [Fraction(j, 2) for j in (19, 21, 23, 24, 25)]
     for g in list(range(2, 301)) + [10**4, 10**5]:
         df = discriminant_form(lambda_lattice(g))
-        _check_slices(df)
+        _check_walk(df)
         assert _check_against_elementwise(df, weights) == {True, False}, g
 
 
@@ -289,15 +300,18 @@ def _binary(c):
     return make_lattice([[2, 1], [1, c]])
 
 
-# groups just below, on and just past the slice boundaries of `qn_slices`:
-# Lambda_g has |A| = 2g - 2 = 4094, 4096, 4098 and 8194, the binary forms
-# the odd orders 4095, 4097 and 8193, and the sums of U(N) up to 5
-# generators cover several slices
+# groups just below, on and just past the slice boundaries of `half_walk`:
+# Lambda_g has |A| = 2g - 2 = 4094, 4096, 4098, 8190, 8192 and 8194, walked
+# in g elements, so at g = 4097 the 2-torsion {0, g - 1} straddles two
+# slices; the binary forms have the odd orders 4095, 4097 and 8193, the sums
+# of U(N) up to 5 generators cover several slices, and U(2)^6 + <2> is all
+# 2-torsion, 8192 elements that fill two slices
 SLICE_EDGE_FORMS = {
-    **{f"Lambda_{g}": lambda_lattice(g) for g in (2048, 2049, 2050, 4098)},
+    **{f"Lambda_{g}": lambda_lattice(g) for g in (2048, 2049, 2050, 4096, 4097, 4098)},
     **{f"|A|={abs(2 * c - 1)}": _binary(c) for c in (2048, -2048, -4096)},
     "U(3)+U(40)": direct_sum(hyperbolic(3), hyperbolic(40)),
     "U(2)^2+<-4100>": direct_sum(hyperbolic(2), hyperbolic(2), make_lattice([[-4100]])),
+    "U(2)^6+<2>": direct_sum(*[hyperbolic(2)] * 6, make_lattice([[2]])),
 }
 
 
@@ -305,7 +319,7 @@ SLICE_EDGE_FORMS = {
 def test_dim_matches_elementwise_oracle_across_slices(name):
     df = discriminant_form(SLICE_EDGE_FORMS[name])
     assert df.cardinality >= SLICE - 2
-    _check_slices(df)
+    _check_walk(df)
     # qn at both ends of every slice against the exact q()
     edges = sorted({i for s in range(0, df.cardinality, SLICE) for i in (s - 1, s, s + 1)})
     edges = [i for i in edges if 0 <= i < df.cardinality] + [df.cardinality - 1]
@@ -332,7 +346,7 @@ def test_int64_bound_of_lambda_g():
     with pytest.raises(TooLarge):
         over.check_int64()
     with pytest.raises(TooLarge):
-        next(over.qn_slices())
+        next(over.half_walk())
     with pytest.raises(TooLarge):
         over.qn_at(np.zeros(1, dtype=np.int64))
     with pytest.raises(TooLarge):
@@ -352,6 +366,18 @@ def test_dual_index_matrix_at_the_int64_bound(monkeypatch):
 def test_dim_matches_elementwise_oracle_on_random_forms(pieces):
     df = discriminant_form(strategies.lattice_of(pieces))
     assert _check_against_elementwise(df) == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.pieces, st.integers(5, 10**6))
+def test_snap_residual_is_small_on_random_forms(pieces, two_k):
+    """The snapped float sits within 1e-9 of an integer, far inside
+    SNAP_TOL; the report carries it, and `to_json` leaves it out."""
+    rep = dim_cusp_df(discriminant_form(strategies.lattice_of(pieces)), Fraction(two_k, 2))
+    assert 0 <= rep.snap_residual < 1e-9
+    if not rep.parity_ok:
+        assert rep.snap_residual == 0
+    assert "snap_residual" not in rep.to_json()
 
 
 def _check_against_eigenvalues(df):

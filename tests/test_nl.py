@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,6 +123,21 @@ def test_huge_h_bound_ends_at_the_first_empty_run():
     assert time.perf_counter() - start < 1
     assert len(labels) == 11
     assert labels == enumerate_nl_grid(2, 3, 3)
+
+
+def test_first_label_comes_before_the_later_runs_are_opened():
+    # all 10^8 + 1 runs hold valid labels (d_max^2 = 4*10^8 >= 4(h - 1)),
+    # but the first label, of run 0, is due before any other run starts
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        first = next(iter_nl(2, 20000, 10**8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 2**20, peak
+    assert first == nl_label(2, 0, 20000)
 
 
 def test_csv_schema():
