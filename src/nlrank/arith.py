@@ -7,7 +7,8 @@ first through Hurwitz class numbers, `nlrank.hurwitz`) in Python integers,
 so they are exact for every g and load no numpy.  The Gauss sum, over the
 whole discriminant form's q-values, is a floating-point Milgram oracle for
 discriminant forms; its roots of unity are the form's `roots`, the same map
-the cusp dimension and the Weil operators read.
+the Weil operators read.  The cusp dimension's exact Gauss sums are its own
+(`cuspdim.exact_gauss_sums`), not this one.
 """
 
 from __future__ import annotations

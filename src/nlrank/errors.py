@@ -66,5 +66,7 @@ class BadRange(NLRankError):
     pass
 
 
+# a count that must come out a nonnegative integer did not: the closed-form
+# rank, or the Riemann-Roch dimension
 class NonIntegerResult(NLRankError):
     pass

@@ -97,7 +97,8 @@ def count_h6(n: int) -> tuple[int, int]:
     2^(e+1) of b^2 = -n mod 2^(e+2), joined by CRT to roots mod a'.  The
     values of a are reached depth first as 2^e times prime powers of
     increasing primes, each carrying its roots, so a prime for which -n has
-    no root cuts off every multiple of it.
+    no root cuts off every multiple of it; each node makes its children one
+    at a time, so the search holds one node per level.
     """
     if n % 4 in (1, 2):
         return 0, 0
@@ -123,15 +124,36 @@ def count_h6(n: int) -> tuple[int, int]:
             q *= p
         good.append((p, levels))
 
-    stack = []
+    def children(a, mod, roots, j):
+        """The nodes a*p^e, p in good[j:], made one at a time."""
+        for i in range(j, len(good)):
+            p, levels = good[i]
+            q = p
+            for pr in levels:
+                if a * q > top:
+                    break
+                inv = pow(mod, -1, q)
+                crt = [r + mod * ((s - r) * inv % q) for r in roots for s in pr]
+                yield a * q, mod * q, crt, i + 1
+                q *= p
+            if q == p:  # not even a*p fits: no later prime does
+                break
+
+    nodes = []  # the powers of 2, the roots of the depth-first search
     roots, a = _lift(d, 2, 2, _lift(d, 2, 1, [0])), 1  # mod 4, never empty
     while roots and a <= top:
-        stack.append((a, 2 * a, sorted({r % (2 * a) for r in roots}), 0))
+        nodes.append((a, 2 * a, sorted({r % (2 * a) for r in roots}), 0))
         roots, a = _lift(d, 2, 4 * a, roots), 2 * a
 
-    total = 0
+    # one generator of children per level, so the stack is as deep as the
+    # search and holds no node's children all at once
+    total, stack = 0, [iter(nodes)]
     while stack:
-        a, mod, roots, j = stack.pop()
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        a, mod, roots, j = node
         steps += 1 + len(roots)
         if 4 * a * a < n:  # c >= n/4a > a for every b
             total += 6 * len(roots)
@@ -143,20 +165,8 @@ def count_h6(n: int) -> tuple[int, int]:
                     total += 6
                 elif c == a and b >= 0:
                     total += 3 if b == 0 else 2 if b == a else 6
-        for i in range(j, len(good)):
-            p, levels = good[i]
-            q = p
-            for pr in levels:
-                if a * q > top:
-                    break
-                inv = pow(mod, -1, q)
-                stack.append(
-                    (a * q, mod * q, [r + mod * ((s - r) * inv % q) for r in roots for s in pr],
-                     i + 1)
-                )
-                q *= p
-            if q == p:  # not even a*p fits: no later prime does
-                break
+        if j < len(good) and a * good[j][0] <= top:
+            stack.append(children(a, mod, roots, j))
     return total, steps
 
 

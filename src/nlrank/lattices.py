@@ -5,8 +5,9 @@ signatures come from rational congruence diagonalization, and discriminant
 groups come from an integer Smith normal form with unimodular transforms.
 The determinant is (-1)^negative * |M^dual / M|, read from these two.  The
 exact invariants use no floating point; `DiscriminantForm.roots`, the map
-v -> e(v/N) that the Gauss sums and rho(T) read, is the kernel's one
-complex-valued member, built once per form.
+v -> e(v/N) that the float Gauss sum `arith.gauss_sum` and rho(T) read, is
+the kernel's one complex-valued member, built once per form.  The cusp
+dimension reads no roots: its Gauss sums come from the generator pairing.
 
 Both invariants are computed per orthogonal block of the Gram matrix (a
 connected component of its nonzero pattern) and assembled as orthogonal
@@ -23,10 +24,10 @@ the catalog lattices are built from summands whose blocks are already known.
 A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
 generators' values of q and b, by one formula (`qn_at`): for the whole group
 at once (`qn`, which the Weil operators read) or on the index slices of
-`half_walk`, which the cusp dimension reads.  That walk visits one element
-of each pair {gamma, -gamma} with gamma != -gamma, then each element with
-2*gamma = 0, at most SLICE indices at a time, so its memory does not grow
-with the group.  The index maps of -gamma and xi(gamma) are one map,
+`half_walk`, whose integer sums the cusp dimension reads.  That walk
+visits one element of each pair {gamma, -gamma} with gamma != -gamma, then
+each element with 2*gamma = 0, at most SLICE indices at a time, so its
+memory does not grow with the group.  The index maps of -gamma and xi(gamma) are one map,
 M*gamma mod `orders` (`_image_index`).  A form whose int64 products could
 overflow raises TooLarge before any element is evaluated.
 
@@ -422,12 +423,11 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
 
 
 # elements per slice of `DiscriminantForm.half_walk`: for a cyclic form
-# (Lambda_g among them) every temporary of a slice, the complex128 roots of
-# unity included (64 KiB), then stays below glibc's default 128 KiB mmap
-# threshold, so slices reuse heap memory instead of mapping fresh pages; at
-# 8192 a complex slice is exactly 128 KiB and every slice costs page faults
-# again.  A form with k > 1 generators also holds k x SLICE int64 exponents
-# (32 KiB each), which reach the threshold from k = 4 on
+# (Lambda_g among them) every int64 temporary of a slice (32 KiB) then
+# stays below glibc's default 128 KiB mmap threshold, so slices reuse heap
+# memory instead of mapping fresh pages.  A form with k > 1 generators also
+# holds k x SLICE int64 exponents (32 KiB each), which reach the threshold
+# from k = 4 on
 SLICE = 4096
 
 
@@ -444,7 +444,9 @@ class DiscriminantForm:
     and `_upper` holds N*q/2 and N*b on the generators; the exact q() and
     b() are their test oracle.  `half_walk` (one element of each pair
     {gamma, -gamma}, the 2-torsion last, in bounded index slices) is what
-    the cusp dimension reads, its Gauss sums included.
+    the cusp dimension walks for its integer sums; its Gauss sums come from
+    `gen_pairing` instead, and `roots` serves the float Gauss sum and the
+    Weil operators.
     """
 
     orders: tuple[int, ...]

@@ -8,7 +8,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from nlrank.cuspdim import SNAP_TOL, CuspDimReport
+from nlrank.cuspdim import CuspDimReport
 from nlrank.errors import NegativeDiscriminant, SnapFailure, WeightTooSmall
 from nlrank.lattices import (
     DiscriminantForm,
@@ -141,6 +141,99 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
         level=level,
         sig_mod_8=(pos - neg) % 8,
         gen_pairing=pairing,
+    )
+
+
+# how far the float Riemann-Roch value of the oracles below may sit from an
+# integer before they raise SnapFailure
+SNAP_TOL = 1e-6
+
+
+def gauss_sums_bruteforce(df: DiscriminantForm) -> tuple[complex, complex, complex]:
+    """G(j) = sum of e(j*q(gamma)/2) over every element, j = 1, 2, 3, as
+    complex floats from one phase array over `qn`."""
+    n = df.level
+    return tuple(complex(np.exp((2j * np.pi / n) * (j * df.qn % n)).sum()) for j in (1, 2, 3))
+
+
+def dim_cusp_df_float(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
+    """`dim_cusp_df` with the Gauss sums summed in complex floats.
+
+    The walk of `half_walk` also sums e(j*v/N), j = 1, 2, 3, from the form's
+    `roots`, a full-group sum being twice the walk's minus the 2-torsion's;
+    the elliptic terms are floats, and their sum with the exact terms'
+    fractional part is snapped to an integer within SNAP_TOL.
+    """
+    k = Fraction(k)
+    if k.denominator not in (1, 2):
+        raise ValueError(f"weight must be half-integral, got {k}")
+    if k <= 2:
+        raise WeightTooSmall(f"formula needs weight > 2, got {k}")
+    two_k = (2 * k).numerator
+    parity = (two_k + df.sig_mod_8) % 4
+    if parity not in (0, 2):
+        return CuspDimReport(k=k, d=df.cardinality, dim=0, parity_ok=False, symmetric=None)
+    symm = parity == 0
+    eps = 1 if symm else -1
+    d, n, sig = df.cardinality, df.level, df.sig_mod_8
+    sqrt_d = math.sqrt(d)
+
+    roots = df.roots
+    zeros = total = 0
+    g1 = g2 = g3 = 0j
+    two = []  # n * q(gamma)/2 mod n on the 2-torsion T
+    for index, n_two in df.half_walk():
+        v = df.qn_at(index)
+        zeros += len(v) - int(np.count_nonzero(v))
+        total += int(v.sum())
+        z = roots(v)
+        g1 += z.sum()
+        g2 += z @ z  # numpy's dot does not conjugate: the sum of z^2
+        g3 += (z * z) @ z
+        if n_two:
+            two += v[len(v) - n_two :].tolist()
+    # on T, q(gamma) is in Z/2, so e(v/n) = i^m with m = 4v/n
+    quarter = [4 * x // n for x in two]
+    c0, c1, c2, c3 = (quarter.count(m) for m in range(4))
+    zeros = 2 * zeros - c0
+    total = 2 * total - sum(two)
+    g1 = 2 * complex(g1) - complex(c0 - c2, c1 - c3)
+    g2 = 2 * complex(g2) - (c0 - c1 + c2 - c3)
+    g3 = (2 * complex(g3) - complex(c0 - c2, c3 - c1)).conjugate()
+    rank_pm = (d + eps * len(two)) // 2
+    alpha_num = n * (d - zeros) - total + eps * sum(-x % n for x in two)  # over 2n
+    n_iso = (zeros + eps * c0) // 2
+    g2_part = g2.real if symm else g2.imag
+
+    e4 = cmath.exp(1j * cmath.pi * ((two_k + sig + 1 - eps) % 8) / 4)
+    term_e4 = (e4 * g2_part).real / (4 * sqrt_d)
+    e6 = cmath.exp(1j * cmath.pi * ((3 * sig + 2 * two_k - 10) % 24) / 12)
+    term_e6 = ((e6 * (g1 + eps * g3)).real) / (3 * math.sqrt(3) * sqrt_d)
+
+    den = math.lcm(24, 2 * n)
+    main_num = rank_pm * (two_k + 10) * (den // 24)
+    whole, rest = divmod(main_num - alpha_num * (den // (2 * n)) - n_iso * den, den)
+    x = rest / den + term_e4 - term_e6
+    if abs(x - round(x)) > SNAP_TOL:
+        raise SnapFailure(f"dimension {whole} + {x} is not within {SNAP_TOL} of an integer")
+    dim = whole + round(x)
+    if dim < 0:
+        raise SnapFailure(f"negative dimension {dim} from Riemann-Roch")
+    return CuspDimReport(
+        k=k,
+        d=d,
+        dim=dim,
+        parity_ok=True,
+        symmetric=symm,
+        boundary_terms={
+            "rank_pm": rank_pm,
+            "main": main_num / den,
+            "elliptic_order4": term_e4,
+            "elliptic_order6": -term_e6,
+            "parabolic": -alpha_num / (2 * n),
+            "isotropic": -n_iso,
+            "raw_value": whole + x,
+        },
     )
 
 

@@ -5,14 +5,18 @@ and `dual_index`, and the pairing `oracles.bn` builds from the generator
 pairing, are compared element by element with the exact `Fraction`
 reference `elements()`, `q()` and `b()`;
 the walk `half_walk` with `neg_index` and `qn`; `roots` with
-`numpy.exp`, and as built once per form; and the consumers built on them (`gauss_sum`, `dim_cusp_df`) with per-element
-`Fraction` walks over the same reference, with the element-by-element
-`oracles.dim_cusp_df_elementwise` and with the eigenvalues of the dense
-dual Weil representation (`oracles.dim_cusp_from_eigenvalues`).
+`numpy.exp`, and as built once per form by the Weil chain and never by the
+cusp dimension; the exact Gauss sums of `cuspdim.exact_gauss_sums` with
+brute-force complex sums; and the consumers built on them (`gauss_sum`,
+`dim_cusp_df`) with per-element `Fraction` walks over the same reference,
+with the element-by-element `oracles.dim_cusp_df_elementwise`, with the
+float walk `oracles.dim_cusp_df_float` and with the eigenvalues of the
+dense dual Weil representation (`oracles.dim_cusp_from_eigenvalues`).
 """
 
 import cmath
 import dataclasses
+import io
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -36,14 +40,19 @@ from nlrank import (
     traces,
     verify_relations,
 )
-from nlrank.errors import TooLarge
+from nlrank import cuspdim
+from nlrank.cli import dispatch
+from nlrank.cuspdim import exact_gauss_sums, gauss_pieces
+from nlrank.errors import NonIntegerResult, TooLarge
 from nlrank.lattices import SLICE, DiscriminantForm
 
 import strategies
 from oracles import (
     bn,
     dim_cusp_df_elementwise,
+    dim_cusp_df_float,
     dim_cusp_from_eigenvalues,
+    gauss_sums_bruteforce,
     operator_matrix,
 )
 from strategies import NON_CYCLIC
@@ -190,8 +199,8 @@ def test_unit_roots_match_exp(n):
 
 
 def test_root_tables_are_built_once_per_form(monkeypatch):
-    """The Weil chain and the Gauss sum share one `roots`; `dim_cusp_df`
-    builds it once per form, whatever the number of weights."""
+    """The Weil chain and the Gauss sum share one `roots`, built once per
+    form; `dim_cusp_df` builds none, at weights of either parity."""
     built = []
     build = DiscriminantForm.__dict__["roots"].func
 
@@ -203,7 +212,7 @@ def test_root_tables_are_built_once_per_form(monkeypatch):
     roots.__set_name__(DiscriminantForm, "roots")
     monkeypatch.setattr(DiscriminantForm, "roots", roots)
     # weights of both parities: for each form, two of the four are of the
-    # wrong parity and return before any root is read
+    # wrong parity and return before the walk
     weights = [Fraction(21, 2), Fraction(23, 2), Fraction(12), Fraction(13)]
     for lat in (lambda_lattice(7), NON_CYCLIC["U(2)+U(6)"]):
         df = discriminant_form(lat)
@@ -215,8 +224,7 @@ def test_root_tables_are_built_once_per_form(monkeypatch):
         built.clear()
         df = discriminant_form(lat)
         assert sum(dim_cusp_df(df, k).parity_ok for k in weights) == 2
-        assert len(built) == 1 and built[0] is df
-        built.clear()
+        assert built == []
 
 
 @pytest.mark.parametrize("name", sorted(NON_CYCLIC))
@@ -368,16 +376,96 @@ def test_dim_matches_elementwise_oracle_on_random_forms(pieces):
     assert _check_against_elementwise(df) == {True, False}
 
 
+def _check_gauss_sums(df):
+    """exact_gauss_sums against the brute-force complex sums at j = 1, 2, 3."""
+    for j, (r, t), want in zip((1, 2, 3), exact_gauss_sums(df), gauss_sums_bruteforce(df)):
+        assert r >= 0 and 0 <= t < 8, j
+        got = math.sqrt(r) * cmath.exp(2j * cmath.pi * t / 8)
+        assert abs(got - want) < 1e-9 * max(1.0, abs(want)), (j, r, t, want)
+
+
+def test_exact_gauss_sums_match_brute_force_on_corpus():
+    forms = {f"Lambda_{g}": lambda_lattice(g) for g in range(2, 301)}
+    for name, lat in {**forms, **NON_CYCLIC}.items():
+        _check_gauss_sums(discriminant_form(lat))
+
+
+# Gram blocks with several elementary divisors, so their generator pairing
+# has components of more than one generator: U(2^k)- and V(2^k)-type blocks
+# (D4 has V(2)), cyclic pieces that need a change of basis, and Jordan
+# decompositions at 2, 3, 5 and 11
+JORDAN_FORMS = {
+    "D4": make_lattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]),
+    "[[4,2],[2,4]]": make_lattice([[4, 2], [2, 4]]),
+    "[[8,4],[4,8]]": make_lattice([[8, 4], [4, 8]]),
+    "[[0,4],[4,8]]": make_lattice([[0, 4], [4, 8]]),
+    "[[18,9],[9,18]]": make_lattice([[18, 9], [9, 18]]),
+    "[[-12,6,0],[6,12,6],[0,6,-24]]": make_lattice([[-12, 6, 0], [6, 12, 6], [0, 6, -24]]),
+    "[[30,15],[15,-30]]": make_lattice([[30, 15], [15, -30]]),
+    "[[12,6],[6,-12]]": make_lattice([[12, 6], [6, -12]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JORDAN_FORMS))
+def test_exact_gauss_sums_through_jordan_pieces(name):
+    df = discriminant_form(JORDAN_FORMS[name])
+    # two generators pair to a nonzero b: a component of more than one
+    pairing = df.gen_pairing
+    assert any(pairing[i][j].denominator != 1 for i in range(df.ngens) for j in range(i))
+    _check_gauss_sums(df)
+    _check_against_elementwise(df)
+
+
+def test_jordan_pieces_of_every_kind():
+    kinds = {p[0] for lat in JORDAN_FORMS.values() for p in gauss_pieces(discriminant_form(lat))}
+    assert kinds == {"c", "u", "v"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.pieces)
+def test_exact_gauss_sums_match_brute_force_on_random_forms(pieces):
+    _check_gauss_sums(discriminant_form(strategies.lattice_of(pieces)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(strategies.pieces, st.integers(5, 10**6))
-def test_snap_residual_is_small_on_random_forms(pieces, two_k):
-    """The snapped float sits within 1e-9 of an integer, far inside
-    SNAP_TOL; the report carries it, and `to_json` leaves it out."""
-    rep = dim_cusp_df(discriminant_form(strategies.lattice_of(pieces)), Fraction(two_k, 2))
-    assert 0 <= rep.snap_residual < 1e-9
+def test_dim_matches_float_oracle_at_random_weights(pieces, two_k):
+    """The exact dimension against the float walk with its snap: the same
+    dimension, the exact terms equal and the elliptic ones within 1e-9."""
+    df = discriminant_form(strategies.lattice_of(pieces))
+    k = Fraction(two_k, 2)
+    rep, ref = dim_cusp_df(df, k), dim_cusp_df_float(df, k)
+    assert (rep.dim, rep.parity_ok, rep.symmetric) == (ref.dim, ref.parity_ok, ref.symmetric)
+    terms, expected = rep.boundary_terms, ref.boundary_terms
+    assert terms.keys() == expected.keys()
     if not rep.parity_ok:
-        assert rep.snap_residual == 0
-    assert "snap_residual" not in rep.to_json()
+        return
+    for key in EXACT_TERMS:
+        assert terms[key] == expected[key], key
+    for key in FLOAT_TERMS[:2]:
+        assert abs(terms[key] - expected[key]) < 1e-9, key
+    assert terms["raw_value"] == float(rep.dim)
+
+
+def test_a_wrong_gauss_factor_is_a_domain_error(monkeypatch):
+    """An elliptic term that is off by a non-integer makes the total
+    non-integral: dim_cusp_df raises, and `dim` exits 1 with one error line."""
+    df = discriminant_form(lambda_lattice(159))
+    assert dim_cusp_df(df, HALF_21).boundary_terms["elliptic_order4"] == -0.25
+    right = cuspdim.gauss_factor
+
+    def flipped(piece, j):  # G(2) of the wrong sign turns -1/4 into 1/4
+        r, t = right(piece, j)
+        return r, t + 4 * (j == 2)
+
+    monkeypatch.setattr(cuspdim, "gauss_factor", flipped)
+    with pytest.raises(NonIntegerResult, match="not a dimension"):
+        dim_cusp_df(df, HALF_21)
+    out, err = io.StringIO(), io.StringIO()
+    assert dispatch(["dim", "--g", "159"], out=out, err=err) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
 
 
 def _check_against_eigenvalues(df):
