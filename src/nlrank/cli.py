@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import NLRankError
 from .lattices import CATALOG_NAMES, catalog, discriminant_form, signature
@@ -188,7 +189,10 @@ class _Usage(Exception):
     pass
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: parsing leaves it as it was,
+    so every `dispatch` shares it."""
     parser = argparse.ArgumentParser(
         prog="nlrank",
         description="Picard ranks of K3 moduli spaces, two independent ways.",

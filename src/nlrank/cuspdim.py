@@ -318,12 +318,15 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     representation give a flagged zero, not an error.  Exact: a total that
     is not a nonnegative integer raises NonIntegerResult.
     """
-    k = Fraction(k)
-    if k.denominator not in (1, 2):
+    if not isinstance(k, Fraction):
+        k = Fraction(k)
+    # k is half-integral exactly when its denominator, prime to its
+    # numerator, divides 2
+    two_k, rest = divmod(2 * k.numerator, k.denominator)
+    if rest:
         raise ValueError(f"weight must be half-integral, got {k}")
-    if k <= 2:
+    if two_k <= 4:
         raise WeightTooSmall(f"formula needs weight > 2, got {k}")
-    two_k = (2 * k).numerator
 
     parity = (two_k + df.sig_mod_8) % 4
     if parity == 0:

@@ -13,13 +13,17 @@ Both invariants are computed per orthogonal block of the Gram matrix (a
 connected component of its nonzero pattern) and assembled as orthogonal
 sums.  Each block's result is kept in a cache bounded to BLOCK_CACHE_SIZE
 blocks, so the U and -E8 blocks that recur in every Lambda_g are computed
-once per process.  A discriminant form's `orders` are therefore the blocks'
+once per process.  A lattice looks its blocks up in that cache once
+(`Lattice.block_invariants`), and `signature` and `discriminant_form` both
+read the tuple.  A discriminant form's `orders` are therefore the blocks'
 invariant factors, not always the global ones (see `discriminant_form`).
 
 A lattice given by its Gram matrix finds its blocks by a search (`_blocks`);
 a `direct_sum` takes them from its summands instead.  U and +-E8 are shared
-frozen instances, and Lambda_g is <2-2g> plus one shared U^2 + (-E8)^2, so
-the catalog lattices are built from summands whose blocks are already known.
+frozen instances, so the catalog lattices are built from summands whose
+blocks are already known.  Lambda_g is <2-2g> plus U^2 + (-E8)^2, built
+from a template: the 20 rows and four blocks that do not depend on g are
+made once per process, and each genus adds one row and one rank-one block.
 
 A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
 generators' values of q and b, by one formula (`qn_at`): for the whole group
@@ -27,7 +31,8 @@ at once (`qn`, which the Weil operators read) or on the index slices of
 `half_walk`, whose integer sums the cusp dimension reads.  That walk
 visits one element of each pair {gamma, -gamma} with gamma != -gamma, then
 each element with 2*gamma = 0, at most SLICE indices at a time, so its
-memory does not grow with the group.  The index maps of -gamma and xi(gamma) are one map,
+memory does not grow with the group; a smaller walk has one buffer of its
+own length.  The index maps of -gamma and xi(gamma) are one map,
 M*gamma mod `orders` (`_image_index`).  A form whose int64 products could
 overflow raises TooLarge before any element is evaluated.
 
@@ -41,7 +46,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import isqrt, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -77,8 +82,14 @@ class Lattice:
     def blocks(self) -> tuple[tuple[tuple[int, ...], Gram], ...]:
         """Orthogonal blocks of the Gram matrix, found once by `_blocks`.
 
-        A `direct_sum` sets them from its summands' blocks instead."""
+        A `direct_sum` and `lambda_lattice` set them from known blocks instead."""
         return tuple(_blocks(self.gram))
+
+    @cached_property
+    def block_invariants(self) -> tuple[_Block, ...]:
+        """`_block_invariants` of each block, looked up once per lattice:
+        `signature` and `discriminant_form` both read this tuple."""
+        return tuple([_block_invariants(sub) for _, sub in self.blocks])
 
     def inner(self, x, y) -> Fraction:
         """Bilinear form on rational coordinate vectors in the lattice basis."""
@@ -171,7 +182,10 @@ def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
 
     The sum's `blocks` are taken from the summands' blocks, shifted by each
     summand's row offset, so no block search runs on the sum's Gram matrix;
-    they are ordered by smallest index, as `_blocks` orders them.
+    they are ordered by smallest index, as `_blocks` orders them.  Their
+    invariants are looked up once, when `signature` or `discriminant_form`
+    first reads `Lattice.block_invariants`.  `lambda_lattice` makes the sum
+    <2-2g> + U^2 + (-E8)^2 from a template instead of calling this.
     """
     ranks = [lat.rank for lat in lattices]
     total = sum(ranks)
@@ -193,11 +207,20 @@ def k3_lattice() -> Lattice:
 
 
 def lambda_lattice(g: int) -> Lattice:
-    """Lambda_g = <w> + U^2 + (-E8)^2 with w.w = 2-2g; rank 21."""
+    """Lambda_g = <w> + U^2 + (-E8)^2 with w.w = 2-2g; rank 21.
+
+    The same lattice, gram, name and blocks, as
+    direct_sum(<2-2g>, U, U, -E8, -E8), built from a template: the 20 rows
+    and the four blocks that do not depend on g are made once per process
+    (`_LAMBDA_ROWS`, `_LAMBDA_BLOCKS`), so a call adds one row and one
+    rank-one block.
+    """
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
-    w = Lattice(((2 - 2 * g,),), f"<{2 - 2 * g}>")
-    return direct_sum(w, _U2_MINUS_E8_2, name=f"Lambda_{g}")
+    w = 2 - 2 * g
+    lat = Lattice(((w,) + _LAMBDA_PAD,) + _LAMBDA_ROWS, f"Lambda_{g}")
+    vars(lat)["blocks"] = (((0,), ((w,),)),) + _LAMBDA_BLOCKS  # as in `direct_sum`
+    return lat
 
 
 CATALOG_NAMES = ("U", "U(N)", "E8", "minusE8", "K3", "Lambda_g")
@@ -368,8 +391,16 @@ def _blocks(gram: Gram) -> list[tuple[tuple[int, ...], Gram]]:
 
 
 # the part of Lambda_g that does not depend on g, shared like U and -E8
-# (built here, after `_blocks`, which reading its summands' blocks needs)
+# (built here, after `_blocks`, which reading its summands' blocks needs),
+# and the template `lambda_lattice` fills in: its rows after the column of
+# <2-2g>, the zeros of that column in the first row, and its blocks one
+# row down
 _U2_MINUS_E8_2 = direct_sum(_U, _U, _MINUS_E8, _MINUS_E8)
+_LAMBDA_ROWS = tuple((0,) + row for row in _U2_MINUS_E8_2.gram)
+_LAMBDA_PAD = (0,) * _U2_MINUS_E8_2.rank
+_LAMBDA_BLOCKS = tuple(
+    (tuple([i + 1 for i in idx]), sub) for idx, sub in _U2_MINUS_E8_2.blocks
+)
 
 
 class _Block(NamedTuple):
@@ -381,36 +412,42 @@ class _Block(NamedTuple):
     level: int
 
 
+def _dot(x, y) -> int:
+    return sum([a * b for a, b in zip(x, y)])
+
+
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _block_invariants(sub: Gram) -> _Block:
     """Signature and discriminant-form pieces of one orthogonal block.
 
     With U*G*V = D the Smith normal form, the class of the i-th elementary
     divisor d_i > 1 is generated by (column i of V) / d_i, a vector of
-    M^dual in the block's basis.
+    M^dual in the block's basis.  Their pairing is v_i^T G v_j / (d_i d_j),
+    from integer products over the columns v_i; the level is the lcm of the
+    denominators of q(g_i)/2 and of b(g_i, g_j), i < j.
     """
     pos, neg = _congruence_signature(sub)
     divisors, _, v = smith_normal_form(sub)
-    n = len(sub)
-    gens = tuple(
-        (d, tuple(Fraction(v[r][i], d) for r in range(n)))
-        for i, d in enumerate(divisors)
-        if d > 1
+    cols = [(d, [row[i] for row in v]) for i, d in enumerate(divisors) if d > 1]
+    gens = tuple((d, tuple([Fraction(x, d) for x in col])) for d, col in cols)
+    # G v_j for each column, then v_i . (G v_j) over d_i d_j
+    images = [(d, [_dot(row, col) for row in sub]) for d, col in cols]
+    pairing = tuple(
+        tuple([Fraction(_dot(ci, gv), di * dj) for dj, gv in images]) for di, ci in cols
     )
-    block = Lattice(sub)
-    pairing = tuple(tuple(block.inner(x, y) for _, y in gens) for _, x in gens)
     level = 1
-    for i in range(len(gens)):
-        level = lcm(level, (pairing[i][i] / 2).denominator)
-        for j in range(i + 1, len(gens)):
-            level = lcm(level, pairing[i][j].denominator)
+    for i, row in enumerate(pairing):
+        # q(g_i)/2 = a/(2b) for q(g_i) = a/b in lowest terms: over b if a is even
+        level = lcm(level, row[i].denominator * (1 + row[i].numerator % 2))
+        for x in row[i + 1 :]:
+            level = lcm(level, x.denominator)
     return _Block(pos, neg, gens, pairing, level)
 
 
 def signature(lat: Lattice) -> Signature:
     """Exact signature, summed over the orthogonal blocks of the Gram matrix."""
-    blocks = [_block_invariants(sub) for _, sub in lat.blocks]
-    return Signature(sum(b.pos for b in blocks), sum(b.neg for b in blocks))
+    blocks = lat.block_invariants
+    return Signature(sum([b.pos for b in blocks]), sum([b.neg for b in blocks]))
 
 
 def _reduce(x: np.ndarray, n: int) -> np.ndarray:
@@ -429,6 +466,18 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
 # holds k x SLICE int64 exponents (32 KiB each), which reach the threshold
 # from k = 4 on
 SLICE = 4096
+
+
+@cache
+def _ramp() -> np.ndarray:
+    """0, 1, ..., SLICE - 1: the offsets `half_walk` adds to a range's start.
+    One read-only int64 array per process, made at the first walk, so that
+    importing this module loads no numpy."""
+    import numpy as np
+
+    ramp = np.arange(SLICE, dtype=np.int64)
+    ramp.flags.writeable = False
+    return ramp
 
 
 @dataclass(frozen=True)
@@ -510,14 +559,15 @@ class DiscriminantForm:
         """N*q(g_i)/2 on the diagonal and N*b(g_i, g_j) above it, mod N."""
         import numpy as np
 
-        n, u = self.level, np.zeros((self.ngens, self.ngens), dtype=np.int64)
+        n, k = self.level, self.ngens
+        u = [[0] * k for _ in range(k)]
         for i, row in enumerate(self.gen_pairing):
-            for j in range(i, self.ngens):
-                x = row[j] * n / (2 if j == i else 1)
-                if x.denominator != 1:
+            for j in range(i, k):
+                num, den = row[j].numerator * n, row[j].denominator * (2 if j == i else 1)
+                if num % den:
                     raise ValueError(f"level {n} is not a common denominator of {row[j]}")
-                u[i, j] = x.numerator % n
-        return u
+                u[i][j] = num // den % n
+        return np.array(u, dtype=np.int64).reshape(k, k)
 
     def _exponents_at(self, index: np.ndarray) -> np.ndarray:
         """(ngens, len(index)) exponents of the elements with these indices
@@ -608,9 +658,9 @@ class DiscriminantForm:
     def half_walk(self):
         """One element of each pair {gamma, -gamma}, in int64 index slices.
 
-        Yields (index, two): `index` holds at most SLICE positions in
-        elements(), and its last `two` entries are elements with
-        gamma = -gamma.  With i the first coordinate where e_i is neither 0
+        Yields (index, two): `index`, an array of its own, holds at most
+        SLICE positions in elements(), and its last `two` entries are
+        elements with gamma = -gamma.  With i the first coordinate where e_i is neither 0
         nor orders[i]/2, a gamma != -gamma is walked exactly when
         1 <= e_i <= (orders[i] - 1)/2, so -gamma (which agrees with gamma
         before i) is not.  For each prefix of 2-torsion exponents those
@@ -621,8 +671,11 @@ class DiscriminantForm:
         import numpy as np
 
         self.check_int64()
-        ramp = np.arange(SLICE, dtype=np.int64)
-        index, pos = np.empty(SLICE, dtype=np.int64), 0
+        ramp = _ramp()
+        # the walk has (|A| + |T|)/2 elements, T the 2-torsion, so a slice
+        # buffer holds min(SLICE, what is left) of them
+        left = (self.cardinality + (1 << sum([d % 2 == 0 for d in self.orders]))) // 2
+        index, pos = np.empty(min(left, SLICE), dtype=np.int64), 0
         # the 2-torsion exponent prefixes before d, as row-major indices over
         # those coordinates; rest is the product of the orders after d
         prefixes, rest = [0], self.cardinality
@@ -637,14 +690,17 @@ class DiscriminantForm:
                     pos += take
                     if pos == SLICE:
                         yield index, 0
-                        index, pos = np.empty(SLICE, dtype=np.int64), 0
+                        left -= SLICE
+                        index, pos = np.empty(min(left, SLICE), dtype=np.int64), 0
             halves = (0, d // 2) if d % 2 == 0 else (0,)
             prefixes = [p * d + t for p in prefixes for t in halves]
         while prefixes:
             two, prefixes = prefixes[: SLICE - pos], prefixes[SLICE - pos :]
-            index[pos : pos + len(two)] = two
-            yield index[: pos + len(two)], len(two)
-            index, pos = np.empty(SLICE, dtype=np.int64), 0
+            index[pos:] = two
+            yield index, len(two)
+            if prefixes:
+                left -= SLICE
+                index, pos = np.empty(min(left, SLICE), dtype=np.int64), 0
 
     @cached_property
     def neg_index(self) -> np.ndarray:
@@ -672,7 +728,8 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     """Discriminant form as the orthogonal sum of those of the Gram blocks.
 
     Each orthogonal block contributes the generators of its Smith normal
-    form (see `_block_invariants`), zero-padded into lattice coordinates;
+    form (see `_block_invariants`, read once per lattice from
+    `Lattice.block_invariants`), zero-padded into lattice coordinates;
     the generator pairing is block-diagonal and the level is the lcm over
     the blocks.  So `orders` are the blocks' invariant factors in block
     order, which are the global invariant factors only when each divides
@@ -682,10 +739,11 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     pos = neg = 0
     level = 1
     orders, gens, pairings = [], [], []
-    for idx, sub in lat.blocks:
-        block = _block_invariants(sub)
+    for (idx, _), block in zip(lat.blocks, lat.block_invariants):
         pos += block.pos
         neg += block.neg
+        if not block.gens:  # a unimodular block: level 1, no generator
+            continue
         level = lcm(level, block.level)
         for d, col in block.gens:
             vec = [_ZERO] * n

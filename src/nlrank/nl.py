@@ -78,14 +78,16 @@ def projection_oracle(g: int, h: int, d: int) -> Fraction:
     """Half-norm of beta projected away from c1(L).
 
     Works on the abstract rank-2 Gram [[2g-2, d], [d, 2h-2]] of the span
-    of c1(L) and beta: x = beta - (d/(2g-2)) c1(L), returns <x,x>/2.
+    of c1(L) and beta: x = beta - (d/(2g-2)) c1(L), returns <x,x>/2.  The
+    projection is evaluated on the lattice vector a*x = a*beta - d*c1(L),
+    a = 2g-2, in integers, so <x,x>/2 = <ax,ax>/(2a^2) is one fraction.
     """
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
-    c = Fraction(d, 2 * g - 2)
-    # <x,x> = beta.beta - 2c*(beta.c1) + c^2*(c1.c1)
-    xx = Fraction(2 * h - 2) - 2 * c * d + c * c * (2 * g - 2)
-    return xx / 2
+    a, b = 2 * g - 2, 2 * h - 2
+    # <ax,ax> = a^2*(beta.beta) - 2ad*(beta.c1) + d^2*(c1.c1)
+    axax = a * a * b - 2 * a * d * d + d * d * a
+    return Fraction(axax, 2 * a * a)
 
 
 def iter_nl(g: int, d_max: int, h_max: int) -> Iterator[NLLabel]:

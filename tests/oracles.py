@@ -52,8 +52,11 @@ def square_count_bruteforce(g: int) -> int:
 
 # the largest genus whose k*k, k <= g-1, is exact in int64
 FRAC_SUM_INT64_MAX_GENUS = 3_037_000_500
-# values of k per chunk of the int64 oracle
+# values of k per chunk of the int64 oracle, the offsets 0, ..., _CHUNK-1
+# and their squares, which are the first chunk's k^2
 _CHUNK = 1 << 13
+_CHUNK_RAMP = np.arange(_CHUNK, dtype=np.int64)
+_CHUNK_SQUARES = _CHUNK_RAMP**2
 
 
 def frac_square_sum_int64(g: int) -> Fraction:
@@ -68,10 +71,9 @@ def frac_square_sum_int64(g: int) -> Fraction:
     m, h = 4 * g - 4, g - 1
     floors = 0
     for start in range(0, g, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, g), dtype=np.int64)
-        k *= k
-        k //= m
-        floors += int(k.sum())
+        n = min(_CHUNK, g - start)
+        squares = _CHUNK_SQUARES[:n] if start == 0 else (_CHUNK_RAMP[:n] + start) ** 2
+        floors += int((squares // m).sum())
     return Fraction(h * (h + 1) * (2 * h + 1) // 6 - m * floors, m)
 
 

@@ -6,8 +6,12 @@ the whole-matrix construction they replace.  `direct_sum` carries its
 summands' blocks, and the block search `_blocks` is their oracle.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,11 +191,14 @@ def test_blocks_found_once_per_lattice(monkeypatch):
     signature(lat)
     discriminant_form(lat)
     picard_rank_via_cusp(lat)
-    # only summands built from a Gram (<-98>, and U or -E8 if no earlier
-    # test read their blocks) are searched, each once
-    assert lat.gram not in calls
-    assert all(len(gram) < lat.rank for gram in calls)
-    assert len(calls) == len(set(calls))
+    # Lambda_g's blocks come from its template, whose U and -E8 blocks were
+    # found when the module was imported: nothing is searched
+    assert calls == []
+    lat = direct_sum(make_lattice([[-98]]), hyperbolic(), e8(True))
+    signature(lat)
+    discriminant_form(lat)
+    # only summands built from a Gram (<-98>) are searched, each once
+    assert calls == [((-98,),)]
     assert lat.blocks == tuple(_blocks(lat.gram))
 
 
@@ -268,3 +275,56 @@ def test_block_cache_is_bounded():
     before = _block_invariants.cache_info()
     signature(k3_lattice())
     assert _block_invariants.cache_info().hits - before.hits == 5
+
+
+def test_lambda_template_equals_direct_sum():
+    for g in [*range(2, 301), 10**4, 10**9]:
+        w = 2 - 2 * g
+        ref = direct_sum(
+            Lattice(((w,),), f"<{w}>"), hyperbolic(), hyperbolic(), e8(True), e8(True),
+            name=f"Lambda_{g}",
+        )
+        lat = lambda_lattice(g)
+        assert lat == ref and hash(lat) == hash(ref), g
+        assert (lat.gram, lat.name, lat.blocks) == (ref.gram, ref.name, ref.blocks), g
+    assert lat.blocks == tuple(_blocks(lat.gram))
+
+
+def test_block_invariants_are_looked_up_once_per_lattice():
+    lats = (
+        lambda_lattice(77),
+        k3_lattice(),
+        direct_sum(hyperbolic(2), make_lattice([[4, 2], [2, 4]]), make_lattice([[-6]]), e8()),
+    )
+    for lat in lats:
+        before = _block_invariants.cache_info()
+        for _ in range(2):
+            signature(lat)
+            discriminant_form(lat)
+            lat.det()
+        after = _block_invariants.cache_info()
+        lookups = after.hits + after.misses - before.hits - before.misses
+        assert lookups == len(lat.blocks), lat.name
+        assert lat.block_invariants == tuple(_block_invariants(sub) for _, sub in lat.blocks)
+
+
+def test_importing_lattices_loads_no_numpy():
+    """Building lattices and reading their invariants leave numpy unloaded;
+    the first walk loads it."""
+    script = (
+        "import sys\n"
+        "from nlrank.lattices import discriminant_form, lambda_lattice, signature\n"
+        "lat = lambda_lattice(60)\n"
+        "signature(lat)\n"
+        "df = discriminant_form(lat)\n"
+        "print('numpy' in sys.modules)\n"
+        "next(df.half_walk())\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

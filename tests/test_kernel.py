@@ -40,7 +40,7 @@ from nlrank import (
     traces,
     verify_relations,
 )
-from nlrank import cuspdim
+from nlrank import cuspdim, lattices
 from nlrank.cli import dispatch
 from nlrank.cuspdim import exact_gauss_sums, gauss_pieces
 from nlrank.errors import NonIntegerResult, TooLarge
@@ -114,6 +114,8 @@ def _check_walk(df):
     assert [len(index) for index in slices[:-1]] == [SLICE] * (len(slices) - 1)
     assert 0 < len(slices[-1]) <= SLICE
     assert all(index.dtype == np.int64 for index in slices)
+    # each slice is a buffer of its own, sized to what it holds
+    assert all(index.base is None for index in slices)
     fixed = np.flatnonzero(df.neg_index == np.arange(d))
     for index, n_two in walk:
         assert np.array_equal(np.isin(index, fixed), np.arange(len(index)) >= len(index) - n_two)
@@ -339,6 +341,25 @@ def test_dim_matches_elementwise_oracle_across_slices(name):
     # ones for the even
     weights = [Fraction(j, 2) for j in range(18, 27)]
     assert _check_against_elementwise(df, weights) == {True, False}
+
+
+def test_small_walk_holds_no_slice_long_buffer():
+    ramp = lattices._ramp()
+    assert ramp.tolist() == list(range(SLICE))
+    assert not ramp.flags.writeable
+    with pytest.raises(ValueError):
+        ramp[0] = 1
+    assert lattices._ramp() is ramp
+    # (|A| + |T|)/2 elements, T the 2-torsion, in one buffer of that length
+    for lat, size in (
+        (lambda_lattice(2), 2),
+        (lambda_lattice(60), 60),
+        (k3_lattice(), 1),
+        (direct_sum(hyperbolic(2), hyperbolic(6)), (144 + 16) // 2),
+        (_binary(-20), 21),
+    ):
+        ((index, n_two),) = discriminant_form(lat).half_walk()
+        assert index.base is None and len(index) == size, lat
 
 
 def test_int64_bound_of_lambda_g():
