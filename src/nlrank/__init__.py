@@ -7,6 +7,10 @@ representation of the discriminant form of Lambda_g.
 
 import importlib
 
+# the named lattices of `lattices.catalog`, defined here so that the CLI's
+# parser reads them without loading `lattices`
+CATALOG_NAMES = ("U", "U(N)", "E8", "minusE8", "K3", "Lambda_g")
+
 # export -> defining submodule.  Names resolve on first access (PEP 562), so
 # `import nlrank` loads no submodule, and numpy only with one that needs it.
 _EXPORTS = {

@@ -4,21 +4,25 @@ Jacobi symbols are computed by reciprocity (no factorization); the
 fractional-part sum and the square count are the two combinatorial terms
 of the closed-form rank, both read from one factorization of 4g-4 (the
 first through Hurwitz class numbers, `nlrank.hurwitz`) in Python integers,
-so they are exact for every g and load no numpy.  The Gauss sum, over the
-whole discriminant form's q-values, is a floating-point Milgram oracle for
-discriminant forms; its roots of unity are the form's `roots`, the same map
-the Weil operators read.  The cusp dimension's exact Gauss sums are its own
-(`cuspdim.exact_gauss_sums`), not this one.
+so they are exact for every g and load no numpy.  A range of genera is
+prepared once (`reserve_range`): the class-number table's growth decision,
+and a sieve of least prime factors in place of trial division.  The Gauss
+sum, over the whole discriminant form's q-values, is a floating-point
+Milgram oracle for discriminant forms; its roots of unity are the form's
+`roots`, the same map the Weil operators read.  The cusp dimension's exact
+Gauss sums are its own (`cuspdim.exact_gauss_sums`), not this one.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import TYPE_CHECKING
 
 from .errors import BadGenus, EvenDenominator, NonpositiveDenominator
-from .hurwitz import h6
+from .hurwitz import h6, reserve
 
 if TYPE_CHECKING:
     from .lattices import DiscriminantForm
@@ -44,21 +48,60 @@ def jacobi(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
+_spf = array("H")  # _spf[n // 2]: the least prime factor of odd composite n, 0 for primes
+
+
+def reserve_range(g_lo: int, g_hi: int) -> None:
+    """Prepare the closed form for the genera g_lo..g_hi before their first
+    row: the Hurwitz table's growth decision for the whole range
+    (`hurwitz.reserve`), and, when the table covers the range, a sieve of
+    least prime factors for its factorizations.  A range that pays for the
+    table pays for the sieve: the odd part of 4g - 4 is at most g - 1, so
+    the sieve holds g_hi/2 entries of 16 bits, 1/16 of the table's bytes,
+    written by C-level slice assignments."""
+    if reserve(4 * g_lo - 4, 4 * g_hi - 4) and g_hi // 2 > len(_spf):
+        _sieve(g_hi)
+
+
+def _sieve(limit: int) -> None:
+    """Replace the sieve by one over the odd numbers below limit.  Each odd
+    p <= sqrt(limit), prime or not, marks its odd multiples from p^2 on; p
+    runs downwards, so the least prime factor writes last."""
+    global _spf
+    size = limit // 2
+    spf = array("H", bytes(2 * size))
+    for p in range(isqrt(limit) | 1, 1, -2):
+        start = p * p // 2
+        if start < size:
+            spf[start::p] = array("H", [p]) * len(range(start, size, p))
+    _spf = spf
+
+
 @lru_cache(maxsize=1)
 def _factor(m: int) -> tuple:
-    """The prime factorization of m >= 1 as ((p, e), ...), by trial division.
+    """The prime factorization of m >= 1 as ((p, e), ...): read from the
+    sieve when it covers the odd part of m, else by trial division.
 
     `frac_square_sum` and `square_count` of one genus both factor m = 4g-4;
     the one-entry cache makes that one factorization.
     """
-    factors, p = [], 2
+    e = (m & -m).bit_length() - 1
+    factors, m = [(2, e)] if e else [], m >> e
+    if m // 2 < len(_spf):
+        while m > 1:
+            p, e = _spf[m // 2] or m, 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            factors.append((p, e))
+        return tuple(factors)
+    p = 3
     while p * p <= m:
         e = 0
         while m % p == 0:
             m, e = m // p, e + 1
         if e:
             factors.append((p, e))
-        p += 2 if p > 2 else 1
+        p += 2
     if m > 1:  # the cofactor left is a prime
         factors.append((m, 1))
     return tuple(factors)

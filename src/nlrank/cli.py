@@ -8,9 +8,10 @@ mismatched genus.  Exit codes: 0 success, 1 domain error (or out of memory,
 or a closed stdout), 2 usage error.
 
 Each verb's handler imports the modules it needs, so start-up pays only for
-them: `rank`, `nl` and `lattice info` never load numpy; `dim`, `weil` and
-`crosscheck` load it with `cuspdim` or `weil`.  `rank`, `nl` and `crosscheck`
-write each row as it is made; `nl` merges one sorted run per h (`nl.iter_nl`).
+them: `rank` and `nl` never load `lattices`, `lattice info` loads it but
+never numpy, and `dim`, `weil` and `crosscheck` load numpy with `cuspdim` or
+`weil`.  `rank`, `nl` and `crosscheck` write each row as it is made; `nl`
+merges one sorted run per h (`nl.iter_nl`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import sys
 from fractions import Fraction
 from functools import cache
 
+from . import CATALOG_NAMES
 from .errors import NLRankError
-from .lattices import CATALOG_NAMES, catalog, discriminant_form, signature
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -57,6 +58,8 @@ def _write_record(out, fmt, obj) -> None:
 
 
 def _lattice_from_args(args):
+    from .lattices import catalog
+
     flag = {"U(N)": "N", "Lambda_g": "g"}.get(args.name)
     if flag and getattr(args, flag) is None:
         raise _Usage(f"--name {args.name} needs --{flag}")
@@ -75,6 +78,8 @@ def _cmd_rank(args, out, err) -> int:
 
 
 def _cmd_lattice(args, out, err) -> int:
+    from .lattices import discriminant_form, signature
+
     lat = _lattice_from_args(args)
     sig = signature(lat)
     df = discriminant_form(lat)
@@ -95,6 +100,7 @@ def _cmd_lattice(args, out, err) -> int:
 def _cmd_weil(args, out, err) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _Usage(f"need a finite --tol > 0, got {args.tol}")
+    from .lattices import discriminant_form
     from .weil import build_weil_rep, verify_relations
 
     lat = _lattice_from_args(args)
@@ -127,6 +133,7 @@ def _parse_weight(text: str) -> Fraction:
 
 def _cmd_dim(args, out, err) -> int:
     from .cuspdim import dim_cusp_df
+    from .lattices import catalog, discriminant_form
 
     lat = catalog("Lambda_g", g=args.g)
     df = discriminant_form(lat)
@@ -159,9 +166,12 @@ _RR_TERMS = ("rank_pm", "main", "elliptic_order4", "elliptic_order6", "parabolic
 def _cmd_crosscheck(args, out, err) -> int:
     if args.g_from < 2 or args.g_from > args.g_to:
         raise _Usage(f"need 2 <= --from <= --to, got ({args.g_from}, {args.g_to})")
+    from .arith import reserve_range
     from .cuspdim import dim_cusp, picard_rank_via_cusp
+    from .lattices import catalog
     from .rank import picard_rank
 
+    reserve_range(args.g_from, args.g_to)
     failures = 0
     for g in range(args.g_from, args.g_to + 1):
         # the cusp side first: a genus past its int64 bound fails before

@@ -43,6 +43,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+# `lattices` before numpy: where no bytecode is cached, compiling it once
+# numpy has loaded would add the compiler's ~1 MB to the process's peak RSS
+from .lattices import DiscriminantForm, Lattice, _blocks, discriminant_form, signature
 import numpy as np
 
 from .errors import (
@@ -51,7 +54,6 @@ from .errors import (
     NonIntegerResult,
     WeightTooSmall,
 )
-from .lattices import DiscriminantForm, Lattice, _blocks, discriminant_form, signature
 
 _U_GRAM = ((0, 1), (1, 0))
 

@@ -8,22 +8,32 @@ A Course in Computational Algebraic Number Theory, 5.3).  It is 0 unless
 n = 0 or 3 mod 4.  `h6(n)` reads 6*H(n) from one of two sources, which
 compute the same function and are tested against each other:
 
-- a process-wide table, one int32 `array`, filled by slice-adds over the
-  reduced forms (for fixed a and b, 4ac - b^2 steps by 4a as c grows) and
-  grown by doubling;
+- a process-wide table, one int32 `array`, filled a period at a time: for
+  fixed a and b, 4ac - b^2 steps by 4a as c grows, so once every b of one a
+  has started, the forms of a add one tile of period 4a.  The tile is
+  repeated as bytes across a window of WINDOW entries and added to the
+  window, read as one integer of 32-bit fields, in one big-integer add; the
+  forms below each a's tile are single writes.  The windows keep each
+  add's temporaries to a few windows' bytes whatever the table's size; the
+  tiles, kept across the windows, take about 2/3 of the table's bytes;
 - `count_h6`, a count of the reduced forms of one n, for n past the table:
   for each a <= sqrt(n/3) the square roots b of -n mod 4a, from roots mod
   each prime power (Tonelli-Shanks, Hensel lifting; Cohen 1.5) joined by
   CRT, in O(n^(1/2+eps)) steps.
 
-The table grows when the counts made since it last grew have taken as many
-loop steps as the growth would, one count step weighing STEP_WRITES table
-writes, and never past MAX_SIZE entries.  A single large n pays only for
+Growth weighs one count step as STEP_WRITES table writes, and the table
+never grows past MAX_SIZE entries.  A range of genera decides once, before
+its first count (`reserve`): when the counts its genera would make cost
+more than one fill up to its largest discriminant, the table grows once to
+exactly that size, with no doubling.  Otherwise, and for single values,
+the table grows by doubling when the counts made since it last grew have
+taken as many steps as the growth would.  A single large n pays only for
 its own counts; a loop over many n soon reads the table instead.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_right
 from itertools import compress, repeat
@@ -31,13 +41,18 @@ from math import isqrt
 
 # entries of the table at most: 16 MiB of int32
 MAX_SIZE = 1 << 22
-# the table's first size
+# the smallest table: its first growth is to at least this many entries
 MIN_SIZE = 1 << 10
 # exchange rate of the growth rule: one count step (a prime tried, a value
 # of a, a root of it) costs about as much as this many table writes.  On a
-# 2-core shared Xeon under CPython 3.11 a step took 0.88-1.03 us and a write
-# 75-95 ns, for n from 10^4 to 10^10 and tables of 2^12 to 2^18 entries
-STEP_WRITES = 10
+# 2-core shared Xeon under CPython 3.11 a step took 0.57-0.83 us for n from
+# 10^4 to 10^10, and a write of the tile fill 30-41 ns for tables of 2^16 to
+# 2^20 entries (75-94 ns at 2^12 to 2^14, where the single writes weigh most)
+STEP_WRITES = 16
+# entries of the table a fill adds its tiles to at once: the window and each
+# tile repeated across it are 64 KiB, whatever the size of the table
+WINDOW = 1 << 14
+_ORDER = sys.byteorder  # the table's bytes, read as one integer
 
 _table = array("i")  # _table[n] = 6*H(n) for n < len(_table)
 _debt = 0  # count steps taken since the table last grew
@@ -61,6 +76,34 @@ def h6(n: int) -> int:
     return value
 
 
+def reserve(lo: int, hi: int) -> bool:
+    """Take the growth decision once for a run of genera, before its first
+    count: the run reads 6*H(n) at the divisors n of m = 4g - 4 for m from
+    lo to hi in steps of 4.  The table grows once, to cover hi and no
+    further, when that fill takes fewer writes than the counts the run would
+    make past the table; a short or high run keeps the rule of `h6`.
+    Returns whether the table covers hi.
+    """
+    if hi < len(_table):
+        return True
+    size = max(MIN_SIZE, hi + 1)
+    lo = max(lo, len(_table))
+    if size > MAX_SIZE or STEP_WRITES * run_steps(lo, hi) < fill_writes(len(_table), size):
+        return False
+    _grow(size)
+    return True
+
+
+def run_steps(lo: int, hi: int) -> int:
+    """About how many count steps the genera with lo <= 4g - 4 <= hi take:
+    one genus's counts, over the divisors of m = 4g - 4, take about
+    2*sqrt(m) steps (a mean of 1.8 to 2.3 over 300 random genera in each
+    decade from 10^2 to 10^7), and the sum of 2*sqrt(m) over m = lo, lo + 4,
+    ..., hi is about (hi^(3/2) - (lo - 4)^(3/2))/3."""
+    lo = max(lo - 4, 0)
+    return (hi * isqrt(hi) - lo * isqrt(lo)) // 3
+
+
 def fill_writes(lo: int, hi: int) -> int:
     """About how many table writes filling lo <= n < hi takes: the reduced
     forms with 4ac - b^2 < x number about pi*x^(3/2)/18, and the forms with
@@ -70,22 +113,49 @@ def fill_writes(lo: int, hi: int) -> int:
 
 def _grow(size: int) -> None:
     """Extend the table to `size` entries: add every reduced form with
-    lo <= 4ac - b^2 < size, lo the old length, and clear the debt."""
+    lo <= 4ac - b^2 < size, lo the old length, and clear the debt.
+
+    For fixed a and b, n = 4ac - b^2 steps by 4a as c grows, and from
+    c = a + 1, b = 0 on, every b of one a has started: there the forms of a
+    add one tile of period 4a.  The forms with c = a and the terms below
+    each a's tile are single writes.  The tiles are added one window of
+    WINDOW entries at a time: the window, read as one integer of 32-bit
+    fields, takes each tile repeated across it as bytes in one integer add,
+    and no field carries into the next, as 6*H(n) < 2^31.
+    """
     global _debt
     lo = len(_table)
     _table.extend(repeat(0, size - lo))
+    tiles = []  # (the n where a's tile starts, its period 4a, the tile as bytes)
     for a in range(1, isqrt((size - 1) // 3) + 1):
         step = 4 * a
+        top = min(step * (a + 1), size)
+        tile = array("i", bytes(4 * step))
         for b in range(a + 1):
             n = 4 * a * a - b * b  # c = a, where b >= 0 only
             if lo <= n < size:
                 _table[n] += 3 if b == 0 else 2 if b == a else 6
-            start = n + step  # c > a, b and -b at once (-a is not reduced)
+            w = 6 if b == 0 or b == a else 12  # c > a, b and -b at once (-a is not reduced)
+            tile[-b * b % step] += w
+            start = n + step
             if start < lo:
                 start += (lo - start + step - 1) // step * step
-            if start < size:
-                w = 6 if b == 0 or b == a else 12
-                _table[start:size:step] = array("i", [x + w for x in _table[start:size:step]])
+            for m in range(start, top, step):
+                _table[m] += w
+        if top < size:
+            tiles.append((top, step, tile.tobytes()))
+    for w0 in range(lo, size, WINDOW):
+        w1 = min(w0 + WINDOW, size)
+        total = int.from_bytes(_table[w0:w1], _ORDER)
+        for top, step, tile in tiles:  # in increasing order of top
+            if top >= w1:
+                break
+            s = max(top, w0)
+            head = s % step * 4
+            end = head + (w1 - s) * 4
+            chunk = bytes(4 * (s - w0)) + (tile * (end // len(tile) + 1))[head:end]
+            total += int.from_bytes(chunk, _ORDER)
+        _table[w0:w1] = array("i", total.to_bytes(4 * (w1 - w0), _ORDER))
     _debt = 0
 
 

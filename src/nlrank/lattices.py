@@ -50,6 +50,7 @@ from functools import cache, cached_property, lru_cache
 from math import isqrt, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import CATALOG_NAMES  # noqa: F401  (the names `catalog` accepts)
 from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric, TooLarge
 
 if TYPE_CHECKING:
@@ -223,9 +224,6 @@ def lambda_lattice(g: int) -> Lattice:
     return lat
 
 
-CATALOG_NAMES = ("U", "U(N)", "E8", "minusE8", "K3", "Lambda_g")
-
-
 def catalog(name: str, *, g: int | None = None, scale: int | None = None) -> Lattice:
     """Named lattices, one per entry of CATALOG_NAMES."""
     if name in ("U", "U(N)"):
@@ -279,39 +277,44 @@ def _congruence_signature(gram: Gram) -> tuple[int, int]:
     return pos, neg
 
 
+# the elementary operations of `smith_normal_form`, on a matrix as a list
+# of row lists: swap two rows or columns, add c times one to another
+
+
+def _swap_rows(m, i, j):
+    m[i], m[j] = m[j], m[i]
+
+
+def _swap_cols(m, i, j):
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(m, dst, src, c):
+    d, s = m[dst], m[src]
+    for k in range(len(d)):
+        d[k] += c * s[k]
+
+
+def _add_col(m, dst, src, c):
+    for row in m:
+        row[dst] += c * row[src]
+
+
 def smith_normal_form(rows: Gram):
     """Smith normal form D = U * M * V with unimodular U, V.
 
     Returns (divisors, U, V) where divisors is the full diagonal of D
-    (positive, each dividing the next).
+    (positive, each dividing the next).  A 1x1 matrix (x) is its own form,
+    with U = (sign x).
     """
     n = len(rows)
+    if n == 1:
+        x = rows[0][0]
+        return [abs(x)], [[-1 if x < 0 else 1]], [[1]]
     a = [list(r) for r in rows]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def add_row(dst, src, c):
-        for k in range(n):
-            a[dst][k] += c * a[src][k]
-        for k in range(n):
-            u[dst][k] += c * u[src][k]
-
-    def add_col(dst, src, c):
-        for r in range(n):
-            a[r][dst] += c * a[r][src]
-        for r in range(n):
-            v[r][dst] += c * v[r][src]
-
     for t in range(n):
         while True:
             piv = None
@@ -323,18 +326,24 @@ def smith_normal_form(rows: Gram):
             if piv is None:
                 break
             if piv != (t, t):
-                swap_rows(t, piv[0])
-                swap_cols(t, piv[1])
+                _swap_rows(a, t, piv[0])
+                _swap_rows(u, t, piv[0])
+                _swap_cols(a, t, piv[1])
+                _swap_cols(v, t, piv[1])
             p = a[t][t]
             clean = True
             for i in range(t + 1, n):
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
+                    c = -(a[i][t] // p)
+                    _add_row(a, i, t, c)
+                    _add_row(u, i, t, c)
                     if a[i][t]:
                         clean = False
             for j in range(t + 1, n):
                 if a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
+                    c = -(a[t][j] // p)
+                    _add_col(a, j, t, c)
+                    _add_col(v, j, t, c)
                     if a[t][j]:
                         clean = False
             if not clean:
@@ -349,12 +358,11 @@ def smith_normal_form(rows: Gram):
             )
             if bad is None:
                 break
-            add_row(t, bad, 1)
+            _add_row(a, t, bad, 1)
+            _add_row(u, t, bad, 1)
         if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-            for k in range(n):
-                u[t][k] = -u[t][k]
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
     return [a[i][i] for i in range(n)], u, v
 
 

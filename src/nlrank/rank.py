@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import frac_square_sum, jacobi, square_count
+from .arith import frac_square_sum, jacobi, reserve_range, square_count
 from .errors import BadGenus, BadRange, NonIntegerResult
 
 CSV_COLUMNS = ["g", "alpha", "beta", "fracsum_num", "fracsum_den", "sqcount", "rank"]
@@ -98,10 +98,18 @@ def picard_rank(g: int) -> RankReport:
 
 def rank_table(g_lo: int, g_hi: int) -> Iterator[RankReport]:
     """Rank reports for g_lo..g_hi inclusive, in genus order, made one at a
-    time as they are read.  The range is checked before the first row."""
+    time as they are read.  The range is checked before the first row, and
+    the closed form is prepared for the whole range (`reserve_range`) when
+    the first row is read."""
     if g_lo < 2 or g_lo > g_hi:
         raise BadRange(f"need 2 <= g_lo <= g_hi, got ({g_lo}, {g_hi})")
-    return (picard_rank(g) for g in range(g_lo, g_hi + 1))
+    return _rows(g_lo, g_hi)
+
+
+def _rows(g_lo: int, g_hi: int) -> Iterator[RankReport]:
+    reserve_range(g_lo, g_hi)
+    for g in range(g_lo, g_hi + 1):
+        yield picard_rank(g)
 
 
 def table_to_csv(reports) -> str:

@@ -3,7 +3,9 @@
 import cmath
 import functools
 import math
+from array import array
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, prod
 
 import numpy as np
@@ -88,6 +90,27 @@ def h6_bruteforce(n: int) -> int:
                 continue
             total += 3 if c == a and b == 0 else 2 if c == a == b else 6
     return total
+
+
+def h6_table_by_slices(table: array, size: int) -> None:
+    """Extend a table of 6*H(n) to `size` entries with every reduced form
+    with lo <= 4ac - b^2 < size, lo the old length: one slice-add per (a, b)
+    over the progression 4ac - b^2, c > a, a write per element and no tiles
+    (the table fill `hurwitz._grow` replaced)."""
+    lo = len(table)
+    table.extend(repeat(0, size - lo))
+    for a in range(1, math.isqrt((size - 1) // 3) + 1):
+        step = 4 * a
+        for b in range(a + 1):
+            n = 4 * a * a - b * b  # c = a, where b >= 0 only
+            if lo <= n < size:
+                table[n] += 3 if b == 0 else 2 if b == a else 6
+            start = n + step  # c > a, b and -b at once (-a is not reduced)
+            if start < lo:
+                start += (lo - start + step - 1) // step * step
+            if start < size:
+                w = 6 if b == 0 or b == a else 12
+                table[start:size:step] = array("i", [x + w for x in table[start:size:step]])
 
 
 def frac_square_sum_numerator(g: int) -> int:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,18 @@ def test_one_factorization_per_genus():
         picard_rank(g)
     info = arith._factor.cache_info()
     assert info.misses == 3
+
+
+def test_sieve_factorization_equals_trial_division(monkeypatch):
+    monkeypatch.setattr(arith, "_spf", array("H"))  # no sieve: trial division
+    arith._factor.cache_clear()
+    want = [arith._factor(m) for m in range(1, 12000)]
+    for limit in (2, 3, 1001, 3000, 12000):  # m whose odd part is past the sieve fall back
+        arith._sieve(limit)
+        assert len(arith._spf) == limit // 2
+        arith._factor.cache_clear()
+        assert [arith._factor(m) for m in range(1, 12000)] == want, limit
+    arith._factor.cache_clear()
 
 
 def test_bad_genus():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from nlrank import hurwitz
+from nlrank import arith, hurwitz
+from nlrank.rank import rank_table
 
-from oracles import h6_bruteforce
+from oracles import frac_square_sum_int64, h6_bruteforce, h6_table_by_slices
 
 
 @pytest.fixture
@@ -93,3 +94,62 @@ def test_table_grows_when_and_only_when_the_rule_says(empty_table, monkeypatch):
     huge = 2 * size + 3
     assert hurwitz.h6(huge) == hurwitz.count_h6(huge)[0]
     assert len(hurwitz._table) == 2 * size
+
+
+def test_tile_fill_equals_the_slice_oracle(empty_table, monkeypatch):
+    want = array("i")
+    h6_table_by_slices(want, 1 << 16)
+    hurwitz._grow(1 << 16)
+    assert hurwitz._table == want
+    # grown in steps, from non-empty tables to sizes that are not powers of
+    # two, in windows that growth edges and tile starts fall inside
+    monkeypatch.setattr(hurwitz, "WINDOW", 1000)
+    for sizes in ([777, 20001, 1 << 16], [3, 4099, 50003, (1 << 16) - 1]):
+        monkeypatch.setattr(hurwitz, "_table", array("i"))
+        for size in sizes:
+            hurwitz._grow(size)
+            assert hurwitz._table == want[:size], size
+
+
+@pytest.mark.parametrize("window, sizes", [(None, [(1 << 16) + 5]), (1000, [5003, 20011])])
+def test_tile_fill_against_count_at_the_window_edges(empty_table, monkeypatch, window, sizes):
+    if window is not None:
+        monkeypatch.setattr(hurwitz, "WINDOW", window)
+    edges, lo = set(), 0
+    for size in sizes:
+        hurwitz._grow(size)
+        edges.update(range(lo, size, hurwitz.WINDOW))
+        lo = size
+    edges.add(lo)
+    edges.update(4 * a * (a + 1) for a in range(1, 150))  # where each a's tile starts
+    picks = {n for e in edges for n in range(e - 3, e + 4) if 3 <= n < lo}
+    for n in sorted(picks):
+        want = hurwitz.count_h6(n)[0] if n % 4 in (0, 3) else 0
+        assert hurwitz._table[n] == want, n
+
+
+def test_a_range_grows_the_table_once_and_counts_nothing(empty_table, monkeypatch):
+    grown, counted = [], []
+    grow, count = hurwitz._grow, hurwitz.count_h6
+    monkeypatch.setattr(hurwitz, "_grow", lambda size: grown.append(size) or grow(size))
+    monkeypatch.setattr(hurwitz, "count_h6", lambda n: counted.append(n) or count(n))
+    monkeypatch.setattr(arith, "_spf", array("H"))
+    rows = list(rank_table(2, 13800))
+    assert grown == [4 * 13800 - 3]  # exactly up to the largest discriminant
+    assert counted == []
+    assert len(arith._spf) == 13800 // 2  # the odd numbers up to g_hi - 1
+    assert [r.g for r in rows] == list(range(2, 13801))
+    for g in (2, 3, 97, 2048, 9241, 13799, 13800):
+        assert rows[g - 2].fracsum == frac_square_sum_int64(g), g
+
+
+def test_a_short_or_high_range_keeps_the_table(empty_table):
+    # past MAX_SIZE, and one genus whose counts cost less than the fill
+    ranges = ((2 * 10**6, 2 * 10**6 + 2), (10**5, 10**5))
+    for g_lo, g_hi in ranges:
+        assert not hurwitz.reserve(4 * g_lo - 4, 4 * g_hi - 4)
+        assert len(hurwitz._table) == 0
+    hurwitz._grow(1 << 16)  # as a sweep to g = 16384 leaves it
+    for g_lo, g_hi in ranges:
+        list(rank_table(g_lo, g_hi))
+        assert len(hurwitz._table) == 1 << 16

@@ -72,3 +72,16 @@ def test_rank_loads_no_numpy(g_from, g_to):
         f"assert len(hurwitz._table) < 4 * {g_to} - 4\n"
     )
     assert _loaded_after(rank, ["numpy"]) == "[]"
+
+
+def test_rank_and_nl_leave_lattices_unloaded():
+    verbs = (
+        "import io\n"
+        "from nlrank.cli import dispatch\n"
+        "for argv in (['rank', '--from', '2', '--to', '30', '--format', 'csv'],\n"
+        "             ['nl', '--g', '3', '--dmax', '5', '--hmax', '5']):\n"
+        "    assert dispatch(argv, out=io.StringIO()) == 0\n"
+    )
+    assert _loaded_after(verbs, ["nlrank.lattices"]) == "[]"
+    info = verbs + "assert dispatch(['lattice', 'info', '--name', 'K3'], out=io.StringIO()) == 0\n"
+    assert _loaded_after(info, ["nlrank.lattices"]) == "['nlrank.lattices']"
