@@ -129,15 +129,18 @@ def frac_square_sum(g: int) -> Fraction:
 
         24 * fracsum = 12h - 3Z + 3(h mod 4) - sum 6*H(n).
 
-    The cost is one factorization of m, shared with `square_count`, and
-    2^omega(m) values of `hurwitz.h6`, exact for every g.
+    When h is odd, every such n = m/d with d even is 2 mod 4, where H(n) = 0,
+    so the prime 2 is left out of the divisors.  The cost is one
+    factorization of m, shared with `square_count`, and 2^omega(m) values of
+    `hurwitz.h6` (2^(omega(m) - 1) for odd h), exact for every g.
     """
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
     m, h = 4 * g - 4, g - 1
     divisors = [m]
     for p, _ in _factor(m):
-        divisors += [n // p for n in divisors]
+        if p != 2 or h % 2 == 0:
+            divisors += [n // p for n in divisors]
     num = 12 * h - 3 * (m // _root_radical(m)) + 3 * (h % 4) - sum(map(h6, divisors))
     return Fraction(num, 24)
 

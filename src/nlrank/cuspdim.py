@@ -225,8 +225,11 @@ def gauss_pieces(df: DiscriminantForm) -> list[tuple]:
     A component of the generator pairing with one generator g, of order d,
     is the cyclic piece ("c", d, (u, m)), u/m = q(g)/2 mod 1 (`_half`).  A
     component with more generators is split into its p-parts, generated by
-    (d_i / p^e_i) * g_i, and each is split by `_jordan`.
+    (d_i / p^e_i) * g_i, and each is split by `_jordan`.  A one-generator
+    form is its own single cyclic piece, with no component search.
     """
+    if df.ngens == 1:
+        return [("c", df.orders[0], _half(df.gen_pairing[0][0]))]
     pieces = []
     # the components of the generator pairing: g_i and g_j are joined when
     # b(g_i, g_j), the pairing mod 1, is not 0

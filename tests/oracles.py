@@ -360,6 +360,14 @@ def dense_weil(df: DiscriminantForm) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rho_t, rho_s, rho_z
 
 
+def apply_s_fftn(w, v: np.ndarray) -> np.ndarray:
+    """rho(S) v by one `numpy.fft.fftn` of v reshaped to the form's orders,
+    read at xi(gamma), times e(-sig/8)/sqrt(|A|)."""
+    grid = v.reshape(w.df.orders + v.shape[1:])
+    f = np.fft.fftn(grid, axes=tuple(range(w.df.ngens)))
+    return w.s_phase * f.reshape(v.shape)[w.xi]
+
+
 def operator_matrix(apply, d: int) -> np.ndarray:
     """The d x d matrix of a linear operator: its images of the basis vectors."""
     return apply(np.eye(d, dtype=complex))

@@ -156,6 +156,38 @@ def test_one_factorization_per_genus():
     assert info.misses == 3
 
 
+def _omega(m):
+    """The number of distinct primes dividing m, by trial division."""
+    count, p = 0, 2
+    while p * p <= m:
+        if m % p == 0:
+            count += 1
+            while m % p == 0:
+                m //= p
+        p += 1
+    return count + (m > 1)
+
+
+def test_frac_square_sum_skips_divisors_2_mod_4(monkeypatch):
+    # H(n) = 0 at n = 2 mod 4, which is every n = m/d with d even when
+    # h = g - 1 is odd: those divisors are not asked for, and each genus
+    # asks for 2^omega(m) values, or 2^(omega(m) - 1) for odd h
+    calls, h6 = [], arith.h6
+
+    def counted(n):
+        calls.append(n)
+        return h6(n)
+
+    monkeypatch.setattr(arith, "h6", counted)
+    want = 0
+    for g in range(2, 3000):
+        m = 4 * g - 4
+        assert frac_square_sum(g) == frac_square_sum_int64(g), g
+        want += 2 ** (_omega(m) - (g - 1) % 2)
+    assert len(calls) == want
+    assert all(n % 4 == 0 for n in calls)
+
+
 def test_sieve_factorization_equals_trial_division(monkeypatch):
     monkeypatch.setattr(arith, "_spf", array("H"))  # no sieve: trial division
     arith._factor.cache_clear()

@@ -288,16 +288,19 @@ def test_weil_tol_must_be_finite_and_positive(tol):
     reason="numpy 1.x imports numpy.fft with numpy",
 )
 def test_only_weil_loads_numpy_fft():
-    """rank, nl and lattice info leave numpy.fft unloaded; weil verify loads it."""
+    """rank, nl and lattice info leave numpy.fft unloaded; so does weil
+    verify on U(6), whose factors of order 6 are matrix products, and weil
+    verify on Lambda_30, whose factor of order 58 is an FFT, loads it."""
     script = (
         "import io, sys\n"
         "from nlrank.cli import dispatch\n"
         "for argv in (['rank', '--from', '2', '--to', '3'],\n"
         "             ['nl', '--g', '2', '--dmax', '1', '--hmax', '1'],\n"
-        "             ['lattice', 'info', '--name', 'K3']):\n"
+        "             ['lattice', 'info', '--name', 'K3'],\n"
+        "             ['weil', 'verify', '--name', 'U(N)', '--N', '6']):\n"
         "    assert dispatch(argv, out=io.StringIO()) == 0\n"
         "print('numpy.fft' in sys.modules)\n"
-        "dispatch(['weil', 'verify', '--name', 'U'], out=io.StringIO())\n"
+        "dispatch(['weil', 'verify', '--name', 'Lambda_g', '--g', '30'], out=io.StringIO())\n"
         "print('numpy.fft' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -311,8 +314,8 @@ def test_only_weil_loads_numpy_fft():
 
 
 def test_numpy_loads_only_in_verbs_that_use_it():
-    """import, nl, lattice info and rank load no numpy; weil verify loads
-    numpy.fft."""
+    """import, nl, lattice info and rank load no numpy; weil verify on a
+    form with a cyclic factor past `weil.MATMUL_MAX_ORDER` loads numpy.fft."""
     script = (
         "import io, sys\n"
         "def loaded(*names):\n"
@@ -327,7 +330,8 @@ def test_numpy_loads_only_in_verbs_that_use_it():
         "loaded('numpy')\n"
         "assert nlrank.cli.dispatch(['rank', '--from', '2', '--to', '3'], out=io.StringIO()) == 0\n"
         "loaded('numpy', 'numpy.fft')\n"
-        "assert nlrank.cli.dispatch(['weil', 'verify', '--name', 'U'], out=io.StringIO()) == 0\n"
+        "assert nlrank.cli.dispatch(['weil', 'verify', '--name', 'Lambda_g', '--g', '30'],\n"
+        "                           out=io.StringIO()) == 0\n"
         "loaded('numpy.fft')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

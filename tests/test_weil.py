@@ -26,8 +26,9 @@ from nlrank import (
     weil_rep_of,
 )
 from nlrank.errors import SnapFailure
+from nlrank.weil import MATMUL_MAX_ORDER, _probes
 import strategies
-from oracles import dense_weil, operator_matrix
+from oracles import apply_s_fftn, dense_weil, operator_matrix
 from strategies import NON_CYCLIC
 
 
@@ -83,6 +84,64 @@ def test_operators_match_dense_oracle_on_random_forms(pieces):
     _check_against_dense(discriminant_form(strategies.lattice_of(pieces)))
 
 
+def _check_against_fftn(df):
+    """rho(S) on the probe vectors (four random, three basis), as one block
+    and as a single vector, within 1e-12 * |v| of the fftn oracle."""
+    w = build_weil_rep(df)
+    v = _probes(w.dimension)
+    got, want = w.apply_s(v), apply_s_fftn(w, v)
+    assert got.shape == want.shape == v.shape
+    err = np.max(np.abs(got - want), axis=0)
+    assert np.all(err <= 1e-12 * np.linalg.norm(v, axis=0)), (df.orders, err)
+    u = v[:, 0]
+    assert np.max(np.abs(w.apply_s(u) - apply_s_fftn(w, u))) <= 1e-12 * np.linalg.norm(u)
+
+
+def test_apply_s_matches_fftn_on_the_corpus(corpus):
+    for lat in [*corpus.values(), *NON_CYCLIC.values()]:
+        _check_against_fftn(discriminant_form(lat))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.pieces)
+def test_apply_s_matches_fftn_on_random_forms(pieces):
+    _check_against_fftn(discriminant_form(strategies.lattice_of(pieces)))
+
+
+@pytest.mark.parametrize("n", [MATMUL_MAX_ORDER - 1, MATMUL_MAX_ORDER, MATMUL_MAX_ORDER + 1])
+def test_apply_s_matches_fftn_at_the_threshold(n):
+    # U(N) has A = (Z/N)^2: two matrix products up to the threshold, two FFTs past it
+    df = discriminant_form(hyperbolic(n))
+    assert df.orders == (n, n)
+    assert len(build_weil_rep(df).dft_matrices) == (n <= MATMUL_MAX_ORDER)
+    _check_against_fftn(df)
+
+
+@pytest.mark.parametrize("k, n", [(1, 50), (2, 20), (2, 3), (1, 10), (3, 40)])
+def test_apply_s_matches_fftn_on_mixed_factors(k, n):
+    # U(2)^k + <2N>: k pairs of order 2 on the matrix path and one factor of
+    # order 2N, past the threshold except at N = 3 and 10
+    df = discriminant_form(direct_sum(*[hyperbolic(2)] * k, make_lattice([[2 * n]])))
+    assert df.orders == (2,) * (2 * k) + (2 * n,)
+    assert (2 * n in build_weil_rep(df).dft_matrices) == (2 * n <= MATMUL_MAX_ORDER)
+    _check_against_fftn(df)
+
+
+def test_seven_factors_of_order_two_build_one_matrix():
+    # a fresh copy of the form, whose `roots` is wrapped to count the reads
+    df = dataclasses.replace(discriminant_form(NON_CYCLIC["U(2)^3+<2>+(-E8)"]))
+    w = build_weil_rep(df)
+    assert df.orders == (2,) * 7
+    roots, reads = df.roots, []
+    df.__dict__["roots"] = lambda v: reads.append(v.shape) or roots(v)
+    mats = w.dft_matrices
+    assert reads == [(2, 2)]
+    assert list(mats) == [2]
+    assert np.max(np.abs(mats[2] - np.array([[1, 1], [1, -1]]))) < 1e-15
+    verify_relations(w)
+    assert w.dft_matrices is mats
+
+
 def test_build_rejects_orders_the_pairing_does_not_fit():
     # <4> has A = Z/4 with b(g, g) = 1/4; as Z/2, b(g, g) * 2 is not integral
     df = discriminant_form(make_lattice([[4]]))
@@ -128,6 +187,16 @@ def test_eig_t_multiplicities_are_the_q_histogram(corpus):
         want = dict(zip(values.tolist(), counts.tolist()))
         assert tr.level == df.level, name
         assert tr.eigT_multiplicities == want, name
+
+
+def test_eig_t_multiplicities_match_unique(corpus):
+    # the histogram of rho(T)'s snapped exponents, keys ascending as
+    # np.unique returns them
+    for name, lat in [*corpus.items(), *NON_CYCLIC.items()]:
+        w = weil_rep_of(lat)
+        keys, counts = np.unique(w.t_snap[0], return_counts=True)
+        got = traces(w).eigT_multiplicities
+        assert list(got.items()) == list(zip(keys.tolist(), counts.tolist())), name
 
 
 def test_traces_root_two():
