@@ -8,13 +8,17 @@ of the discriminant form, and a parabolic correction from the T-eigenvalues.
 
 The parabolic and isotropic terms and the eigenspace rank are even under
 gamma -> -gamma, as q(-gamma) = q(gamma), so they are read from one
-streamed walk over half the discriminant group (`DiscriminantForm.half_walk`,
-a bounded slice at a time): one element of each pair {gamma, -gamma} with
-gamma != -gamma, then each element with 2*gamma = 0 once.  It keeps three
-integer sums: the zero count, the sum of the values, and the values on the
-2-torsion; a full-group sum is twice the walk's minus that of the
-2-torsion.  No array as long as the group is built, so memory does not
-grow with |A|.
+streamed walk over half the discriminant group, a bounded slice at a time:
+one element of each pair {gamma, -gamma} with gamma != -gamma, then each
+element with 2*gamma = 0 once.  A cyclic form, every Lambda_g among them,
+walks by squares (`DiscriminantForm.square_walk`: one table of u*t^2 mod N
+per walk, then one exact start value and slope per slice); a form with
+several generators evaluates `qn_at` on the index slices of `half_walk`.
+The walk keeps three integer sums: the zero count, the sum of the values,
+and the values on the 2-torsion; a full-group sum is twice the walk's
+minus that of the 2-torsion.  No array as long as the group is built, so
+memory does not grow with |A|, and the int64 bound of the squares walk,
+(SLICE + 2)*N < 2^63, admits Lambda_g up to g - 1 of about 5.6*10^14.
 
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
@@ -316,6 +320,29 @@ def _rational(x: tuple, what: str) -> int:
     return x[0]
 
 
+def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
+    """(zero count, value sum, values on T) of N*q/2 mod N over the walk.
+
+    Every walked term is even under gamma -> -gamma, as q(-gamma) =
+    q(gamma), so the walk takes one element of each pair {gamma, -gamma}
+    with gamma != -gamma, then the set T of gamma = -gamma: by squares on a
+    cyclic form (`square_walk`), by `qn_at` on `half_walk`'s index slices
+    otherwise.  Either raises TooLarge before its first slice.
+    """
+    if df.ngens == 1:
+        walk = df.square_walk()
+    else:
+        walk = ((df.qn_at(index), n_two) for index, n_two in df.half_walk())
+    zeros = total = 0
+    two = []
+    for v, n_two in walk:
+        zeros += len(v) - int(np.count_nonzero(v))
+        total += int(v.sum())
+        if n_two:
+            two += v[len(v) - n_two :].tolist()
+    return zeros, total, two
+
+
 def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     """Riemann-Roch dimension of cusp forms of weight k and type rho*.
 
@@ -348,19 +375,8 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     n = df.level
     sig = df.sig_mod_8
 
-    # every walked term is even under gamma -> -gamma, as q(-gamma) =
-    # q(gamma), so the sums run over one element of each pair {gamma, -gamma}
-    # with gamma != -gamma plus the set T of gamma = -gamma (`half_walk`,
-    # which puts T last and raises TooLarge before its first slice); a
-    # full-group sum S(A) is then 2*S(walk) - S(T)
-    zeros = total = 0
-    two = []  # n * q(gamma)/2 mod n on T
-    for index, n_two in df.half_walk():
-        v = df.qn_at(index)
-        zeros += len(v) - int(np.count_nonzero(v))
-        total += int(v.sum())
-        if n_two:
-            two += v[len(v) - n_two :].tolist()
+    # a full-group sum S(A) is 2*S(walk) - S(T), T the 2-torsion
+    zeros, total, two = walk_sums(df)
     zeros = 2 * zeros - two.count(0)
     total = 2 * total - sum(two)
     # the 2-torsion only carries symmetric forms

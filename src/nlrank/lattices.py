@@ -28,13 +28,20 @@ made once per process, and each genus adds one row and one rank-one block.
 A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
 generators' values of q and b, by one formula (`qn_at`): for the whole group
 at once (`qn`, which the Weil operators read) or on the index slices of
-`half_walk`, whose integer sums the cusp dimension reads.  That walk
-visits one element of each pair {gamma, -gamma} with gamma != -gamma, then
-each element with 2*gamma = 0, at most SLICE indices at a time, so its
-memory does not grow with the group; a smaller walk has one buffer of its
-own length.  The index maps of -gamma and xi(gamma) are one map,
-M*gamma mod `orders` (`_image_index`).  A form whose int64 products could
-overflow raises TooLarge before any element is evaluated.
+`half_walk`, whose integer sums the cusp dimension reads for a form with
+several generators.  That walk visits one element of each pair
+{gamma, -gamma} with gamma != -gamma, then each element with 2*gamma = 0,
+at most SLICE indices at a time, so its memory does not grow with the
+group; a smaller walk has one buffer of its own length.  A cyclic form
+(every Lambda_g) walks the same elements by squares instead
+(`square_walk`): u*(s + t)^2 = u*s^2 + 2u*s*t + u*t^2 mod N, so a slice
+starting at s is one table of u*t^2 mod N, made once per walk, plus an
+exact start value and slope, with no index array.  The index maps of
+-gamma and xi(gamma) are one map, M*gamma mod `orders` (`_image_index`).
+A form whose int64 products could overflow raises TooLarge before any
+element is evaluated: for the squares walk that is a level N with
+(SLICE + 2)*N >= 2^63, g - 1 >= about 5.6*10^14 for Lambda_g; for
+`qn_at` it is N times the sum of the orders (`check_int64`), g - 1 >= 2^30.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -467,25 +474,45 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-# elements per slice of `DiscriminantForm.half_walk`: for a cyclic form
-# (Lambda_g among them) every int64 temporary of a slice (32 KiB) then
-# stays below glibc's default 128 KiB mmap threshold, so slices reuse heap
-# memory instead of mapping fresh pages.  A form with k > 1 generators also
-# holds k x SLICE int64 exponents (32 KiB each), which reach the threshold
-# from k = 4 on
+# elements per slice of `DiscriminantForm.half_walk` and `square_walk`: the
+# squares table and the two slice buffers of a cyclic form (Lambda_g among
+# them) take 32 KiB each, below glibc's default 128 KiB mmap threshold, so
+# walks reuse heap memory instead of mapping fresh pages.  A form with
+# k > 1 generators holds k x SLICE int64 exponents per `half_walk` slice
+# (32 KiB each), which reach the threshold from k = 4 on
 SLICE = 4096
 
 
 @cache
 def _ramp() -> np.ndarray:
-    """0, 1, ..., SLICE - 1: the offsets `half_walk` adds to a range's start.
-    One read-only int64 array per process, made at the first walk, so that
-    importing this module loads no numpy."""
+    """0, 1, ..., SLICE - 1: the offsets `half_walk` adds to a range's start
+    and the t of `square_walk`.  One read-only int64 array per process, made
+    at the first walk, so that importing this module loads no numpy."""
     import numpy as np
 
     ramp = np.arange(SLICE, dtype=np.int64)
     ramp.flags.writeable = False
     return ramp
+
+
+def _square_slice(table, start, u, n, out, quotient):
+    """u*(start + t)^2 mod n for t < len(out), written into `out`.
+
+    From u*(s + t)^2 = u*s^2 + 2u*s*t + u*t^2 with table[t] = u*t^2 mod n:
+    the start value u*s^2 and the slope 2u*s are exact Python ints reduced
+    mod n, so out = slope*t + table[t] + start stays below (SLICE + 2)*n
+    before its one reduce, whose quotient goes to `quotient`, a buffer as
+    long as `out`.
+    """
+    import numpy as np
+
+    np.multiply(_ramp()[: len(out)], 2 * u * start % n, out=out)
+    out += table[: len(out)]
+    out += u * start * start % n
+    np.floor_divide(out, n, out=quotient)
+    quotient *= n
+    out -= quotient
+    return out
 
 
 @dataclass(frozen=True)
@@ -501,9 +528,10 @@ class DiscriminantForm:
     and `_upper` holds N*q/2 and N*b on the generators; the exact q() and
     b() are their test oracle.  `half_walk` (one element of each pair
     {gamma, -gamma}, the 2-torsion last, in bounded index slices) is what
-    the cusp dimension walks for its integer sums; its Gauss sums come from
-    `gen_pairing` instead, and `roots` serves the float Gauss sum and the
-    Weil operators.
+    the cusp dimension walks for its integer sums, by `qn_at` on a form with
+    several generators and by `square_walk` on a cyclic one; its Gauss sums
+    come from `gen_pairing` instead, and `roots` serves the float Gauss sum
+    and the Weil operators.
     """
 
     orders: tuple[int, ...]
@@ -552,7 +580,9 @@ class DiscriminantForm:
         each partial sum stays below N * sum(orders); for Lambda_g that is
         (4g-4)(2g-2) = 8(g-1)^2, so g-1 < 2^30.  Checked before any element
         is evaluated, so a group too large for int64 fails at once instead
-        of streaming for hours.
+        of streaming for hours.  It bounds the full-group arrays (`qn`,
+        `neg_index`, `dual_index`) and the walk of a form with several
+        generators; a cyclic form's walk, `square_walk`, has its own bound.
         """
         bound = self.level * sum(self.orders)
         if bound >= 1 << 63:
@@ -709,6 +739,47 @@ class DiscriminantForm:
             if prefixes:
                 left -= SLICE
                 index, pos = np.empty(min(left, SLICE), dtype=np.int64), 0
+
+    def square_walk(self):
+        """`half_walk`'s elements of a cyclic form, as N*q/2 mod N slices.
+
+        With d the order, u = N*q(g)/2 mod N for the generator g and
+        h = (d - 1)//2, the walk is x*g for x = 1, ..., h, then the
+        2-torsion: 0 and, for even d, (d/2)*g.  Yields (values, two) as
+        `half_walk` yields (index, two), the value at x*g being u*x^2 mod N.
+        A table of u*t^2 mod N for t < L = min(SLICE, h + 1), from `_ramp`,
+        is also the first slice, x = 1, ..., L - 1; each later slice, at
+        start s = L, 2L, ..., is `_square_slice` into a buffer made once per
+        walk, with a second one for the quotient of its reduce, so a slice
+        is overwritten when the next is drawn.  Raises
+        TooLarge before the first slice when (SLICE + 2)*N >= 2^63, as the
+        slices' int64 intermediates, and the sum of a slice, stay below that.
+        """
+        import numpy as np
+
+        (d,) = self.orders
+        n = self.level
+        bound = (SLICE + 2) * n
+        if bound >= 1 << 63:
+            raise TooLarge(
+                f"level {n} times SLICE + 2 is {bound} >= 2^63: the squares "
+                f"walk of |A| = {d} would overflow int64"
+            )
+        u = int(self._upper[0, 0])
+        h = (d - 1) // 2
+        ramp = _ramp()[: min(SLICE, h + 1)]
+        table = _reduce(ramp * u, n)
+        table *= ramp
+        _reduce(table, n)
+        yield table[1:], 0
+        size = len(table)
+        if h >= size:
+            out, quotient = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+            for start in range(size, h + 1, size):
+                take = min(size, h + 1 - start)
+                yield _square_slice(table, start, u, n, out[:take], quotient[:take]), 0
+        two = [0] if d % 2 else [0, u * (d // 2) ** 2 % n]
+        yield np.array(two, dtype=np.int64), len(two)
 
     @cached_property
     def neg_index(self) -> np.ndarray:

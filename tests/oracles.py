@@ -13,6 +13,7 @@ import numpy as np
 from nlrank.cuspdim import CuspDimReport
 from nlrank.errors import NegativeDiscriminant, SnapFailure, WeightTooSmall
 from nlrank.lattices import (
+    SLICE,
     DiscriminantForm,
     Lattice,
     _congruence_signature,
@@ -167,6 +168,26 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
         sig_mod_8=(pos - neg) % 8,
         gen_pairing=pairing,
     )
+
+
+# Lambda_g has level N = 4(g - 1), and its squares walk is refused exactly
+# when (SLICE + 2)*N >= 2^63: from this genus on, g - 1 >= about 5.6*10^14
+SQUARE_WALK_FIRST_REFUSED_GENUS = -(-(2**63) // (4 * (SLICE + 2))) + 1
+
+
+def walk_sums_qn_at(df: DiscriminantForm) -> tuple[int, int, list[int]]:
+    """`cuspdim.walk_sums` by `qn_at` on `half_walk`'s index slices for every
+    form, cyclic ones too (the walk that `DiscriminantForm.square_walk`
+    replaced for them): (zero count, value sum, values on the 2-torsion)."""
+    zeros = total = 0
+    two = []
+    for index, n_two in df.half_walk():
+        v = df.qn_at(index)
+        zeros += len(v) - int(np.count_nonzero(v))
+        total += int(v.sum())
+        if n_two:
+            two += v[len(v) - n_two :].tolist()
+    return zeros, total, two
 
 
 # how far the float Riemann-Roch value of the oracles below may sit from an

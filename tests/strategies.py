@@ -41,6 +41,14 @@ pieces = st.lists(piece, min_size=1, max_size=4).filter(
 )
 
 
+# sums whose discriminant group is cyclic, so `discriminant_form` gives one
+# generator: one <2n>, with up to three unimodular pieces U and +-E8 around it
+_unimodular = st.one_of(st.just(("U", 1)), st.tuples(st.just("E8"), st.booleans()))
+cyclic_pieces = st.tuples(
+    st.integers(-250, 250).filter(bool), st.lists(_unimodular, max_size=3), st.integers(0, 3)
+).map(lambda t: t[1][: t[2]] + [("w", t[0])] + t[1][t[2] :])
+
+
 def lattice_of(pieces):
     """The direct sum of the pieces, in order."""
     parts = []

@@ -48,12 +48,14 @@ from nlrank.lattices import SLICE, DiscriminantForm
 
 import strategies
 from oracles import (
+    SQUARE_WALK_FIRST_REFUSED_GENUS,
     bn,
     dim_cusp_df_elementwise,
     dim_cusp_df_float,
     dim_cusp_from_eigenvalues,
     gauss_sums_bruteforce,
     operator_matrix,
+    walk_sums_qn_at,
 )
 from strategies import NON_CYCLIC
 
@@ -343,6 +345,63 @@ def test_dim_matches_elementwise_oracle_across_slices(name):
     assert _check_against_elementwise(df, weights) == {True, False}
 
 
+def _check_square_walk(df):
+    """`walk_sums` by squares against `qn_at` on `half_walk`'s slices, and
+    the slice lengths: L - 1 = min(SLICE, h + 1) - 1 in the first, L in
+    each later one but the last, then the 2-torsion."""
+    assert df.ngens == 1
+    assert cuspdim.walk_sums(df) == walk_sums_qn_at(df)
+    h = (df.cardinality - 1) // 2
+    size = min(SLICE, h + 1)
+    lengths = [(len(v), n_two) for v, n_two in df.square_walk()]
+    two = 2 - df.cardinality % 2
+    tail = [(h + 1) % size] if (h + 1) % size and h >= size else []
+    body = [size - 1] + [size] * ((h + 1) // size - 1) + tail
+    assert lengths == [(x, 0) for x in body] + [(two, two)]
+
+
+def test_square_walk_matches_qn_at_on_lambda_g():
+    for g in [*range(2, 400), 2 * 10**4, 10**6]:
+        _check_square_walk(discriminant_form(lambda_lattice(g)))
+
+
+# h = (d - 1)//2 around the slice boundaries: Lambda_{h + 2} has d = 2h + 2
+# and the binary form [[2, 1], [1, c]] with c = h + 1 or -h, whichever is
+# even, has d = |2c - 1| = 2h + 1
+SQUARE_EDGES = [SLICE - 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE - 1, 2 * SLICE, 2 * SLICE + 1]
+
+
+@pytest.mark.parametrize("h", SQUARE_EDGES)
+def test_square_walk_matches_qn_at_across_slices(h):
+    for lat in (lambda_lattice(h + 2), _binary(h + 1 if h % 2 else -h)):
+        df = discriminant_form(lat)
+        assert (df.cardinality - 1) // 2 == h
+        _check_square_walk(df)
+
+
+def test_square_walk_matches_qn_at_on_rank_one_forms():
+    for n in range(1, 351):
+        for w in (2 * n, -2 * n):
+            _check_square_walk(discriminant_form(make_lattice([[w]])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.cyclic_pieces)
+def test_square_walk_matches_qn_at_on_random_cyclic_forms(pieces):
+    _check_square_walk(discriminant_form(strategies.lattice_of(pieces)))
+
+
+def test_small_square_walk_holds_no_slice_long_buffer():
+    # the table of h + 1 < SLICE entries is the first slice, and no slice
+    # buffer is made; the 2-torsion comes in an array of its own
+    for lat in (lambda_lattice(2), lambda_lattice(60), _binary(-20), lambda_lattice(SLICE)):
+        df = discriminant_form(lat)
+        h = (df.cardinality - 1) // 2
+        (first, _), (two, n_two) = df.square_walk()
+        assert len(first.base) == h + 1 < SLICE, lat
+        assert two.base is None and len(two) == n_two <= 2, lat
+
+
 def test_small_walk_holds_no_slice_long_buffer():
     ramp = lattices._ramp()
     assert ramp.tolist() == list(range(SLICE))
@@ -363,8 +422,8 @@ def test_small_walk_holds_no_slice_long_buffer():
 
 
 def test_int64_bound_of_lambda_g():
-    # N * sum(orders) = (4g-4)(2g-2) = 8(g-1)^2 for Lambda_g, below 2^63
-    # exactly while g-1 < 2^30
+    # the full-group arrays and `qn_at`: N * sum(orders) = (4g-4)(2g-2) =
+    # 8(g-1)^2 for Lambda_g, below 2^63 exactly while g-1 < 2^30
     top = discriminant_form(lambda_lattice(2**30))
     top.check_int64()
     d, n = top.cardinality, top.level
@@ -378,8 +437,35 @@ def test_int64_bound_of_lambda_g():
         next(over.half_walk())
     with pytest.raises(TooLarge):
         over.qn_at(np.zeros(1, dtype=np.int64))
+    # the cyclic walk by squares: the last admitted genus gives its first
+    # slice, the next one is refused before any element, also by dim
+    top = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS - 1))
+    assert (SLICE + 2) * top.level < 2**63 <= (SLICE + 2) * (top.level + 4)
+    first, n_two = next(top.square_walk())
+    assert len(first) == SLICE - 1 and n_two == 0
+    over = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS))
+    with pytest.raises(TooLarge):
+        next(over.square_walk())
     with pytest.raises(TooLarge):
         dim_cusp_df(over, HALF_21)
+
+
+def test_square_slices_at_the_int64_bound():
+    # slices at starts near the end of the walk of the largest admitted
+    # genus, against Python ints, without walking the group
+    df = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS - 1))
+    n, u, h = df.level, int(df._upper[0, 0]), (df.cardinality - 1) // 2
+    assert u == df.q((1,)) * n / 2 % n
+    first, _ = next(df.square_walk())
+    table = first.base
+    assert len(table) == SLICE
+    assert first.tolist() == [u * x * x % n for x in range(1, SLICE)]
+    last = h // SLICE * SLICE  # the start of the walk's last slice
+    for start in (h + 1 - SLICE, last - SLICE, last, h - 2, h):
+        take = min(SLICE, h + 1 - start)
+        out, quotient = np.empty(take, dtype=np.int64), np.empty(take, dtype=np.int64)
+        got = lattices._square_slice(table, start, u, n, out, quotient)
+        assert got.tolist() == [u * x * x % n for x in range(start, start + take)], start
 
 
 def test_dual_index_matrix_at_the_int64_bound(monkeypatch):
