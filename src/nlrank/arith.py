@@ -166,4 +166,5 @@ def gauss_sum(df: DiscriminantForm) -> complex:
     sqrt(|A|) * exp(2*pi*i*sig/8) with sig from `signature`, and by the
     `Fraction` oracle test of the encoding.
     """
-    return complex(df.roots(df.qn).sum())
+    qn = df.qn  # refuses a group too large for int64 before the roots tables
+    return complex(df.roots(qn).sum())

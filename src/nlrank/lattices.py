@@ -581,8 +581,9 @@ class DiscriminantForm:
         (4g-4)(2g-2) = 8(g-1)^2, so g-1 < 2^30.  Checked before any element
         is evaluated, so a group too large for int64 fails at once instead
         of streaming for hours.  It bounds the full-group arrays (`qn`,
-        `neg_index`, `dual_index`) and the walk of a form with several
-        generators; a cyclic form's walk, `square_walk`, has its own bound.
+        `neg_index`, `dual_index`, `_exponents`) and the walk of a form
+        with several generators; a cyclic form's walk, `square_walk`, has
+        its own bound.
         """
         bound = self.level * sum(self.orders)
         if bound >= 1 << 63:
@@ -623,20 +624,39 @@ class DiscriminantForm:
             e[0] = rest
         return e
 
-    def _image_index(self, m: np.ndarray) -> np.ndarray:
-        """Index in elements() of M*gamma mod `orders` for every gamma, M an
-        (ngens, ngens) int64 matrix with row i in [0, orders[i]), so every
-        entry of M*gamma is below the bound of `check_int64`."""
+    @cached_property
+    def _exponents(self) -> np.ndarray:
+        """The exponents of every element, by one `_exponents_at` per form:
+        what `qn`, `neg_index` and `dual_index` of a form with several
+        generators read.  Raises TooLarge (see `check_int64`) first."""
         import numpy as np
 
         self.check_int64()
-        e = m @ self._exponents_at(np.arange(self.cardinality, dtype=np.int64))
-        _reduce(e, np.array(self.orders, dtype=np.int64)[:, None])
-        index = np.zeros(self.cardinality, dtype=np.int64)
-        for d, row in zip(self.orders, e):
-            index *= d
-            index += row
-        return index
+        return self._exponents_at(np.arange(self.cardinality, dtype=np.int64))
+
+    def _image_index(self, m: np.ndarray) -> np.ndarray:
+        """Index in elements() of M*gamma mod `orders` for every gamma, M an
+        (ngens, ngens) int64 matrix with row i in [0, orders[i]), so every
+        entry of M*gamma is below the bound of `check_int64`.  On a cyclic
+        form of order d that is gamma*M mod d, one multiply and one reduce;
+        otherwise M times `_exponents`, reduced, then read as row-major
+        indices by one product with the strides of `orders`."""
+        import numpy as np
+
+        self.check_int64()
+        if self.ngens == 1:
+            (d,) = self.orders
+            return _reduce(np.arange(d, dtype=np.int64) * int(m[0, 0]), d)
+        e = _reduce(m @ self._exponents, np.array(self.orders, dtype=np.int64)[:, None])
+        strides = [prod(self.orders[i + 1 :]) for i in range(self.ngens)]
+        return np.array(strides, dtype=np.int64) @ e
+
+    def _qn_of(self, e: np.ndarray) -> np.ndarray:
+        """N*q/2 mod N at the elements with exponents e (see `qn_at`)."""
+        n = self.level
+        x = _reduce(self._upper @ e, n)
+        x *= e
+        return _reduce(x.sum(axis=0), n)
 
     def qn_at(self, index: np.ndarray) -> np.ndarray:
         """N*q(gamma)/2 mod N at the elements with these indices in elements().
@@ -648,15 +668,11 @@ class DiscriminantForm:
         `check_int64`) first.
         """
         self.check_int64()
+        if self.ngens != 1:
+            return self._qn_of(self._exponents_at(index))
         n = self.level
-        if self.ngens == 1:
-            x = _reduce(index * int(self._upper[0, 0]), n)
-            x *= index
-        else:
-            e = self._exponents_at(index)
-            x = _reduce(self._upper @ e, n)
-            x *= e
-            x = x.sum(axis=0)
+        x = _reduce(index * int(self._upper[0, 0]), n)
+        x *= index
         return _reduce(x, n)
 
     @cached_property
@@ -688,9 +704,14 @@ class DiscriminantForm:
 
     @cached_property
     def qn(self) -> np.ndarray:
-        """N*q(gamma)/2 mod N for every element, N the level (see `qn_at`)."""
+        """N*q(gamma)/2 mod N for every element, N the level (see `qn_at`),
+        from `_exponents` on a form with several generators.  Raises
+        TooLarge (see `check_int64`) before any array of |A| entries."""
         import numpy as np
 
+        self.check_int64()
+        if self.ngens != 1:
+            return self._qn_of(self._exponents)
         return self.qn_at(np.arange(self.cardinality, dtype=np.int64))
 
     def half_walk(self):

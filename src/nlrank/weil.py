@@ -13,20 +13,24 @@ as a matrix, each read from the form's int64 kernel:
   read at xi(gamma) (`dual_index`).  That DFT is the tensor product of the
   cyclic factors' DFTs (Strömberg, Weil representations associated with
   finite quadratic modules, Math. Z. 2013), applied one factor at a time,
-  last to first: a factor of order d <= MATMUL_MAX_ORDER is one matrix
-  product of its d x d DFT matrix, e(-ij/d) from the form's `roots`, over
-  the (prod(orders[:j]), d, -1) view, and a larger one is one 1-D
-  `numpy.fft.fft` along that axis.
+  first to last, each on a 2-D view with that factor's axis last: a factor
+  of order d <= MATMUL_MAX_ORDER is one matrix product with its d x d DFT
+  matrix, e(-ij/d) from the form's `roots`, and a larger one is one 1-D
+  `numpy.fft.fft` along that axis (see `WeilRep._s_rows`).
 
 Applying rho(S) costs O(|A| * (sum of the small orders + sum of log d over
 the large ones)) time and the operators O(|A| * ngens) memory, so the
 group's order is bounded by memory alone.  The metaplectic relations are
-checked on a fixed set of probe vectors (see `verify_relations`).  T^N = 1
-is checked, and the traces' eigenvalue content read, from one comparison of
+checked on a fixed set of probe vectors with four applications of rho(S),
+(ST)^3 = S^2 in the equivalent form TSTST = S (see `verify_relations`).
+The form's int64 arrays are built once per form, and a group too large for
+int64 is refused before any of them (`build_weil_rep`).  T^N = 1 is
+checked, and the traces' eigenvalue content read, from one comparison of
 rho(T)'s diagonal with the N-th roots of unity e(q(gamma)/2) from the same
-`roots` (`WeilRep.t_snap`), whose residual does not grow with N.  Like the cusp dimension, this module imports nothing
-from the closed form.  Complex double precision throughout; every
-downstream consumer snaps to roots of unity or integers.
+`roots` (`WeilRep.t_snap`), whose residual does not grow with N.  Like the
+cusp dimension, this module imports nothing from the closed form.  Complex
+double precision throughout; every downstream consumer snaps to roots of
+unity or integers.
 """
 
 from __future__ import annotations
@@ -51,13 +55,30 @@ PROBE_SEED = 20130101
 PROBE_RANDOM = 4
 
 # a cyclic factor of order up to this is applied by one matrix product with
-# its DFT matrix, a larger one by one 1-D FFT.  The crossover, timing whole
-# applications of rho(S) to the seven probes on U(N) (one BLAS thread,
-# 2-core Xeon): products took 26, 34, 39, 48, 62 and 71 us at N = 14, 16, ...,
-# 24, FFTs 34, 37, 45, 48, 59 and 62 us.  With fewer slices before the
-# factor the product wins further, but by less: on U(2)+<36>+E8 the two
-# ways tie
-MATMUL_MAX_ORDER = 20
+# its DFT matrix, a larger one by one 1-D FFT.  Applications of rho(S) to
+# the seven probes as rows (`WeilRep._s_rows`), in us, minimum of repeats
+# (one BLAS thread, 2-core shared Xeon); the last column is the one-off
+# cost of building the form's DFT matrix of the largest order:
+#
+#     form          products   FFTs   matrix
+#     U(16)             34.6   52.7     13.8
+#     U(24)             47.0   55.1     11.3
+#     U(32)             88.3   95.8     16.4
+#     U(36)            113.2  111.6     18.0
+#     U(40)            164.2  180.5     24.0
+#     U(48)            367.7  351.1     37.9
+#     U(56)            526.5  456.1     33.8
+#     U(2)+<36>+E8      26.2   34.2     18.0
+#     <24>               5.6    8.7     12.1
+#     <36>               6.4    9.4     19.2
+#
+# On U(N) products win through N = 32 and the two ways tie at 36; from 40
+# on the winner changed between runs, and FFTs won at 56 every time.  With
+# small factors before it, a factor of order 36 is a quarter faster by
+# products.  A lone cyclic factor saves about 3 us per application, so
+# from order 24 on its matrix costs about what the four applications of
+# `verify_relations` save
+MATMUL_MAX_ORDER = 36
 
 
 @dataclass(frozen=True)
@@ -108,22 +129,53 @@ class WeilRep:
         return self.t_diag.reshape((-1,) + (1,) * (v.ndim - 1)) * v
 
     def apply_s(self, v: np.ndarray) -> np.ndarray:
-        mats, f, pre = self.dft_matrices, v, self.dimension
-        for d in reversed(self.df.orders):
-            pre //= d
-            f = f.reshape(pre, d, -1)
-            f = np.matmul(mats[d], f) if d in mats else np.fft.fft(f, axis=1)
-        return self.s_phase * f.reshape(v.shape)[self.xi]
+        return self._s_rows(v.reshape(self.dimension, -1).T).T.reshape(v.shape)
+
+    def _s_rows(self, f: np.ndarray) -> np.ndarray:
+        """rho(S) on each row of an (m, |A|) array, as a new C-ordered one.
+
+        The DFT over A runs one cyclic factor at a time.  A cyclic form's
+        one factor runs along the rows.  Otherwise the array is read as
+        (|A|, m), with axes (d_1, ..., d_k, m) (no copy when f is the
+        transpose of a C-ordered array), and each step views it as
+        (d_j, rest), transposed to (rest, d_j), and transforms along that
+        last axis: one matrix product with the factor's DFT matrix
+        (symmetric, so no transpose of it is needed) or one 1-D FFT.  A
+        product writes a fresh C-ordered (rest, d_j) array, which moves the
+        factor's axis to the end; an FFT's output keeps its input's strides,
+        and the next reshape copies it to C order.  So after k steps the
+        axes are (m, d_1, ..., d_k) again.  One gather along the rows at xi
+        ends it.
+        """
+        mats, orders = self.dft_matrices, self.df.orders
+        if len(orders) == 1:
+            (d,) = orders
+            f = f @ mats[d] if d in mats else np.fft.fft(f, axis=1)
+        elif orders:
+            f = np.ascontiguousarray(f.T)
+            for d in orders:
+                f = f.reshape(d, -1).T
+                f = f @ mats[d] if d in mats else np.fft.fft(f, axis=1)
+            f = f.reshape(-1, self.dimension)
+        out = np.take(f, self.xi, axis=1)
+        out *= self.s_phase
+        return out
 
     def apply_z(self, v: np.ndarray) -> np.ndarray:
         return self.z_phase * v[self.df.neg_index]
 
 
 def build_weil_rep(df: DiscriminantForm) -> WeilRep:
-    """The three operators of the Weil representation on C[A]."""
+    """The three operators of the Weil representation on C[A].
+
+    `qn` comes first, so a group too large for int64 raises TooLarge (see
+    `DiscriminantForm.check_int64`) before any array of |A| entries and
+    before the form's `roots` tables.
+    """
+    qn = df.qn
     return WeilRep(
         df=df,
-        t_diag=df.roots(df.qn),
+        t_diag=df.roots(qn),
         xi=df.dual_index,
         s_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(df.cardinality),
         z_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4),
@@ -135,7 +187,7 @@ def weil_rep_of(lat: Lattice) -> WeilRep:
 
 
 def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max(initial=0.0))
 
 
 def _probes(d: int) -> np.ndarray:
@@ -145,17 +197,27 @@ def _probes(d: int) -> np.ndarray:
     before normalising, from splitmix64 (Steele, Lea and Flood, 2014) of
     PROBE_SEED + i * 0x9E3779B97F4A7C15: integer operations only, so the same
     on every machine, and no numpy.random, whose import takes longer than
-    a whole check of a small form.
+    a whole check of a small form.  The integer steps run in place.
     """
-    z = np.arange(1, 2 * d * PROBE_RANDOM + 1, dtype=np.uint64)
-    z = z * 0x9E3779B97F4A7C15 + PROBE_SEED
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-    u = ((z ^ (z >> 31)) >> 11) * 2.0**-53 - 0.5
+    n = d * PROBE_RANDOM
+    z = np.arange(1, 2 * n + 1, dtype=np.uint64)
+    shifted = np.empty_like(z)
+    z *= 0x9E3779B97F4A7C15
+    z += PROBE_SEED
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, shift, out=shifted)
+        z ^= shifted
+        z *= mult
+    np.right_shift(z, 31, out=shifted)
+    z ^= shifted
+    z >>= 11
+    u = np.multiply(z, 2.0**-53)
+    u -= 0.5
     p = np.zeros((d, PROBE_RANDOM + 3), dtype=complex)
-    p[:, :PROBE_RANDOM] = u[: d * PROBE_RANDOM].reshape(d, PROBE_RANDOM)
-    p[:, :PROBE_RANDOM] += 1j * u[d * PROBE_RANDOM :].reshape(d, PROBE_RANDOM)
-    p[:, :PROBE_RANDOM] /= np.linalg.norm(p[:, :PROBE_RANDOM], axis=0)
+    rand = p[:, :PROBE_RANDOM]
+    rand.real = u[:n].reshape(d, PROBE_RANDOM)
+    rand.imag = u[n:].reshape(d, PROBE_RANDOM)
+    rand /= np.linalg.norm(rand, axis=0)
     for col, row in enumerate((0, d // 2, d - 1), start=PROBE_RANDOM):
         p[row, col] = 1.0
     return p
@@ -178,24 +240,47 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
     S^2 = Z, (ST)^3 = S^2, S unitary as <Su, Sv> = <u, v>, and S^2 moving
     the weight at -gamma to gamma with modulus kept (the Z-swap) are each
     checked on the columns of `_probes` and report the largest entry of the
-    residual.  T^N = 1 for N the level is checked on the diagonal of rho(T)
-    as N times the largest distance of an entry t(gamma) to its N-th root of
-    unity e(q(gamma)/2) (`WeilRep.t_snap`): to first order that bounds
-    |t^N - 1|, without the rounding error of an N-th power, which grows with
-    N, and it also catches an entry moved onto another N-th root.  Reports
-    errors, never raises.
+    residual.  (ST)^3 = S^2 reads S(TSTST) = S(S); S is invertible, so
+    multiplying both sides by S^-1 on the left shows it holds exactly when
+    TSTST = S.  It is checked in that form, as t*S(t*S(t*p)) against the
+    Sp that the unitarity and S^2 = Z checks need anyway, so the whole
+    check applies rho(S) four times, not five.  Its residual `maxErrST3`
+    has the entries of a difference of two vectors like Sp, on the scale
+    1/sqrt(|A|) for a basis probe, where (ST)^3 p - S^2 p has entries of
+    size 1: at Lambda_100000 it reads 4.4e-17 where (ST)^3 p - S^2 p reads
+    5.8e-16.  T^N = 1 for N the level is checked on the diagonal of rho(T)
+    as N times the largest distance of an entry t(gamma) to its N-th root
+    of unity e(q(gamma)/2) (`WeilRep.t_snap`): to first order that bounds
+    |t^N - 1|, without the rounding error of an N-th power, which grows
+    with N, and it also catches an entry moved onto another N-th root.
+
+    The probes, Sp, S^2 p and p at -gamma, with the moduli of the last two
+    (half as large, as reals), or two applications of rho(S) in flight:
+    the check holds at most five (|A|, 7) complex arrays' worth of memory
+    at once.  Reports errors, never raises.
     """
-    p = _probes(w.dimension)
-    sp = w.apply_s(p)
-    s2p = w.apply_s(sp)
-    st3p = p
-    for _ in range(3):
-        st3p = w.apply_s(w.apply_t(st3p))
-    err_s2z = _max_abs(s2p - w.apply_z(p))
-    err_st3 = _max_abs(st3p - s2p)
+    # the probes as the rows of a (7, |A|) array, so that rho(T), the
+    # gathers and a cyclic form's transform run along contiguous rows
+    p = np.ascontiguousarray(_probes(w.dimension).T)
+    sp = w._s_rows(p)
+    err_unitary = _max_abs(sp.conj() @ sp.T - p.conj() @ p.T)
+    s2p = w._s_rows(sp)
+    zp = np.take(p, w.df.neg_index, axis=1)
+    modulus = np.abs(s2p)
+    modulus -= np.abs(zp)
+    err_swap = _max_abs(modulus)
+    zp *= w.z_phase
+    s2p -= zp
+    err_s2z = _max_abs(s2p)
+    del s2p, zp, modulus  # before TSTST holds two arrays of its own
+    # TSTST p, in place on p, which no other check reads any more
+    for _ in range(2):
+        p *= w.t_diag
+        p = w._s_rows(p)
+    p *= w.t_diag
+    p -= sp
+    err_st3 = _max_abs(p)
     err_tn = w.level * _max_abs(w.t_snap[1])
-    err_unitary = _max_abs(sp.conj().T @ sp - p.conj().T @ p)
-    err_swap = _max_abs(np.abs(s2p) - np.abs(p[w.df.neg_index]))
     passed = all(
         e < tol for e in (err_s2z, err_st3, err_tn, err_unitary, err_swap)
     )

@@ -20,6 +20,7 @@ from nlrank.lattices import (
     smith_normal_form,
 )
 from nlrank.nl import NLLabel, nl_label
+from nlrank.weil import PROBE_RANDOM, PROBE_SEED
 
 
 def jacobi_bruteforce(a: int, b: int) -> int:
@@ -387,6 +388,45 @@ def apply_s_fftn(w, v: np.ndarray) -> np.ndarray:
     grid = v.reshape(w.df.orders + v.shape[1:])
     f = np.fft.fftn(grid, axes=tuple(range(w.df.ngens)))
     return w.s_phase * f.reshape(v.shape)[w.xi]
+
+
+def probes_reference(d: int) -> np.ndarray:
+    """The (d, 7) probe vectors of `weil.verify_relations` as first written,
+    one fresh array per step: four random unit vectors from splitmix64 of
+    weil.PROBE_SEED + i * 0x9E3779B97F4A7C15, then e_0, e_{d//2}, e_{d-1}.
+    `weil._probes` must return exactly these bits."""
+    z = np.arange(1, 2 * d * PROBE_RANDOM + 1, dtype=np.uint64)
+    z = z * 0x9E3779B97F4A7C15 + PROBE_SEED
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    u = ((z ^ (z >> 31)) >> 11) * 2.0**-53 - 0.5
+    p = np.zeros((d, PROBE_RANDOM + 3), dtype=complex)
+    p[:, :PROBE_RANDOM] = u[: d * PROBE_RANDOM].reshape(d, PROBE_RANDOM)
+    p[:, :PROBE_RANDOM] += 1j * u[d * PROBE_RANDOM :].reshape(d, PROBE_RANDOM)
+    p[:, :PROBE_RANDOM] /= np.linalg.norm(p[:, :PROBE_RANDOM], axis=0)
+    for col, row in enumerate((0, d // 2, d - 1), start=PROBE_RANDOM):
+        p[row, col] = 1.0
+    return p
+
+
+def relations_pass_st3(w, tol: float = 1e-9) -> bool:
+    """The verdict of `weil.verify_relations` with (ST)^3 = S^2 checked as
+    written, (ST)^3 p against S^2 p: five applications of rho(S) to the
+    probes, and the same S^2 = Z, unitarity, Z-swap and T^N checks."""
+    p = probes_reference(w.dimension)
+    sp = w.apply_s(p)
+    s2p = w.apply_s(sp)
+    st3p = p
+    for _ in range(3):
+        st3p = w.apply_s(w.apply_t(st3p))
+    errs = (
+        np.abs(s2p - w.apply_z(p)).max(),
+        np.abs(st3p - s2p).max(),
+        w.level * np.abs(w.t_snap[1]).max(),
+        np.abs(sp.conj().T @ sp - p.conj().T @ p).max(),
+        np.abs(np.abs(s2p) - np.abs(p[w.df.neg_index])).max(),
+    )
+    return all(e < tol for e in errs)
 
 
 def operator_matrix(apply, d: int) -> np.ndarray:

@@ -152,6 +152,20 @@ def test_dim_above_the_int64_bound_fails_fast():
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("g", [2**30 + 1, 562675209666593, 10**16])
+def test_weil_verify_above_the_int64_bound_fails_fast(g):
+    # the full-group arrays refuse Lambda_g from g - 1 = 2^30 on, before
+    # any array of |A| entries or the roots tables (at g = 10^16 those two
+    # would take ~6 GB): one TooLarge line and exit 1, at once
+    start = time.perf_counter()
+    code, out, err = run(["weil", "verify", "--name", "Lambda_g", "--g", str(g)])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: level ") and err.endswith("would overflow int64\n")
+    assert err.count("\n") == 1
+
+
 def test_crosscheck_above_the_int64_bound_fails_before_the_closed_form(monkeypatch):
     # the first genus past the squares walk's bound, which the closed form
     # would take, is refused by the cusp side first, at once

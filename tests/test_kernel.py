@@ -1,9 +1,12 @@
 """Oracle tests for the integer encoding of discriminant forms.
 
-The exponents `DiscriminantForm._exponents_at` reads off, `qn`, `neg_index`
-and `dual_index`, and the pairing `oracles.bn` builds from the generator
-pairing, are compared element by element with the exact `Fraction`
-reference `elements()`, `q()` and `b()`;
+The exponents `DiscriminantForm._exponents_at` reads off (and `_exponents`,
+the same for every element, read once per form), `qn`, `neg_index` and
+`dual_index` (from `_exponents`, or on a cyclic form by one multiply and
+reduce), and the pairing `oracles.bn` builds from the generator pairing, are
+compared element by element with the exact `Fraction` reference
+`elements()`, `q()` and `b()`, on the corpus, `NON_CYCLIC` and hypothesis
+forms;
 the walk `half_walk` with `neg_index` and `qn`; `roots` with
 `numpy.exp`, and as built once per form by the Weil chain and never by the
 cusp dimension; the exact Gauss sums of `cuspdim.exact_gauss_sums` with
@@ -91,6 +94,8 @@ def _check_kernel(df, pairs=None):
         # xi(gamma)_j = b(gamma, g_j) * d_j
         xi = tuple(int(df.b(e, u) * m) for u, m in zip(units, df.orders))
         assert dual_index[i] == index[xi], e
+    assert df._exponents.dtype == np.int64
+    assert np.array_equal(df._exponents.T, exponents)
     rows, cols = pairs if pairs is not None else (range(d), range(d))
     assert pairing.shape == (d, d)
     pairing = pairing.tolist()

@@ -8,6 +8,7 @@ matrices entry by entry from the pairing.
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,17 @@ from nlrank import (
     verify_relations,
     weil_rep_of,
 )
-from nlrank.errors import SnapFailure
+from nlrank.errors import SnapFailure, TooLarge
+from nlrank.lattices import DiscriminantForm
 from nlrank.weil import MATMUL_MAX_ORDER, _probes
 import strategies
-from oracles import apply_s_fftn, dense_weil, operator_matrix
+from oracles import (
+    apply_s_fftn,
+    dense_weil,
+    operator_matrix,
+    probes_reference,
+    relations_pass_st3,
+)
 from strategies import NON_CYCLIC
 
 
@@ -108,9 +116,13 @@ def test_apply_s_matches_fftn_on_random_forms(pieces):
     _check_against_fftn(discriminant_form(strategies.lattice_of(pieces)))
 
 
-@pytest.mark.parametrize("n", [MATMUL_MAX_ORDER - 1, MATMUL_MAX_ORDER, MATMUL_MAX_ORDER + 1])
+@pytest.mark.parametrize(
+    "n", [19, 20, 21, MATMUL_MAX_ORDER - 1, MATMUL_MAX_ORDER, MATMUL_MAX_ORDER + 1]
+)
 def test_apply_s_matches_fftn_at_the_threshold(n):
-    # U(N) has A = (Z/N)^2: two matrix products up to the threshold, two FFTs past it
+    # U(N) has A = (Z/N)^2: two matrix products up to the threshold, two FFTs
+    # past it; N = 19..21 straddle the threshold of 20 the matrix path had
+    # before it was raised, and stay as cases below the present one
     df = discriminant_form(hyperbolic(n))
     assert df.orders == (n, n)
     assert len(build_weil_rep(df).dft_matrices) == (n <= MATMUL_MAX_ORDER)
@@ -321,3 +333,137 @@ def test_trace_st_matches_dense_product(corpus):
         tr = traces(w)
         assert abs(tr.trS - np.trace(rho_s)) < 1e-12, name
         assert abs(tr.trST - np.trace(rho_s @ rho_t)) < 1e-12, name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 58, 128, 400, 4096, 199998])
+def test_probes_are_the_reference_bits(d):
+    got, want = _probes(d), probes_reference(d)
+    assert got.dtype == want.dtype and got.shape == want.shape == (d, 7)
+    assert got.tobytes() == want.tobytes()
+
+
+def _conjugate_a_dft_matrix(w):
+    mats = dict(w.dft_matrices)
+    d = max(mats)
+    mats[d] = mats[d].conj()
+    w.__dict__["dft_matrices"] = mats
+    return w
+
+
+def _move_a_t_entry(w):
+    t_diag = w.t_diag.copy()
+    t_diag[3 % w.dimension] *= np.exp(2j * np.pi / w.level)
+    return dataclasses.replace(w, t_diag=t_diag)
+
+
+def _swap_two_xi_entries(w):
+    xi = w.xi.copy()
+    xi[[3, 5]] = xi[[5, 3]]
+    return dataclasses.replace(w, xi=xi)
+
+
+MUTATIONS = {
+    "s_phase conjugated": lambda w: dataclasses.replace(w, s_phase=w.s_phase.conjugate()),
+    "s_phase negated": lambda w: dataclasses.replace(w, s_phase=-w.s_phase),
+    "t_diag conjugated": lambda w: dataclasses.replace(w, t_diag=w.t_diag.conj()),
+    "t entry on another root": _move_a_t_entry,
+    "z_phase conjugated": lambda w: dataclasses.replace(w, z_phase=w.z_phase.conjugate()),
+    "xi entries swapped": _swap_two_xi_entries,
+    "DFT matrix conjugated": lambda w: _conjugate_a_dft_matrix(dataclasses.replace(w)),
+}
+MUTATED_FORMS = {
+    "Lambda_9": lambda_lattice(9),
+    "Lambda_2000": lambda_lattice(2000),
+    "U(2)+U(6)": NON_CYCLIC["U(2)+U(6)"],
+    "U(2)^3+<2>+(-E8)": NON_CYCLIC["U(2)^3+<2>+(-E8)"],
+}
+
+
+# Lambda_2000's one factor, of order 3998, is an FFT: it has no DFT matrix
+MUTATION_MATRIX = [
+    (form, mutation)
+    for form in sorted(MUTATED_FORMS)
+    for mutation in sorted(MUTATIONS)
+    if (form, mutation) != ("Lambda_2000", "DFT matrix conjugated")
+]
+
+
+@pytest.mark.parametrize("form, mutation", MUTATION_MATRIX)
+def test_tstst_gives_the_verdict_of_st_cubed(form, mutation):
+    """A broken operator passes or fails TSTST = S exactly as it does (ST)^3
+    = S^2, every other relation checked the same way."""
+    w = weil_rep_of(MUTATED_FORMS[form])
+    assert verify_relations(w).passed and relations_pass_st3(w)
+    bad = MUTATIONS[mutation](w)
+    assert verify_relations(bad).passed == relations_pass_st3(bad)
+
+
+@pytest.mark.parametrize("form", sorted(MUTATED_FORMS))
+def test_tstst_residual_catches_a_wrong_s_phase(form):
+    # S^2 = Z cannot see a negated S; TSTST = S can
+    w = weil_rep_of(MUTATED_FORMS[form])
+    rep = verify_relations(dataclasses.replace(w, s_phase=-w.s_phase))
+    assert rep.maxErrS2Z < 1e-12
+    assert rep.maxErrST3 > 1e-3 and not rep.passed
+
+
+def test_verify_relations_peaks_at_five_probe_blocks():
+    """The numpy memory of a check, as tracemalloc counts it: the probes,
+    Sp, S^2 p with p at -gamma and two moduli, or two applications of
+    rho(S) in flight, never more than five (|A|, 7) complex arrays."""
+    w = weil_rep_of(lambda_lattice(10001))
+    w.df.neg_index, w.t_snap
+    verify_relations(w)
+    tracemalloc.start()
+    try:
+        verify_relations(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = w.dimension * 7 * 16
+    assert 4 * block < peak <= 5 * block + (1 << 16), peak / block
+
+
+def test_exponents_are_read_at_most_once_per_form(monkeypatch):
+    """The Weil chain reads a form's exponents once, for `qn`, `neg_index`
+    and `dual_index` together, and a cyclic form's never."""
+    calls = []
+    read = DiscriminantForm._exponents_at
+
+    def counted(self, index):
+        calls.append(len(index))
+        return read(self, index)
+
+    monkeypatch.setattr(DiscriminantForm, "_exponents_at", counted)
+    for lat in [lambda_lattice(7), lambda_lattice(150), *NON_CYCLIC.values()]:
+        df = discriminant_form(lat)
+        w = build_weil_rep(df)
+        verify_relations(w)
+        traces(w)
+        gauss_sum(df)
+        assert calls == ([df.cardinality] if df.ngens > 1 else []), df.orders
+        calls.clear()
+
+
+# the first genus past the int64 bound of the full-group arrays, the first
+# past that of the squares walk, and one with |A| = 2*10^16 - 2
+HUGE_GENERA = [2**30 + 1, 562675209666593, 10**16]
+
+
+@pytest.mark.parametrize("g", HUGE_GENERA)
+def test_build_refuses_before_allocating(g, monkeypatch):
+    """TooLarge before any array of |A| entries and before the `roots`
+    tables, whose two arrays hold ceil(sqrt(N)) entries each."""
+    df = discriminant_form(lambda_lattice(g))
+    arange = np.arange
+
+    def small_arange(*args, **kwargs):
+        size = len(range(*map(int, args)))
+        assert size < 1 << 16, f"an arange of {size} entries"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", small_arange)
+    for build in (build_weil_rep, lambda df: df.qn, lambda df: df.neg_index):
+        with pytest.raises(TooLarge):
+            build(df)
+    assert "roots" not in vars(df)
