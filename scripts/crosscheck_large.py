@@ -5,10 +5,11 @@ Draws COUNT genera uniformly from [10^6, G_MAX] with a seeded generator,
 computes the closed-form rank and 1 + dim S_{21/2, Lambda_g} for each, and
 prints one line per genus with both values and the seconds each side took.
 Exits 1 on any mismatch.  The cusp side is exact: its Gauss sums come from
-the discriminant form's local data, and it walks half the discriminant
-group (g of its 2g - 2 elements) for integer sums only, a bounded slice at
-a time, so its memory does not grow with the genus (about 30 MB peak RSS
-with numpy loaded, at g = 10^8 too).
+the discriminant form's local data, and it walks one element of each pair
+{gamma, -gamma} with gamma != -gamma (g - 2 of the 2g - 2 elements) for
+integer sums only, a bounded slice at a time, and evaluates the two
+elements with 2*gamma = 0 once, so its memory does not grow with the genus
+(about 30 MB peak RSS with numpy loaded, at g = 10^8 too).
 
 Usage: python3 scripts/crosscheck_large.py [--seed S] [--count C] [--max G_MAX]
 Defaults: seed 1, 5 genera, G_MAX = 10^8.

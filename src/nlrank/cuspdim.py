@@ -7,18 +7,19 @@ through the quadratic Gauss sums G(j) = sum of e(j*q(gamma)/2), j = 1, 2, 3,
 of the discriminant form, and a parabolic correction from the T-eigenvalues.
 
 The parabolic and isotropic terms and the eigenspace rank are even under
-gamma -> -gamma, as q(-gamma) = q(gamma), so they are read from one
-streamed walk over half the discriminant group, a bounded slice at a time:
-one element of each pair {gamma, -gamma} with gamma != -gamma, then each
-element with 2*gamma = 0 once.  A cyclic form, every Lambda_g among them,
-walks by squares (`DiscriminantForm.square_walk`: one table of u*t^2 mod N
-per walk, then one exact start value and slope per slice); a form with
-several generators evaluates `qn_at` on the index slices of `half_walk`.
-The walk keeps three integer sums: the zero count, the sum of the values,
-and the values on the 2-torsion; a full-group sum is twice the walk's
-minus that of the 2-torsion.  No array as long as the group is built, so
-memory does not grow with |A|, and the int64 bound of the squares walk,
-(SLICE + 2)*N < 2^63, admits Lambda_g up to g - 1 of about 5.6*10^14.
+gamma -> -gamma, as q(-gamma) = q(gamma), so they read three integer sums
+(`walk_sums`): the zero count and the sum of N*q/2 mod N over the group,
+and its values on the 2-torsion T = {gamma : 2*gamma = 0}, evaluated once
+(`two_torsion`).  A full-group sum is twice the sum over one element of
+each pair {gamma, -gamma} with gamma != -gamma, plus the sum over T.  Those
+pairs are streamed a bounded slice at a time: a cyclic form, every Lambda_g
+among them, walks by squares (`square_walk`: one table of u*t^2 mod N per
+walk, then one exact start value and slope per slice); a form with several
+generators evaluates `qn_at` on the index slices of `half_walk`.  The walk
+builds no array as long as the group, so its memory does not grow with |A|
+(T has one or two elements on a cyclic form), and the int64 bound of the
+squares walk, (SLICE + 2)*N < 2^63, admits Lambda_g up to g - 1 of about
+5.6*10^14.
 
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
@@ -49,13 +50,14 @@ from fractions import Fraction
 
 # `lattices` before numpy: where no bytecode is cached, compiling it once
 # numpy has loaded would add the compiler's ~1 MB to the process's peak RSS
-from .lattices import DiscriminantForm, Lattice, _blocks, discriminant_form, signature
+from .lattices import DiscriminantForm, Lattice, _blocks, _reduce, discriminant_form, signature
 import numpy as np
 
 from .errors import (
     BadSignature,
     HypothesisNotAsserted,
     NonIntegerResult,
+    TooLarge,
     WeightTooSmall,
 )
 
@@ -320,27 +322,151 @@ def _rational(x: tuple, what: str) -> int:
     return x[0]
 
 
-def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
-    """(zero count, value sum, values on T) of N*q/2 mod N over the walk.
+# -- the integer sums, by a walk over half the group -------------------------
 
-    Every walked term is even under gamma -> -gamma, as q(-gamma) =
-    q(gamma), so the walk takes one element of each pair {gamma, -gamma}
-    with gamma != -gamma, then the set T of gamma = -gamma: by squares on a
-    cyclic form (`square_walk`), by `qn_at` on `half_walk`'s index slices
-    otherwise.  Either raises TooLarge before its first slice.
+# elements per slice of `half_walk` and `square_walk`: the squares table and
+# the two slice buffers of a cyclic form (Lambda_g among them) take 32 KiB
+# each, below glibc's default 128 KiB mmap threshold, so walks reuse heap
+# memory instead of mapping fresh pages.  A form with k > 1 generators holds
+# k x SLICE int64 exponents per `half_walk` slice (32 KiB each), which reach
+# the threshold from k = 4 on
+SLICE = 4096
+
+# 0, 1, ..., SLICE - 1, read-only: the offsets `half_walk` adds to a range's
+# start and the t of `square_walk`
+_RAMP = np.arange(SLICE, dtype=np.int64)
+_RAMP.flags.writeable = False
+
+
+def half_walk(df: DiscriminantForm):
+    """One element of each pair {gamma, -gamma} with gamma != -gamma, as
+    int64 index slices into elements().
+
+    Each slice is an array of its own: SLICE indices, or what is left in
+    the last one.  With i the first coordinate where e_i is neither 0 nor
+    orders[i]/2, a gamma != -gamma is walked exactly when 1 <= e_i <=
+    (orders[i] - 1)/2, so -gamma (which agrees with gamma before i) is not.
+    For each prefix of 2-torsion exponents before i those elements are one
+    contiguous index range, and the ranges are packed into the slices, so
+    a form with many short ranges has few slices.  A group of 2-torsion
+    only has none.  Raises TooLarge (see `check_int64`) before the first
+    slice.
+    """
+    df.check_int64()
+    ranges = []
+    # the 2-torsion exponent prefixes before d, as row-major indices over
+    # those coordinates; rest is the product of the orders after d
+    prefixes, rest = [0], df.cardinality
+    for d in df.orders:
+        rest //= d
+        if d > 2:
+            ranges += [((p * d + 1) * rest, (p * d + (d + 1) // 2) * rest) for p in prefixes]
+        halves = (0, d // 2) if d % 2 == 0 else (0,)
+        prefixes = [p * d + t for p in prefixes for t in halves]
+    left = sum([stop - start for start, stop in ranges])
+    index, pos = np.empty(min(left, SLICE), dtype=np.int64), 0
+    for start, stop in ranges:
+        while start < stop:
+            take = min(stop - start, len(index) - pos)
+            np.add(_RAMP[:take], start, out=index[pos : pos + take])
+            start += take
+            pos += take
+            if pos == len(index):
+                yield index
+                left -= pos
+                index, pos = np.empty(min(left, SLICE), dtype=np.int64), 0
+
+
+def _square_slice(table, start, u, n, out, quotient):
+    """u*(start + t)^2 mod n for t < len(out), written into `out`.
+
+    From u*(s + t)^2 = u*s^2 + 2u*s*t + u*t^2 with table[t] = u*t^2 mod n:
+    the start value u*s^2 and the slope 2u*s are exact Python ints reduced
+    mod n, so out = slope*t + table[t] + start stays below (SLICE + 2)*n
+    before its one reduce, whose quotient goes to `quotient`, a buffer as
+    long as `out`.
+    """
+    np.multiply(_RAMP[: len(out)], 2 * u * start % n, out=out)
+    out += table[: len(out)]
+    out += u * start * start % n
+    np.floor_divide(out, n, out=quotient)
+    quotient *= n
+    out -= quotient
+    return out
+
+
+def square_walk(df: DiscriminantForm):
+    """`half_walk`'s elements of a cyclic form, as N*q/2 mod N slices.
+
+    With d the order, u = N*q(g)/2 mod N for the generator g and
+    h = (d - 1)//2, the walk is x*g for x = 1, ..., h, the value at x*g
+    being u*x^2 mod N.  A table of u*t^2 mod N for t < L = min(SLICE, h + 1),
+    from `_RAMP`, is also the first slice, x = 1, ..., L - 1; each later
+    slice, at start s = L, 2L, ..., is `_square_slice` into a buffer made
+    once per walk, with a second one for the quotient of its reduce, so a
+    slice is overwritten when the next is drawn.  Raises TooLarge before
+    the first slice when (SLICE + 2)*N >= 2^63, as the slices' int64
+    intermediates, and the sum of a slice, stay below that.
+    """
+    (d,) = df.orders
+    n = df.level
+    bound = (SLICE + 2) * n
+    if bound >= 1 << 63:
+        raise TooLarge(
+            f"level {n} times SLICE + 2 is {bound} >= 2^63: the squares "
+            f"walk of |A| = {d} would overflow int64"
+        )
+    u = int(df._upper[0, 0])
+    h = (d - 1) // 2
+    ramp = _RAMP[: min(SLICE, h + 1)]
+    table = _reduce(ramp * u, n)
+    table *= ramp
+    _reduce(table, n)
+    yield table[1:]
+    size = len(table)
+    if h >= size:
+        out, quotient = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+        for start in range(size, h + 1, size):
+            take = min(size, h + 1 - start)
+            yield _square_slice(table, start, u, n, out[:take], quotient[:take])
+
+
+def two_torsion(df: DiscriminantForm) -> list[int]:
+    """N*q/2 mod N on T = {gamma : 2*gamma = 0}, which neither walk visits,
+    in elements() order.
+
+    T's exponents are 0 or orders[i]/2 in each coordinate.  A cyclic form's
+    two values at most are Python ints, as its level may pass the bound of
+    `check_int64`; otherwise they are `qn_at`, which raises TooLarge first.
     """
     if df.ngens == 1:
-        walk = df.square_walk()
-    else:
-        walk = ((df.qn_at(index), n_two) for index, n_two in df.half_walk())
+        (d,) = df.orders
+        return [0] if d % 2 else [0, int(df._upper[0, 0]) * (d // 2) ** 2 % df.level]
+    index = [0]
+    for d in df.orders:
+        halves = (0, d // 2) if d % 2 == 0 else (0,)
+        index = [p * d + t for p in index for t in halves]
+    return df.qn_at(np.array(index, dtype=np.int64)).tolist()
+
+
+def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
+    """The zero count and the sum of N*q/2 mod N over the whole group, and
+    its values on T = {gamma : 2*gamma = 0} (`two_torsion`).
+
+    Each sum is even under gamma -> -gamma, as q(-gamma) = q(gamma), so it
+    is twice that over one element of each pair {gamma, -gamma} with
+    gamma != -gamma, plus that over T.  The pairs are walked by squares on
+    a cyclic form (`square_walk`), by `qn_at` on `half_walk`'s index slices
+    otherwise.  Either raises TooLarge before its first slice, so before
+    T is read.
+    """
+    walk = square_walk(df) if df.ngens == 1 else map(df.qn_at, half_walk(df))
     zeros = total = 0
-    two = []
-    for v, n_two in walk:
+    for v in walk:
         zeros += len(v) - int(np.count_nonzero(v))
         total += int(v.sum())
-        if n_two:
-            two += v[len(v) - n_two :].tolist()
-    return zeros, total, two
+    two = two_torsion(df)
+    return 2 * zeros + two.count(0), 2 * total + sum(two), two
 
 
 def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
@@ -375,10 +501,7 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     n = df.level
     sig = df.sig_mod_8
 
-    # a full-group sum S(A) is 2*S(walk) - S(T), T the 2-torsion
     zeros, total, two = walk_sums(df)
-    zeros = 2 * zeros - two.count(0)
-    total = 2 * total - sum(two)
     # the 2-torsion only carries symmetric forms
     rank_pm = (d + eps * len(two)) // 2
     # -v mod n is n - v for every value but 0

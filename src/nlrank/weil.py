@@ -117,12 +117,13 @@ class WeilRep:
     @cached_property
     def dft_matrices(self) -> dict[int, np.ndarray]:
         """The d x d DFT matrix e(-ij/d) of each distinct order d of the
-        form up to MATMUL_MAX_ORDER, the form's `roots` at (-ij mod d) * (N/d)."""
+        form up to MATMUL_MAX_ORDER: the form's `roots` on one row,
+        e(j/d) = roots(j * N/d), read at -ij mod d."""
         n, mats = self.level, {}
         for d in self.df.orders:
             if d <= MATMUL_MAX_ORDER and d not in mats:
                 i = np.arange(d)
-                mats[d] = self.df.roots(-np.outer(i, i) % d * (n // d))
+                mats[d] = self.df.roots(i * (n // d))[-np.outer(i, i) % d]
         return mats
 
     def apply_t(self, v: np.ndarray) -> np.ndarray:

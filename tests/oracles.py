@@ -10,10 +10,9 @@ from math import lcm, prod
 
 import numpy as np
 
-from nlrank.cuspdim import CuspDimReport
+from nlrank.cuspdim import SLICE, CuspDimReport, walk_sums
 from nlrank.errors import NegativeDiscriminant, SnapFailure, WeightTooSmall
 from nlrank.lattices import (
-    SLICE,
     DiscriminantForm,
     Lattice,
     _congruence_signature,
@@ -176,19 +175,13 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
 SQUARE_WALK_FIRST_REFUSED_GENUS = -(-(2**63) // (4 * (SLICE + 2))) + 1
 
 
-def walk_sums_qn_at(df: DiscriminantForm) -> tuple[int, int, list[int]]:
-    """`cuspdim.walk_sums` by `qn_at` on `half_walk`'s index slices for every
-    form, cyclic ones too (the walk that `DiscriminantForm.square_walk`
-    replaced for them): (zero count, value sum, values on the 2-torsion)."""
-    zeros = total = 0
-    two = []
-    for index, n_two in df.half_walk():
-        v = df.qn_at(index)
-        zeros += len(v) - int(np.count_nonzero(v))
-        total += int(v.sum())
-        if n_two:
-            two += v[len(v) - n_two :].tolist()
-    return zeros, total, two
+def walk_sums_bruteforce(df: DiscriminantForm) -> tuple[int, int, list[int]]:
+    """`cuspdim.walk_sums` over the whole group at once, with T's values
+    sorted: the zero count and the sum of `qn`, and `qn` where `neg_index`
+    fixes gamma."""
+    qn = df.qn
+    two = qn[df.neg_index == np.arange(df.cardinality)]
+    return int(np.count_nonzero(qn == 0)), int(qn.sum()), sorted(two.tolist())
 
 
 # how far the float Riemann-Roch value of the oracles below may sit from an
@@ -206,10 +199,10 @@ def gauss_sums_bruteforce(df: DiscriminantForm) -> tuple[complex, complex, compl
 def dim_cusp_df_float(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     """`dim_cusp_df` with the Gauss sums summed in complex floats.
 
-    The walk of `half_walk` also sums e(j*v/N), j = 1, 2, 3, from the form's
-    `roots`, a full-group sum being twice the walk's minus the 2-torsion's;
-    the elliptic terms are floats, and their sum with the exact terms'
-    fractional part is snapped to an integer within SNAP_TOL.
+    The integer sums are those of `cuspdim.walk_sums`, and G(j), j = 1, 2,
+    3, those of `gauss_sums_bruteforce`; the elliptic terms are floats, and
+    their sum with the exact terms' fractional part is snapped to an
+    integer within SNAP_TOL.
     """
     k = Fraction(k)
     if k.denominator not in (1, 2):
@@ -225,31 +218,12 @@ def dim_cusp_df_float(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     d, n, sig = df.cardinality, df.level, df.sig_mod_8
     sqrt_d = math.sqrt(d)
 
-    roots = df.roots
-    zeros = total = 0
-    g1 = g2 = g3 = 0j
-    two = []  # n * q(gamma)/2 mod n on the 2-torsion T
-    for index, n_two in df.half_walk():
-        v = df.qn_at(index)
-        zeros += len(v) - int(np.count_nonzero(v))
-        total += int(v.sum())
-        z = roots(v)
-        g1 += z.sum()
-        g2 += z @ z  # numpy's dot does not conjugate: the sum of z^2
-        g3 += (z * z) @ z
-        if n_two:
-            two += v[len(v) - n_two :].tolist()
-    # on T, q(gamma) is in Z/2, so e(v/n) = i^m with m = 4v/n
-    quarter = [4 * x // n for x in two]
-    c0, c1, c2, c3 = (quarter.count(m) for m in range(4))
-    zeros = 2 * zeros - c0
-    total = 2 * total - sum(two)
-    g1 = 2 * complex(g1) - complex(c0 - c2, c1 - c3)
-    g2 = 2 * complex(g2) - (c0 - c1 + c2 - c3)
-    g3 = (2 * complex(g3) - complex(c0 - c2, c3 - c1)).conjugate()
+    zeros, total, two = walk_sums(df)  # two: n * q(gamma)/2 mod n on the 2-torsion
+    g1, g2, g3 = gauss_sums_bruteforce(df)
+    g3 = g3.conjugate()
     rank_pm = (d + eps * len(two)) // 2
     alpha_num = n * (d - zeros) - total + eps * sum(-x % n for x in two)  # over 2n
-    n_iso = (zeros + eps * c0) // 2
+    n_iso = (zeros + eps * two.count(0)) // 2
     g2_part = g2.real if symm else g2.imag
 
     e4 = cmath.exp(1j * cmath.pi * ((two_k + sig + 1 - eps) % 8) / 4)

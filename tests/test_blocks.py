@@ -310,7 +310,7 @@ def test_block_invariants_are_looked_up_once_per_lattice():
 
 def test_importing_lattices_loads_no_numpy():
     """Building lattices and reading their invariants leave numpy unloaded;
-    the first walk loads it."""
+    the first int64 array of a form loads it."""
     script = (
         "import sys\n"
         "from nlrank.lattices import discriminant_form, lambda_lattice, signature\n"
@@ -318,7 +318,7 @@ def test_importing_lattices_loads_no_numpy():
         "signature(lat)\n"
         "df = discriminant_form(lat)\n"
         "print('numpy' in sys.modules)\n"
-        "next(df.half_walk())\n"
+        "df.qn\n"
         "print('numpy' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -418,15 +418,15 @@ def test_closed_stdout_is_a_clean_exit():
     """A reader that closes the pipe after one line (`| head -1`) ends the
     run with exit 1 and nothing on stderr."""
     for argv, want in CLOSED_PIPE_RUNS:
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "nlrank.cli", *argv],
             env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True,
-        )
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1, argv
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1, argv
         assert first == want
         assert err == "", argv  # no traceback
 

@@ -7,7 +7,8 @@ reduce), and the pairing `oracles.bn` builds from the generator pairing, are
 compared element by element with the exact `Fraction` reference
 `elements()`, `q()` and `b()`, on the corpus, `NON_CYCLIC` and hypothesis
 forms;
-the walk `half_walk` with `neg_index` and `qn`; `roots` with
+the walks `cuspdim.half_walk` and `cuspdim.square_walk` with `neg_index` and
+`qn`, and `cuspdim.walk_sums` with full-group sums over `qn`; `roots` with
 `numpy.exp`, and as built once per form by the Weil chain and never by the
 cusp dimension; the exact Gauss sums of `cuspdim.exact_gauss_sums` with
 brute-force complex sums; and the consumers built on them (`gauss_sum`,
@@ -43,13 +44,14 @@ from nlrank import (
     traces,
     verify_relations,
 )
-from nlrank import cuspdim, lattices
+from nlrank import cuspdim
 from nlrank.cli import dispatch
-from nlrank.cuspdim import exact_gauss_sums, gauss_pieces
+from nlrank.cuspdim import SLICE, exact_gauss_sums, gauss_pieces
 from nlrank.errors import NonIntegerResult, TooLarge
-from nlrank.lattices import SLICE, DiscriminantForm
+from nlrank.lattices import DiscriminantForm
 
 import strategies
+from conftest import corpus_lattices
 from oracles import (
     SQUARE_WALK_FIRST_REFUSED_GENUS,
     bn,
@@ -58,7 +60,7 @@ from oracles import (
     dim_cusp_from_eigenvalues,
     gauss_sums_bruteforce,
     operator_matrix,
-    walk_sums_qn_at,
+    walk_sums_bruteforce,
 )
 from strategies import NON_CYCLIC
 
@@ -108,32 +110,26 @@ def _check_walk(df):
     """`half_walk` against `neg_index` and `qn`.
 
     Each pair {gamma, -gamma} with gamma != -gamma is walked exactly once,
-    each gamma = -gamma exactly once, at the end, and every slice counts
-    the ones it ends with.  The walk is evaluated on a copy of the form,
+    and no gamma = -gamma.  The walk is evaluated on a copy of the form,
     which must not build `qn` for it, and the reference `qn` on another.
     """
     d = df.cardinality
     streamed = dataclasses.replace(df)
-    walk = list(streamed.half_walk())
-    values = [streamed.qn_at(index) for index, _ in walk]
+    slices = list(cuspdim.half_walk(streamed))
+    values = [streamed.qn_at(index) for index in slices]
     assert "qn" not in vars(streamed)
-    slices = [index for index, _ in walk]
     assert [len(index) for index in slices[:-1]] == [SLICE] * (len(slices) - 1)
-    assert 0 < len(slices[-1]) <= SLICE
+    assert all(0 < len(index) <= SLICE for index in slices)
     assert all(index.dtype == np.int64 for index in slices)
     # each slice is a buffer of its own, sized to what it holds
     assert all(index.base is None for index in slices)
     fixed = np.flatnonzero(df.neg_index == np.arange(d))
-    for index, n_two in walk:
-        assert np.array_equal(np.isin(index, fixed), np.arange(len(index)) >= len(index) - n_two)
-    index = np.concatenate(slices)
-    tail = len(index) - len(fixed)
-    assert np.array_equal(np.sort(index[tail:]), fixed)
-    pairs = index[:tail]
-    both = np.sort(np.concatenate([pairs, df.neg_index[pairs]]))
+    index = np.concatenate([np.empty(0, dtype=np.int64), *slices])
+    assert not np.isin(index, fixed).any()
+    both = np.sort(np.concatenate([index, df.neg_index[index]]))
     assert np.array_equal(both, np.setdiff1d(np.arange(d), fixed))
     qn = dataclasses.replace(df).qn
-    assert np.array_equal(np.concatenate(values), qn[index])
+    assert np.array_equal(np.concatenate([np.empty(0, dtype=np.int64), *values]), qn[index])
 
 
 def _walk(df, k):
@@ -169,7 +165,8 @@ def test_kernel_trivial_group(name):
     assert df.neg_index.tolist() == [0]
     assert df.dual_index.tolist() == [0]
     assert [a.tolist() for a in np.unique(df.qn, return_counts=True)] == [[0], [1]]
-    assert [(index.tolist(), n_two) for index, n_two in df.half_walk()] == [([0], 1)]
+    assert list(cuspdim.half_walk(df)) == []
+    assert cuspdim.walk_sums(df) == (1, 0, [0])
     assert bn(df).tolist() == [[0]]
 
 
@@ -318,13 +315,14 @@ def _binary(c):
 
 
 # groups just below, on and just past the slice boundaries of `half_walk`:
-# Lambda_g has |A| = 2g - 2 = 4094, 4096, 4098, 8190, 8192 and 8194, walked
-# in g elements, so at g = 4097 the 2-torsion {0, g - 1} straddles two
-# slices; the binary forms have the odd orders 4095, 4097 and 8193, the sums
-# of U(N) up to 5 generators cover several slices, and U(2)^6 + <2> is all
-# 2-torsion, 8192 elements that fill two slices
+# Lambda_g has |A| = 2g - 2 = 4094, 4096, 4098 and 8190 to 8196, of which
+# g - 2 are walked, so g = 4097, 4098 and 4099 walk SLICE - 1, SLICE and
+# SLICE + 1 elements; the binary forms have the odd orders 4095, 4097 and
+# 8193, walked in 2047, 2048 and 4096, the sums of U(N) up to 5 generators
+# cover several slices, and U(2)^6 + <2> is all 2-torsion, 8192 elements
+# that are not walked
 SLICE_EDGE_FORMS = {
-    **{f"Lambda_{g}": lambda_lattice(g) for g in (2048, 2049, 2050, 4096, 4097, 4098)},
+    **{f"Lambda_{g}": lambda_lattice(g) for g in (2048, 2049, 2050, 4096, 4097, 4098, 4099)},
     **{f"|A|={abs(2 * c - 1)}": _binary(c) for c in (2048, -2048, -4096)},
     "U(3)+U(40)": direct_sum(hyperbolic(3), hyperbolic(40)),
     "U(2)^2+<-4100>": direct_sum(hyperbolic(2), hyperbolic(2), make_lattice([[-4100]])),
@@ -350,19 +348,51 @@ def test_dim_matches_elementwise_oracle_across_slices(name):
     assert _check_against_elementwise(df, weights) == {True, False}
 
 
+def _check_walk_sums(df):
+    """`walk_sums` against the zero count and sum of `qn` over the group,
+    and against `qn` on the 2-torsion as a multiset."""
+    zeros, total, two = cuspdim.walk_sums(df)
+    assert (zeros, total, sorted(two)) == walk_sums_bruteforce(df)
+
+
+# the corpus and the trivial forms; U(2)^k, all 2-torsion, whose walk is
+# empty; cyclic forms of even and odd order, d = 2 (h = 0) among them, and
+# with h = (d - 1)//2 one below, on and one past SLICE; and forms with
+# several generators
+WALK_SUM_FORMS = {
+    **corpus_lattices(),
+    **TRIVIAL,
+    **{f"U(2)^{k}": direct_sum(*[hyperbolic(2)] * k) for k in (1, 2, 3)},
+    "U(2)^6+<2>": SLICE_EDGE_FORMS["U(2)^6+<2>"],
+    **{f"<{w}>": make_lattice([[w]]) for w in (4, -6, 10, -12)},
+    **{f"Lambda_{h + 2}": lambda_lattice(h + 2) for h in (SLICE - 1, SLICE, SLICE + 1)},
+    **{f"|A|={2 * h + 1}": _binary(h + 1 if h % 2 else -h) for h in (SLICE - 1, SLICE, SLICE + 1)},
+    **NON_CYCLIC,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_SUM_FORMS))
+def test_walk_sums_match_full_group_sums(name):
+    _check_walk_sums(discriminant_form(WALK_SUM_FORMS[name]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.pieces)
+def test_walk_sums_match_full_group_sums_on_random_forms(pieces):
+    _check_walk_sums(discriminant_form(strategies.lattice_of(pieces)))
+
+
 def _check_square_walk(df):
-    """`walk_sums` by squares against `qn_at` on `half_walk`'s slices, and
-    the slice lengths: L - 1 = min(SLICE, h + 1) - 1 in the first, L in
-    each later one but the last, then the 2-torsion."""
+    """`walk_sums` by squares against full-group sums over `qn`, and the
+    slice lengths: L - 1 = min(SLICE, h + 1) - 1 in the first, L in each
+    later one but the last."""
     assert df.ngens == 1
-    assert cuspdim.walk_sums(df) == walk_sums_qn_at(df)
+    _check_walk_sums(df)
     h = (df.cardinality - 1) // 2
     size = min(SLICE, h + 1)
-    lengths = [(len(v), n_two) for v, n_two in df.square_walk()]
-    two = 2 - df.cardinality % 2
+    lengths = [len(v) for v in cuspdim.square_walk(df)]
     tail = [(h + 1) % size] if (h + 1) % size and h >= size else []
-    body = [size - 1] + [size] * ((h + 1) // size - 1) + tail
-    assert lengths == [(x, 0) for x in body] + [(two, two)]
+    assert lengths == [size - 1] + [size] * ((h + 1) // size - 1) + tail
 
 
 def test_square_walk_matches_qn_at_on_lambda_g():
@@ -398,32 +428,33 @@ def test_square_walk_matches_qn_at_on_random_cyclic_forms(pieces):
 
 def test_small_square_walk_holds_no_slice_long_buffer():
     # the table of h + 1 < SLICE entries is the first slice, and no slice
-    # buffer is made; the 2-torsion comes in an array of its own
+    # buffer is made; the 2-torsion's one or two values are not walked
     for lat in (lambda_lattice(2), lambda_lattice(60), _binary(-20), lambda_lattice(SLICE)):
         df = discriminant_form(lat)
         h = (df.cardinality - 1) // 2
-        (first, _), (two, n_two) = df.square_walk()
+        (first,) = cuspdim.square_walk(df)
         assert len(first.base) == h + 1 < SLICE, lat
-        assert two.base is None and len(two) == n_two <= 2, lat
+        assert len(cuspdim.two_torsion(df)) == 2 - df.cardinality % 2, lat
 
 
 def test_small_walk_holds_no_slice_long_buffer():
-    ramp = lattices._ramp()
+    ramp = cuspdim._RAMP
     assert ramp.tolist() == list(range(SLICE))
     assert not ramp.flags.writeable
     with pytest.raises(ValueError):
         ramp[0] = 1
-    assert lattices._ramp() is ramp
-    # (|A| + |T|)/2 elements, T the 2-torsion, in one buffer of that length
+    # (|A| - |T|)/2 elements, T the 2-torsion, in one buffer of that length,
+    # or no slice when the group is T
     for lat, size in (
-        (lambda_lattice(2), 2),
-        (lambda_lattice(60), 60),
-        (k3_lattice(), 1),
-        (direct_sum(hyperbolic(2), hyperbolic(6)), (144 + 16) // 2),
-        (_binary(-20), 21),
+        (lambda_lattice(2), 0),
+        (lambda_lattice(60), 58),
+        (k3_lattice(), 0),
+        (direct_sum(hyperbolic(2), hyperbolic(6)), (144 - 16) // 2),
+        (_binary(-20), 20),
     ):
-        ((index, n_two),) = discriminant_form(lat).half_walk()
-        assert index.base is None and len(index) == size, lat
+        slices = list(cuspdim.half_walk(discriminant_form(lat)))
+        assert [len(index) for index in slices] == [size] * (size > 0), lat
+        assert all(index.base is None for index in slices), lat
 
 
 def test_int64_bound_of_lambda_g():
@@ -439,18 +470,18 @@ def test_int64_bound_of_lambda_g():
     with pytest.raises(TooLarge):
         over.check_int64()
     with pytest.raises(TooLarge):
-        next(over.half_walk())
+        next(cuspdim.half_walk(over))
     with pytest.raises(TooLarge):
         over.qn_at(np.zeros(1, dtype=np.int64))
     # the cyclic walk by squares: the last admitted genus gives its first
     # slice, the next one is refused before any element, also by dim
     top = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS - 1))
     assert (SLICE + 2) * top.level < 2**63 <= (SLICE + 2) * (top.level + 4)
-    first, n_two = next(top.square_walk())
-    assert len(first) == SLICE - 1 and n_two == 0
+    first = next(cuspdim.square_walk(top))
+    assert len(first) == SLICE - 1
     over = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS))
     with pytest.raises(TooLarge):
-        next(over.square_walk())
+        next(cuspdim.square_walk(over))
     with pytest.raises(TooLarge):
         dim_cusp_df(over, HALF_21)
 
@@ -461,7 +492,9 @@ def test_square_slices_at_the_int64_bound():
     df = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS - 1))
     n, u, h = df.level, int(df._upper[0, 0]), (df.cardinality - 1) // 2
     assert u == df.q((1,)) * n / 2 % n
-    first, _ = next(df.square_walk())
+    first = next(cuspdim.square_walk(df))
+    # the 2-torsion {0, (d/2)*g} in Python ints, past the bound of `qn_at`
+    assert cuspdim.two_torsion(df) == [0, df.q((df.cardinality // 2,)) * n / 2 % n]
     table = first.base
     assert len(table) == SLICE
     assert first.tolist() == [u * x * x % n for x in range(1, SLICE)]
@@ -469,7 +502,7 @@ def test_square_slices_at_the_int64_bound():
     for start in (h + 1 - SLICE, last - SLICE, last, h - 2, h):
         take = min(SLICE, h + 1 - start)
         out, quotient = np.empty(take, dtype=np.int64), np.empty(take, dtype=np.int64)
-        got = lattices._square_slice(table, start, u, n, out, quotient)
+        got = cuspdim._square_slice(table, start, u, n, out, quotient)
         assert got.tolist() == [u * x * x % n for x in range(start, start + take)], start
 
 

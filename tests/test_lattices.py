@@ -232,9 +232,3 @@ def test_signature_invariant_under_unimodular_change(entries):
     ]
     assert signature(make_lattice(g2)) == signature(lat)
 
-
-def test_json_roundtrip():
-    lat = lambda_lattice(3)
-    again = Lattice.from_json(lat.to_json())
-    assert again.gram == lat.gram
-    assert again.name == lat.name

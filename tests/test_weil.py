@@ -147,7 +147,7 @@ def test_seven_factors_of_order_two_build_one_matrix():
     roots, reads = df.roots, []
     df.__dict__["roots"] = lambda v: reads.append(v.shape) or roots(v)
     mats = w.dft_matrices
-    assert reads == [(2, 2)]
+    assert reads == [(2,)]
     assert list(mats) == [2]
     assert np.max(np.abs(mats[2] - np.array([[1, 1], [1, -1]]))) < 1e-15
     verify_relations(w)
