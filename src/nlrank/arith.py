@@ -160,11 +160,10 @@ def square_count(g: int) -> int:
 def gauss_sum(df: DiscriminantForm) -> complex:
     """Sum of exp(pi*i*<gamma,gamma>) over the discriminant group.
 
-    Evaluated as the sum of e(v/N) over the form's q-values v = N*q/2 mod N
-    (`DiscriminantForm.qn`, the array the Weil operators read) with the
-    form's own `roots`.  It is checked by Milgram's formula,
-    sqrt(|A|) * exp(2*pi*i*sig/8) with sig from `signature`, and by the
-    `Fraction` oracle test of the encoding.
+    Evaluated as the sum of e(v/N) over the form's q-values v = N*q/2 mod N,
+    the form's `qroots`, which rho(T) reads too and which refuses a group
+    too large for int64 before the `roots` tables.  It is checked by
+    Milgram's formula, sqrt(|A|) * exp(2*pi*i*sig/8) with sig from
+    `signature`, and by the `Fraction` oracle test of the encoding.
     """
-    qn = df.qn  # refuses a group too large for int64 before the roots tables
-    return complex(df.roots(qn).sum())
+    return complex(df.qroots.sum())

@@ -6,20 +6,20 @@ rank, elliptic corrections at the order-4 and order-6 points expressed
 through the quadratic Gauss sums G(j) = sum of e(j*q(gamma)/2), j = 1, 2, 3,
 of the discriminant form, and a parabolic correction from the T-eigenvalues.
 
-The parabolic and isotropic terms and the eigenspace rank are even under
-gamma -> -gamma, as q(-gamma) = q(gamma), so they read three integer sums
-(`walk_sums`): the zero count and the sum of N*q/2 mod N over the group,
-and its values on the 2-torsion T = {gamma : 2*gamma = 0}, evaluated once
-(`two_torsion`).  A full-group sum is twice the sum over one element of
-each pair {gamma, -gamma} with gamma != -gamma, plus the sum over T.  Those
-pairs are streamed a bounded slice at a time: a cyclic form, every Lambda_g
-among them, walks by squares (`square_walk`: one table of u*t^2 mod N per
-walk, then one exact start value and slope per slice); a form with several
-generators evaluates `qn_at` on the index slices of `half_walk`.  The walk
-builds no array as long as the group, so its memory does not grow with |A|
-(T has one or two elements on a cyclic form), and the int64 bound of the
-squares walk, (SLICE + 2)*N < 2^63, admits Lambda_g up to g - 1 of about
-5.6*10^14.
+The parabolic and isotropic terms and the eigenspace rank read three
+integer sums (`walk_sums`): the zero count and the sum of N*q/2 mod N over
+the group, and its values on the 2-torsion T = {gamma : 2*gamma = 0}
+(`two_torsion`).  On a cyclic form, every Lambda_g among them, a sum is
+even under gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice the sum
+over one element of each pair {gamma, -gamma} with gamma != -gamma, plus
+the sum over T.  Those pairs are walked by squares a bounded slice at a
+time (`square_walk`: one table of u*t^2 mod N per walk, then one exact
+start value and slope per slice), and T's one or two values are evaluated
+once.  The walk builds no array as long as the group, so its memory does
+not grow with |A|, and its int64 bound, (SLICE + 2)*N < 2^63, admits
+Lambda_g up to g - 1 of about 5.6*10^14.  A form with several generators
+reads the three sums off its cached full-group `qn`, the array the Weil
+operators read, and so holds its exponents and `qn` in memory.
 
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
@@ -322,59 +322,16 @@ def _rational(x: tuple, what: str) -> int:
     return x[0]
 
 
-# -- the integer sums, by a walk over half the group -------------------------
+# -- the integer sums: by squares over half a cyclic group, else from `qn` ---
 
-# elements per slice of `half_walk` and `square_walk`: the squares table and
-# the two slice buffers of a cyclic form (Lambda_g among them) take 32 KiB
-# each, below glibc's default 128 KiB mmap threshold, so walks reuse heap
-# memory instead of mapping fresh pages.  A form with k > 1 generators holds
-# k x SLICE int64 exponents per `half_walk` slice (32 KiB each), which reach
-# the threshold from k = 4 on
+# elements per slice of `square_walk`: its squares table and two slice
+# buffers take 32 KiB each, below glibc's default 128 KiB mmap threshold, so
+# walks reuse heap memory instead of mapping fresh pages
 SLICE = 4096
 
-# 0, 1, ..., SLICE - 1, read-only: the offsets `half_walk` adds to a range's
-# start and the t of `square_walk`
+# 0, 1, ..., SLICE - 1, read-only: the t of `square_walk`
 _RAMP = np.arange(SLICE, dtype=np.int64)
 _RAMP.flags.writeable = False
-
-
-def half_walk(df: DiscriminantForm):
-    """One element of each pair {gamma, -gamma} with gamma != -gamma, as
-    int64 index slices into elements().
-
-    Each slice is an array of its own: SLICE indices, or what is left in
-    the last one.  With i the first coordinate where e_i is neither 0 nor
-    orders[i]/2, a gamma != -gamma is walked exactly when 1 <= e_i <=
-    (orders[i] - 1)/2, so -gamma (which agrees with gamma before i) is not.
-    For each prefix of 2-torsion exponents before i those elements are one
-    contiguous index range, and the ranges are packed into the slices, so
-    a form with many short ranges has few slices.  A group of 2-torsion
-    only has none.  Raises TooLarge (see `check_int64`) before the first
-    slice.
-    """
-    df.check_int64()
-    ranges = []
-    # the 2-torsion exponent prefixes before d, as row-major indices over
-    # those coordinates; rest is the product of the orders after d
-    prefixes, rest = [0], df.cardinality
-    for d in df.orders:
-        rest //= d
-        if d > 2:
-            ranges += [((p * d + 1) * rest, (p * d + (d + 1) // 2) * rest) for p in prefixes]
-        halves = (0, d // 2) if d % 2 == 0 else (0,)
-        prefixes = [p * d + t for p in prefixes for t in halves]
-    left = sum([stop - start for start, stop in ranges])
-    index, pos = np.empty(min(left, SLICE), dtype=np.int64), 0
-    for start, stop in ranges:
-        while start < stop:
-            take = min(stop - start, len(index) - pos)
-            np.add(_RAMP[:take], start, out=index[pos : pos + take])
-            start += take
-            pos += take
-            if pos == len(index):
-                yield index
-                left -= pos
-                index, pos = np.empty(min(left, SLICE), dtype=np.int64), 0
 
 
 def _square_slice(table, start, u, n, out, quotient):
@@ -396,7 +353,8 @@ def _square_slice(table, start, u, n, out, quotient):
 
 
 def square_walk(df: DiscriminantForm):
-    """`half_walk`'s elements of a cyclic form, as N*q/2 mod N slices.
+    """One element of each pair {gamma, -gamma} with gamma != -gamma of a
+    cyclic form, as N*q/2 mod N slices.
 
     With d the order, u = N*q(g)/2 mod N for the generator g and
     h = (d - 1)//2, the walk is x*g for x = 1, ..., h, the value at x*g
@@ -432,12 +390,13 @@ def square_walk(df: DiscriminantForm):
 
 
 def two_torsion(df: DiscriminantForm) -> list[int]:
-    """N*q/2 mod N on T = {gamma : 2*gamma = 0}, which neither walk visits,
-    in elements() order.
+    """N*q/2 mod N on T = {gamma : 2*gamma = 0}, which `square_walk` does
+    not visit, in elements() order.
 
     T's exponents are 0 or orders[i]/2 in each coordinate.  A cyclic form's
     two values at most are Python ints, as its level may pass the bound of
-    `check_int64`; otherwise they are `qn_at`, which raises TooLarge first.
+    `check_int64`; otherwise they are the form's `qn` at T's indices, which
+    raises TooLarge first.
     """
     if df.ngens == 1:
         (d,) = df.orders
@@ -446,23 +405,28 @@ def two_torsion(df: DiscriminantForm) -> list[int]:
     for d in df.orders:
         halves = (0, d // 2) if d % 2 == 0 else (0,)
         index = [p * d + t for p in index for t in halves]
-    return df.qn_at(np.array(index, dtype=np.int64)).tolist()
+    return df.qn[index].tolist()
 
 
 def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
     """The zero count and the sum of N*q/2 mod N over the whole group, and
     its values on T = {gamma : 2*gamma = 0} (`two_torsion`).
 
-    Each sum is even under gamma -> -gamma, as q(-gamma) = q(gamma), so it
-    is twice that over one element of each pair {gamma, -gamma} with
-    gamma != -gamma, plus that over T.  The pairs are walked by squares on
-    a cyclic form (`square_walk`), by `qn_at` on `half_walk`'s index slices
-    otherwise.  Either raises TooLarge before its first slice, so before
-    T is read.
+    On a cyclic form, every Lambda_g among them, each sum is even under
+    gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice that over one
+    element of each pair {gamma, -gamma} with gamma != -gamma
+    (`square_walk`), plus that over T; the walk raises TooLarge before its
+    first slice, so before T is read.  Any other form reads its cached
+    full-group `qn`, which raises TooLarge before any array of |A| entries.
     """
-    walk = square_walk(df) if df.ngens == 1 else map(df.qn_at, half_walk(df))
+    if df.ngens != 1:
+        qn = df.qn
+        # exact in int64: N divides twice the group's exponent, so the sum
+        # is below N*|A| <= 2|A|^2 < 2^63 for any group whose `qn` fits in
+        # memory
+        return len(qn) - int(np.count_nonzero(qn)), int(qn.sum()), two_torsion(df)
     zeros = total = 0
-    for v in walk:
+    for v in square_walk(df):
         zeros += len(v) - int(np.count_nonzero(v))
         total += int(v.sum())
     two = two_torsion(df)

@@ -5,9 +5,10 @@ signatures come from rational congruence diagonalization, and discriminant
 groups come from an integer Smith normal form with unimodular transforms.
 The determinant is (-1)^negative * |M^dual / M|, read from these two.  The
 exact invariants use no floating point; `DiscriminantForm.roots`, the map
-v -> e(v/N) that the float Gauss sum `arith.gauss_sum` and rho(T) read, is
-the kernel's one complex-valued member, built once per form.  The cusp
-dimension reads no roots: its Gauss sums come from the generator pairing.
+v -> e(v/N), is the kernel's one complex-valued map, built once per form,
+and `qroots`, its values at every q, is what the float Gauss sum
+`arith.gauss_sum` and rho(T) read.  The cusp dimension reads no roots: its
+Gauss sums come from the generator pairing.
 
 Both invariants are computed per orthogonal block of the Gram matrix (a
 connected component of its nonzero pattern) and assembled as orthogonal
@@ -27,12 +28,13 @@ made once per process, and each genus adds one row and one rank-one block.
 
 A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
 generators' values of q and b, by one formula (`qn_at`): for the whole group
-at once (`qn`, which the Weil operators read) or at an index array, such as
-a slice of the cusp dimension's walk over half the group (see `cuspdim`).
-The index maps of -gamma and xi(gamma) are one map, M*gamma mod `orders`
-(`_image_index`).  A form whose int64 products could overflow raises
-TooLarge before any element is evaluated: N times the sum of the orders
-(`check_int64`), g - 1 >= 2^30 for Lambda_g.
+at once (`qn`, which the Weil operators read, and the cusp dimension of a
+form with several generators) or at an index array, the tests' oracle of
+the cyclic walk by squares (see `cuspdim`).  The index maps of -gamma and
+xi(gamma) are one map, M*gamma mod `orders` (`_image_index`).  A form
+whose int64 products could overflow raises TooLarge before any element is
+evaluated: N times the sum of the orders (`check_int64`), g - 1 >= 2^30
+for Lambda_g.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -211,8 +213,11 @@ def lambda_lattice(g: int) -> Lattice:
 
 
 def catalog(name: str, *, g: int | None = None, scale: int | None = None) -> Lattice:
-    """Named lattices, one per entry of CATALOG_NAMES."""
-    if name in ("U", "U(N)"):
+    """Named lattices, one per entry of CATALOG_NAMES.  Only U(N) reads
+    `scale` and only Lambda_g reads `g`; the other names ignore both."""
+    if name == "U":
+        return hyperbolic()
+    if name == "U(N)":
         return hyperbolic(1 if scale is None else scale)
     if name == "E8":
         return e8(False)
@@ -464,10 +469,11 @@ class DiscriminantForm:
     The int64 arrays `qn`, `neg_index` and `dual_index` encode (A, q, b)
     over the common denominator N = level, indexed in elements() order,
     and `_upper` holds N*q/2 and N*b on the generators; the exact q() and
-    b() are their test oracle.  `qn_at` is the same formula at any indices,
-    which the cusp dimension's walk reads on a form with several generators
-    (see `cuspdim`); its Gauss sums come from `gen_pairing` instead, and
-    `roots` serves the float Gauss sum and the Weil operators.
+    b() are their test oracle.  `qn_at` is the same formula at any indices.
+    The cusp dimension reads `qn` on a form with several generators and
+    walks a cyclic one by squares (see `cuspdim`); its Gauss sums come from
+    `gen_pairing` instead.  `roots` and `qroots`, e(q/2) at every element,
+    serve the float Gauss sum and the Weil operators.
     """
 
     orders: tuple[int, ...]
@@ -517,9 +523,10 @@ class DiscriminantForm:
         (4g-4)(2g-2) = 8(g-1)^2, so g-1 < 2^30.  Checked before any element
         is evaluated, so a group too large for int64 fails at once instead
         of streaming for hours.  It bounds the full-group arrays (`qn`,
-        `neg_index`, `dual_index`, `_exponents`) and `qn_at`, which the
-        walk of a form with several generators reads; a cyclic form's walk,
-        `cuspdim.square_walk`, has its own bound.
+        `neg_index`, `dual_index`, `_exponents`), which the Weil operators
+        and the cusp dimension of a form with several generators read, and
+        `qn_at`; a cyclic form's walk, `cuspdim.square_walk`, has its own
+        bound.
         """
         bound = self.level * sum(self.orders)
         if bound >= 1 << 63:
@@ -637,6 +644,17 @@ class DiscriminantForm:
             return z
 
         return roots
+
+    @cached_property
+    def qroots(self) -> np.ndarray:
+        """e(q(gamma)/2) = `roots` at `qn` for every element, read-only: the
+        diagonal of rho(T) and the terms of the float Gauss sum.  `qn` comes
+        first, so a group too large for int64 raises TooLarge before the
+        `roots` tables are built."""
+        qn = self.qn
+        z = self.roots(qn)
+        z.flags.writeable = False
+        return z
 
     @cached_property
     def qn(self) -> np.ndarray:

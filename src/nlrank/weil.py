@@ -3,8 +3,8 @@
 The standard generators act on C[A] as three operators, none of them held
 as a matrix, each read from the form's int64 kernel:
 
-- rho(T) is diagonal with entries e(q(gamma)/2), the form's `roots` at its
-  `qn`;
+- rho(T) is diagonal with entries e(q(gamma)/2), the form's `qroots`
+  (its `roots` at its `qn`);
 - rho(Z) = rho(S)^2 sends e_gamma to e(-sig/4) e_{-gamma} (`neg_index`);
 - rho(S) is a discrete Fourier transform over A = Z/d_1 + ... + Z/d_m.  As
   b(gamma, delta) = sum_j delta_j * xi(gamma)_j / d_j mod 1 with
@@ -26,8 +26,8 @@ checked on a fixed set of probe vectors with four applications of rho(S),
 The form's int64 arrays are built once per form, and a group too large for
 int64 is refused before any of them (`build_weil_rep`).  T^N = 1 is
 checked, and the traces' eigenvalue content read, from one comparison of
-rho(T)'s diagonal with the N-th roots of unity e(q(gamma)/2) from the same
-`roots` (`WeilRep.t_snap`), whose residual does not grow with N.  Like the
+rho(T)'s diagonal with the N-th roots of unity e(q(gamma)/2), the form's
+`qroots` (`WeilRep.t_snap`), whose residual does not grow with N.  Like the
 cusp dimension, this module imports nothing from the closed form.  Complex
 double precision throughout; every downstream consumer snaps to roots of
 unity or integers.
@@ -110,9 +110,8 @@ class WeilRep:
     @cached_property
     def t_snap(self) -> tuple[np.ndarray, np.ndarray]:
         """rho(T)'s diagonal against its N-th roots of unity, N the level:
-        k = the form's `qn` and dist = |t(gamma) - e(k/N)| by the form's `roots`."""
-        k = self.df.qn
-        return k, np.abs(self.t_diag - self.df.roots(k))
+        k = the form's `qn` and dist = |t(gamma) - e(k/N)| by the form's `qroots`."""
+        return self.df.qn, np.abs(self.t_diag - self.df.qroots)
 
     @cached_property
     def dft_matrices(self) -> dict[int, np.ndarray]:
@@ -169,14 +168,13 @@ class WeilRep:
 def build_weil_rep(df: DiscriminantForm) -> WeilRep:
     """The three operators of the Weil representation on C[A].
 
-    `qn` comes first, so a group too large for int64 raises TooLarge (see
-    `DiscriminantForm.check_int64`) before any array of |A| entries and
-    before the form's `roots` tables.
+    `qroots` comes first, and reads `qn` before the form's `roots` tables,
+    so a group too large for int64 raises TooLarge (see
+    `DiscriminantForm.check_int64`) before any array of |A| entries.
     """
-    qn = df.qn
     return WeilRep(
         df=df,
-        t_diag=df.roots(qn),
+        t_diag=df.qroots,
         xi=df.dual_index,
         s_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 8) / math.sqrt(df.cardinality),
         z_phase=cmath.exp(-2j * cmath.pi * df.sig_mod_8 / 4),

@@ -27,3 +27,19 @@ def corpus_lattices():
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_lattices()
+
+
+@pytest.fixture
+def small_arange(monkeypatch):
+    """numpy.arange that fails the test at 2^16 entries or more: a group too
+    large for int64 must be refused before any array of |A| entries."""
+    import numpy as np
+
+    arange = np.arange
+
+    def small(*args, **kwargs):
+        size = len(range(*map(int, args)))
+        assert size < 1 << 16, f"an arange of {size} entries"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", small)

@@ -277,6 +277,8 @@ LATTICE_INFO_JSON = [
         '"name": "Lambda_37", "rank": 21, "sig_mod_8": 7, "signature": [2, 19]}',
     ),
 ]
+# --N is read by U(N) only, as --g by Lambda_g only: U's bytes either way
+LATTICE_INFO_JSON.append((["--name", "U", "--N", "5"], LATTICE_INFO_JSON[0][1]))
 
 
 @pytest.mark.parametrize(

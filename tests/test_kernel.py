@@ -7,11 +7,12 @@ reduce), and the pairing `oracles.bn` builds from the generator pairing, are
 compared element by element with the exact `Fraction` reference
 `elements()`, `q()` and `b()`, on the corpus, `NON_CYCLIC` and hypothesis
 forms;
-the walks `cuspdim.half_walk` and `cuspdim.square_walk` with `neg_index` and
-`qn`, and `cuspdim.walk_sums` with full-group sums over `qn`; `roots` with
-`numpy.exp`, and as built once per form by the Weil chain and never by the
-cusp dimension; the exact Gauss sums of `cuspdim.exact_gauss_sums` with
-brute-force complex sums; and the consumers built on them (`gauss_sum`,
+the cyclic walk `cuspdim.square_walk` with `qn_at`, and `cuspdim.walk_sums`
+with full-group sums over `qn`, and its refusal of a form too large for
+int64 before any array of |A| entries; `roots` with `numpy.exp`, and as
+built once per form, with `qroots` evaluated once, by the Weil chain and
+never by the cusp dimension; the exact Gauss sums of
+`cuspdim.exact_gauss_sums` with brute-force complex sums; and the consumers built on them (`gauss_sum`,
 `dim_cusp_df`) with per-element `Fraction` walks over the same reference,
 with the element-by-element `oracles.dim_cusp_df_elementwise`, with the
 float walk `oracles.dim_cusp_df_float` and with the eigenvalues of the
@@ -19,7 +20,6 @@ dense dual Weil representation (`oracles.dim_cusp_from_eigenvalues`).
 """
 
 import cmath
-import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -86,7 +86,6 @@ def _check_kernel(df, pairs=None):
     assert exponents.shape == (d, df.ngens)
     assert [tuple(map(int, row)) for row in exponents] == elems
     index = {e: i for i, e in enumerate(elems)}
-    _check_walk(df)
     qn, neg_index, dual_index = df.qn.tolist(), df.neg_index.tolist(), df.dual_index.tolist()
     units = [tuple(int(i == j) for i in range(df.ngens)) for j in range(df.ngens)]
     for i, e in enumerate(elems):
@@ -104,32 +103,6 @@ def _check_kernel(df, pairs=None):
     for i in rows:
         for j in cols:
             assert pairing[i][j] == df.b(elems[i], elems[j]) * n, (elems[i], elems[j])
-
-
-def _check_walk(df):
-    """`half_walk` against `neg_index` and `qn`.
-
-    Each pair {gamma, -gamma} with gamma != -gamma is walked exactly once,
-    and no gamma = -gamma.  The walk is evaluated on a copy of the form,
-    which must not build `qn` for it, and the reference `qn` on another.
-    """
-    d = df.cardinality
-    streamed = dataclasses.replace(df)
-    slices = list(cuspdim.half_walk(streamed))
-    values = [streamed.qn_at(index) for index in slices]
-    assert "qn" not in vars(streamed)
-    assert [len(index) for index in slices[:-1]] == [SLICE] * (len(slices) - 1)
-    assert all(0 < len(index) <= SLICE for index in slices)
-    assert all(index.dtype == np.int64 for index in slices)
-    # each slice is a buffer of its own, sized to what it holds
-    assert all(index.base is None for index in slices)
-    fixed = np.flatnonzero(df.neg_index == np.arange(d))
-    index = np.concatenate([np.empty(0, dtype=np.int64), *slices])
-    assert not np.isin(index, fixed).any()
-    both = np.sort(np.concatenate([index, df.neg_index[index]]))
-    assert np.array_equal(both, np.setdiff1d(np.arange(d), fixed))
-    qn = dataclasses.replace(df).qn
-    assert np.array_equal(np.concatenate([np.empty(0, dtype=np.int64), *values]), qn[index])
 
 
 def _walk(df, k):
@@ -165,7 +138,6 @@ def test_kernel_trivial_group(name):
     assert df.neg_index.tolist() == [0]
     assert df.dual_index.tolist() == [0]
     assert [a.tolist() for a in np.unique(df.qn, return_counts=True)] == [[0], [1]]
-    assert list(cuspdim.half_walk(df)) == []
     assert cuspdim.walk_sums(df) == (1, 0, [0])
     assert bn(df).tolist() == [[0]]
 
@@ -206,13 +178,15 @@ def test_unit_roots_match_exp(n):
 
 def test_root_tables_are_built_once_per_form(monkeypatch):
     """The Weil chain and the Gauss sum share one `roots`, built once per
-    form; `dim_cusp_df` builds none, at weights of either parity."""
-    built = []
+    form and applied to an |A|-long input once, for `qroots`; `dim_cusp_df`
+    builds none, at weights of either parity."""
+    built, reads = [], []
     build = DiscriminantForm.__dict__["roots"].func
 
     def counted(self):
         built.append(self)
-        return build(self)
+        roots = build(self)
+        return lambda v: reads.append(len(v)) or roots(v)
 
     roots = cached_property(counted)
     roots.__set_name__(DiscriminantForm, "roots")
@@ -220,14 +194,19 @@ def test_root_tables_are_built_once_per_form(monkeypatch):
     # weights of both parities: for each form, two of the four are of the
     # wrong parity and return before the walk
     weights = [Fraction(21, 2), Fraction(23, 2), Fraction(12), Fraction(13)]
-    for lat in (lambda_lattice(7), NON_CYCLIC["U(2)+U(6)"]):
+    # the DFT matrices read `roots` on rows of each order up to 36 (2 and 6
+    # here), never of |A| = 298 or 144
+    for lat in (lambda_lattice(150), NON_CYCLIC["U(2)+U(6)"]):
         df = discriminant_form(lat)
         w = build_weil_rep(df)
         verify_relations(w)
         traces(w)
         gauss_sum(df)
         assert len(built) == 1 and built[0] is df
+        assert reads.count(df.cardinality) == 1, reads
+        assert not df.qroots.flags.writeable
         built.clear()
+        reads.clear()
         df = discriminant_form(lat)
         assert sum(dim_cusp_df(df, k).parity_ok for k in weights) == 2
         assert built == []
@@ -305,7 +284,6 @@ def test_dim_matches_elementwise_oracle_lambda_g():
     weights = [Fraction(j, 2) for j in (19, 21, 23, 24, 25)]
     for g in list(range(2, 301)) + [10**4, 10**5]:
         df = discriminant_form(lambda_lattice(g))
-        _check_walk(df)
         assert _check_against_elementwise(df, weights) == {True, False}, g
 
 
@@ -314,13 +292,13 @@ def _binary(c):
     return make_lattice([[2, 1], [1, c]])
 
 
-# groups just below, on and just past the slice boundaries of `half_walk`:
-# Lambda_g has |A| = 2g - 2 = 4094, 4096, 4098 and 8190 to 8196, of which
-# g - 2 are walked, so g = 4097, 4098 and 4099 walk SLICE - 1, SLICE and
-# SLICE + 1 elements; the binary forms have the odd orders 4095, 4097 and
-# 8193, walked in 2047, 2048 and 4096, the sums of U(N) up to 5 generators
-# cover several slices, and U(2)^6 + <2> is all 2-torsion, 8192 elements
-# that are not walked
+# cyclic groups just below, on and just past the slice boundaries of
+# `square_walk`: Lambda_g has |A| = 2g - 2 = 4094, 4096, 4098 and 8190 to
+# 8196, of which g - 2 are walked, so g = 4097, 4098 and 4099 walk
+# SLICE - 1, SLICE and SLICE + 1 elements; the binary forms have the odd
+# orders 4095, 4097 and 8193, walked in 2047, 2048 and 4096.  The sums of
+# U(N) and U(2)^6 + <2>, which is all 2-torsion, have several generators
+# and read their sums from `qn`, of up to 65600 elements
 SLICE_EDGE_FORMS = {
     **{f"Lambda_{g}": lambda_lattice(g) for g in (2048, 2049, 2050, 4096, 4097, 4098, 4099)},
     **{f"|A|={abs(2 * c - 1)}": _binary(c) for c in (2048, -2048, -4096)},
@@ -334,8 +312,7 @@ SLICE_EDGE_FORMS = {
 def test_dim_matches_elementwise_oracle_across_slices(name):
     df = discriminant_form(SLICE_EDGE_FORMS[name])
     assert df.cardinality >= SLICE - 2
-    _check_walk(df)
-    # qn at both ends of every slice against the exact q()
+    # qn at both ends of every SLICE-long run of indices against the exact q()
     edges = sorted({i for s in range(0, df.cardinality, SLICE) for i in (s - 1, s, s + 1)})
     edges = [i for i in edges if 0 <= i < df.cardinality] + [df.cardinality - 1]
     qn = df.qn
@@ -443,18 +420,6 @@ def test_small_walk_holds_no_slice_long_buffer():
     assert not ramp.flags.writeable
     with pytest.raises(ValueError):
         ramp[0] = 1
-    # (|A| - |T|)/2 elements, T the 2-torsion, in one buffer of that length,
-    # or no slice when the group is T
-    for lat, size in (
-        (lambda_lattice(2), 0),
-        (lambda_lattice(60), 58),
-        (k3_lattice(), 0),
-        (direct_sum(hyperbolic(2), hyperbolic(6)), (144 - 16) // 2),
-        (_binary(-20), 20),
-    ):
-        slices = list(cuspdim.half_walk(discriminant_form(lat)))
-        assert [len(index) for index in slices] == [size] * (size > 0), lat
-        assert all(index.base is None for index in slices), lat
 
 
 def test_int64_bound_of_lambda_g():
@@ -470,8 +435,6 @@ def test_int64_bound_of_lambda_g():
     with pytest.raises(TooLarge):
         over.check_int64()
     with pytest.raises(TooLarge):
-        next(cuspdim.half_walk(over))
-    with pytest.raises(TooLarge):
         over.qn_at(np.zeros(1, dtype=np.int64))
     # the cyclic walk by squares: the last admitted genus gives its first
     # slice, the next one is refused before any element, also by dim
@@ -484,6 +447,21 @@ def test_int64_bound_of_lambda_g():
         next(cuspdim.square_walk(over))
     with pytest.raises(TooLarge):
         dim_cusp_df(over, HALF_21)
+
+
+def test_walk_sums_refuse_a_non_cyclic_form_past_the_int64_bound(small_arange):
+    # U(2) + Lambda_g has orders (2, 2, 2g - 2) and level 4g - 4: at
+    # g = 2^30 + 1, N * sum(orders) = 2^32 * (2^31 + 4) >= 2^63, so `qn`, the
+    # sums of a form with several generators, raises TooLarge before any
+    # array of |A| entries; at g = 2^30 the form is admitted
+    df = discriminant_form(direct_sum(hyperbolic(2), lambda_lattice(2**30 + 1)))
+    assert (df.orders, df.level) == ((2, 2, 2**31), 2**32)
+    with pytest.raises(TooLarge):
+        cuspdim.walk_sums(df)
+    with pytest.raises(TooLarge):
+        dim_cusp_df(df, HALF_21)
+    assert "qn" not in vars(df)
+    discriminant_form(direct_sum(hyperbolic(2), lambda_lattice(2**30))).check_int64()
 
 
 def test_square_slices_at_the_int64_bound():

@@ -83,6 +83,12 @@ def test_catalog_dispatch():
     assert catalog("minusE8").gram[0][0] == -2
 
 
+def test_catalog_u_reads_no_scale():
+    # only U(N) reads the scale, as only Lambda_g reads the genus
+    assert catalog("U", scale=5) is hyperbolic()
+    assert catalog("U(N)", scale=5).name == "U(5)"
+
+
 def test_e8_is_unimodular_even_positive():
     lat = e8()
     assert lat.det() == 1
