@@ -12,14 +12,21 @@ the group, and its values on the 2-torsion T = {gamma : 2*gamma = 0}
 (`two_torsion`).  On a cyclic form, every Lambda_g among them, a sum is
 even under gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice the sum
 over one element of each pair {gamma, -gamma} with gamma != -gamma, plus
-the sum over T.  Those pairs are walked by squares a bounded slice at a
-time (`square_walk`: one table of u*t^2 mod N per walk, then one exact
-start value and slope per slice), and T's one or two values are evaluated
-once.  The walk builds no array as long as the group, so its memory does
-not grow with |A|, and its int64 bound, (SLICE + 2)*N < 2^63, admits
-Lambda_g up to g - 1 of about 5.6*10^14.  A form with several generators
-reads the three sums off its cached full-group `qn`, the array the Weil
-operators read, and so holds its exponents and `qn` in memory.
+the sum over T, whose one or two values are evaluated once.  The pairs are
+x*g for x = 1, ..., h = (d - 1)//2, with the values u*x^2 mod N.  When
+u = 1 or N - 1, as for every Lambda_g and every <2n>, their sums are the
+lattice points under the parabola N*y = x^2, counted by rows (`row_sums`):
+about h^2/N, for Lambda_g g/4, integer square roots, SLICE rows at a time,
+exact in int64 while (h + 1)^2 < 2^63, so for Lambda_g up to
+g = 3037000500.  Other cyclic forms, and Lambda_g past that genus, are
+walked by squares a bounded slice at a time (`square_walk`: one table of
+u*t^2 mod N per walk, then one exact start value and slope per slice),
+whose int64 bound, (SLICE + 2)*N < 2^63, admits Lambda_g up to g - 1 of
+about 5.6*10^14.  Neither builds an array as long as the group, so their
+memory does not grow with |A|, and neither uses a class number or a
+factorization.  A form with several generators reads the three sums off
+its cached full-group `qn`, the array the Weil operators read, and so
+holds its exponents and `qn` in memory.
 
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
@@ -322,14 +329,15 @@ def _rational(x: tuple, what: str) -> int:
     return x[0]
 
 
-# -- the integer sums: by squares over half a cyclic group, else from `qn` ---
+# -- the integer sums: by rows or squares on a cyclic form, else from `qn` ---
 
-# elements per slice of `square_walk`: its squares table and two slice
-# buffers take 32 KiB each, below glibc's default 128 KiB mmap threshold, so
-# walks reuse heap memory instead of mapping fresh pages
+# elements per slice of `square_walk`, and rows per slice of `row_sums`: the
+# squares table and each slice buffer take 32 KiB, below glibc's default
+# 128 KiB mmap threshold, so walks reuse heap memory instead of mapping
+# fresh pages
 SLICE = 4096
 
-# 0, 1, ..., SLICE - 1, read-only: the t of `square_walk`
+# 0, 1, ..., SLICE - 1, read-only: the t of `square_walk` and of `_row_slice`
 _RAMP = np.arange(SLICE, dtype=np.int64)
 _RAMP.flags.writeable = False
 
@@ -354,7 +362,9 @@ def _square_slice(table, start, u, n, out, quotient):
 
 def square_walk(df: DiscriminantForm):
     """One element of each pair {gamma, -gamma} with gamma != -gamma of a
-    cyclic form, as N*q/2 mod N slices.
+    cyclic form, as N*q/2 mod N slices: the path of `walk_sums` for a
+    generator with u not 1 or N - 1, or with (h + 1)^2 >= 2^63, and the
+    tests' oracle of `row_sums`.
 
     With d the order, u = N*q(g)/2 mod N for the generator g and
     h = (d - 1)//2, the walk is x*g for x = 1, ..., h, the value at x*g
@@ -408,16 +418,73 @@ def two_torsion(df: DiscriminantForm) -> list[int]:
     return df.qn[index].tolist()
 
 
+def _row_slice(start: int, take: int, n: int) -> tuple[int, int]:
+    """The number of perfect squares among k*n, and the sum of
+    ceil(sqrt(k*n)), over the rows k = start, ..., start + take - 1, for
+    take <= SLICE and every k*n at most m^2 with (m + 1)^2 < 2^63, so that
+    every square below stays in int64.
+
+    s = the float square root of k*n, floored, is m = isqrt(k*n) or m + 1,
+    so s^2 = k*n counts the squares, s^2 > k*n the rows where s is one too
+    large, and ceil(sqrt(k*n)) = m + 1 on every other row.  That rests on
+    IEEE 754, which rounds the int64 -> float64 conversion and the square
+    root correctly, and on m < 2^32.  Rounding is monotone, so k*n >= m^2
+    comes out at least fl(m^2).  If m is a power of two, m^2 is a float and
+    the root is at least m.  Otherwise, with 2^e < m < 2^(e + 1), fl(m^2)
+    is at least m^2 - 2^(2e - 52), whose root is above m - 2^(e - 53), the
+    midpoint between m and the float below it, so it rounds to m or above.
+    At the top, k*n < (m + 1)^2 keeps the root below m + 2 by far more than
+    an ulp, also above 2^53, where float64 rounds k*n itself.
+    """
+    kn = _RAMP[:take] * n
+    kn += start * n
+    s = np.sqrt(kn).astype(np.int64)
+    sq = s * s
+    over = int(np.count_nonzero(sq > kn))
+    squares = int(np.count_nonzero(sq == kn))
+    return squares, int(s.sum()) - over + take - squares
+
+
+def row_sums(h: int, n: int, u: int) -> tuple[int, int]:
+    """The zero count and the sum of u*x^2 mod n over x = 1, ..., h, for
+    u = 1 or n - 1 and (h + 1)^2 < 2^63, from the lattice points under the
+    parabola n*y = x^2 counted by rows.
+
+    With K = h^2 // n rows y = 1, ..., K, F = sum of x^2 // n over the
+    walk is sum over the rows of h + 1 - ceil(sqrt(k*n)), and x^2 is a
+    multiple of n exactly when x^2 = k*n for a row k, so the zero count z
+    is the number of rows k*n that are perfect squares.  With
+    S2 = h(h + 1)(2h + 1)/6, the sum is S2 - n*F for u = 1 and
+    n*(F + h - z) - S2 for u = n - 1, as -x^2 mod n = n*ceil(x^2/n) - x^2.
+    The rows run SLICE at a time (`_row_slice`), on `_RAMP`; every square
+    is below (h + 1)^2.  No class number and no factorization is used.
+    """
+    rows = h * h // n
+    zeros = ceil_sum = 0
+    for start in range(1, rows + 1, SLICE):
+        squares, part = _row_slice(start, min(SLICE, rows + 1 - start), n)
+        zeros += squares
+        ceil_sum += part
+    f = rows * (h + 1) - ceil_sum
+    s2 = h * (h + 1) * (2 * h + 1) // 6
+    return zeros, s2 - n * f if u == 1 else n * (f + h - zeros) - s2
+
+
 def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
     """The zero count and the sum of N*q/2 mod N over the whole group, and
     its values on T = {gamma : 2*gamma = 0} (`two_torsion`).
 
     On a cyclic form, every Lambda_g among them, each sum is even under
     gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice that over one
-    element of each pair {gamma, -gamma} with gamma != -gamma
-    (`square_walk`), plus that over T; the walk raises TooLarge before its
-    first slice, so before T is read.  Any other form reads its cached
-    full-group `qn`, which raises TooLarge before any array of |A| entries.
+    element of each pair {gamma, -gamma} with gamma != -gamma, plus that
+    over T.  Those pairs are x*g for x = 1, ..., h = (d - 1)//2, with the
+    values u*x^2 mod N.  When u is 1 or N - 1, as for every Lambda_g
+    (u = N - 1) and every <2n>, and (h + 1)^2 < 2^63, which admits Lambda_g
+    up to g = 3037000500, their sums are counted by rows (`row_sums`) in
+    about h^2/N integer square roots; otherwise they are walked by squares
+    (`square_walk`), which raises TooLarge before its first slice, so
+    before T is read.  Any other form reads its cached full-group `qn`,
+    which raises TooLarge before any array of |A| entries.
     """
     if df.ngens != 1:
         qn = df.qn
@@ -425,10 +492,16 @@ def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
         # is below N*|A| <= 2|A|^2 < 2^63 for any group whose `qn` fits in
         # memory
         return len(qn) - int(np.count_nonzero(qn)), int(qn.sum()), two_torsion(df)
-    zeros = total = 0
-    for v in square_walk(df):
-        zeros += len(v) - int(np.count_nonzero(v))
-        total += int(v.sum())
+    (d,) = df.orders
+    n, h = df.level, (d - 1) // 2
+    # the bound first: N <= 4(h + 1), so it also keeps `_upper` in int64
+    if (h + 1) ** 2 < 1 << 63 and (u := int(df._upper[0, 0])) in (1, n - 1):
+        zeros, total = row_sums(h, n, u)
+    else:
+        zeros = total = 0
+        for v in square_walk(df):
+            zeros += len(v) - int(np.count_nonzero(v))
+            total += int(v.sum())
     two = two_torsion(df)
     return 2 * zeros + two.count(0), 2 * total + sum(two), two
 

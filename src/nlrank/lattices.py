@@ -525,8 +525,8 @@ class DiscriminantForm:
         of streaming for hours.  It bounds the full-group arrays (`qn`,
         `neg_index`, `dual_index`, `_exponents`), which the Weil operators
         and the cusp dimension of a form with several generators read, and
-        `qn_at`; a cyclic form's walk, `cuspdim.square_walk`, has its own
-        bound.
+        `qn_at`.  A cyclic form's sums, counted by rows or walked by squares
+        (`cuspdim.walk_sums`), read none of them and have their own bounds.
         """
         bound = self.level * sum(self.orders)
         if bound >= 1 << 63:

@@ -27,8 +27,12 @@ The form's int64 arrays are built once per form, and a group too large for
 int64 is refused before any of them (`build_weil_rep`).  T^N = 1 is
 checked, and the traces' eigenvalue content read, from one comparison of
 rho(T)'s diagonal with the N-th roots of unity e(q(gamma)/2), the form's
-`qroots` (`WeilRep.t_snap`), whose residual does not grow with N.  Like the
-cusp dimension, this module imports nothing from the closed form.  Complex
+`qroots` (`WeilRep.t_snap`).  `build_weil_rep` makes that diagonal the
+`qroots` array itself, so on every representation it builds the comparison
+is of an array with itself: `maxErrTN` reads 0.0 and the snap in `traces`
+cannot fire.  Only a hand-built or altered `WeilRep` moves them, and
+neither measures how far `qroots` sits from e(q/2).  Like the cusp
+dimension, this module imports nothing from the closed form.  Complex
 double precision throughout; every downstream consumer snaps to roots of
 unity or integers.
 """
@@ -110,7 +114,10 @@ class WeilRep:
     @cached_property
     def t_snap(self) -> tuple[np.ndarray, np.ndarray]:
         """rho(T)'s diagonal against its N-th roots of unity, N the level:
-        k = the form's `qn` and dist = |t(gamma) - e(k/N)| by the form's `qroots`."""
+        k = the form's `qn` and dist = |t(gamma) - e(k/N)| by the form's
+        `qroots`.  `build_weil_rep` sets the diagonal to that same `qroots`
+        array, so on its representations dist is 0 everywhere; it moves only
+        on a hand-built or altered `WeilRep`."""
         return self.df.qn, np.abs(self.t_diag - self.df.qroots)
 
     @cached_property
@@ -250,8 +257,12 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
     5.8e-16.  T^N = 1 for N the level is checked on the diagonal of rho(T)
     as N times the largest distance of an entry t(gamma) to its N-th root
     of unity e(q(gamma)/2) (`WeilRep.t_snap`): to first order that bounds
-    |t^N - 1|, without the rounding error of an N-th power, which grows
-    with N, and it also catches an entry moved onto another N-th root.
+    |t^N - 1|, without the rounding error of an N-th power, and it also
+    catches an entry moved onto another N-th root.  But `build_weil_rep`
+    takes the diagonal to be the form's `qroots`, the very array the
+    distance is taken to, so on every representation it builds `maxErrTN`
+    is 0.0 by construction and says nothing about the error of `qroots`;
+    only a hand-built or altered `WeilRep` moves it.
 
     The probes, Sp, S^2 p and p at -gamma, with the moduli of the last two
     (half as large, as reals), or two applications of rho(S) in flight:

@@ -10,7 +10,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from nlrank.cuspdim import SLICE, CuspDimReport, walk_sums
+from nlrank.cuspdim import SLICE, CuspDimReport, square_walk, two_torsion, walk_sums
 from nlrank.errors import NegativeDiscriminant, SnapFailure, WeightTooSmall
 from nlrank.lattices import (
     DiscriminantForm,
@@ -173,6 +173,40 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
 # Lambda_g has level N = 4(g - 1), and its squares walk is refused exactly
 # when (SLICE + 2)*N >= 2^63: from this genus on, g - 1 >= about 5.6*10^14
 SQUARE_WALK_FIRST_REFUSED_GENUS = -(-(2**63) // (4 * (SLICE + 2))) + 1
+
+# Lambda_g walks h = g - 2 elements, counted by rows while (h + 1)^2 < 2^63:
+# up to this genus, and by squares from the next one on
+ROWS_LAST_GENUS = math.isqrt(2**63 - 1) + 1
+
+
+def walk_sums_by_squares(df: DiscriminantForm) -> tuple[int, int, list[int]]:
+    """`cuspdim.walk_sums` of a cyclic form by the squares walk, whatever
+    its generator: the oracle of the rows."""
+    zeros = total = 0
+    for v in square_walk(df):
+        zeros += len(v) - int(np.count_nonzero(v))
+        total += int(v.sum())
+    two = two_torsion(df)
+    return 2 * zeros + two.count(0), 2 * total + sum(two), two
+
+
+def row_sums_bruteforce(h: int, n: int, u: int) -> tuple[int, int]:
+    """The zero count and the sum of u*x^2 mod n over x = 1, ..., h, in
+    Python ints."""
+    values = [u * x * x % n for x in range(1, h + 1)]
+    return values.count(0), sum(values)
+
+
+def row_slice_bruteforce(start: int, take: int, n: int) -> tuple[int, int]:
+    """`cuspdim._row_slice` by `math.isqrt`: the perfect squares among k*n
+    and the sum of ceil(sqrt(k*n)) over k = start, ..., start + take - 1."""
+    squares = ceil_sum = 0
+    for k in range(start, start + take):
+        r = math.isqrt(k * n)
+        square = r * r == k * n
+        squares += square
+        ceil_sum += r + (not square)
+    return squares, ceil_sum
 
 
 def walk_sums_bruteforce(df: DiscriminantForm) -> tuple[int, int, list[int]]:

@@ -9,8 +9,10 @@ compared element by element with the exact `Fraction` reference
 forms;
 the cyclic walk `cuspdim.square_walk` with `qn_at`, and `cuspdim.walk_sums`
 with full-group sums over `qn`, and its refusal of a form too large for
-int64 before any array of |A| entries; `roots` with `numpy.exp`, and as
-built once per form, with `qroots` evaluated once, by the Weil chain and
+int64 before any array of |A| entries; the row count `cuspdim.row_sums`
+with brute force, its slices with `math.isqrt` up to the last admitted
+genus, and `walk_sums` by rows with the squares walk; `roots` with
+`numpy.exp`, and as built once per form, with `qroots` evaluated once, by the Weil chain and
 never by the cusp dimension; the exact Gauss sums of
 `cuspdim.exact_gauss_sums` with brute-force complex sums; and the consumers built on them (`gauss_sum`,
 `dim_cusp_df`) with per-element `Fraction` walks over the same reference,
@@ -53,6 +55,7 @@ from nlrank.lattices import DiscriminantForm
 import strategies
 from conftest import corpus_lattices
 from oracles import (
+    ROWS_LAST_GENUS,
     SQUARE_WALK_FIRST_REFUSED_GENUS,
     bn,
     dim_cusp_df_elementwise,
@@ -60,7 +63,10 @@ from oracles import (
     dim_cusp_from_eigenvalues,
     gauss_sums_bruteforce,
     operator_matrix,
+    row_slice_bruteforce,
+    row_sums_bruteforce,
     walk_sums_bruteforce,
+    walk_sums_by_squares,
 )
 from strategies import NON_CYCLIC
 
@@ -360,11 +366,13 @@ def test_walk_sums_match_full_group_sums_on_random_forms(pieces):
 
 
 def _check_square_walk(df):
-    """`walk_sums` by squares against full-group sums over `qn`, and the
-    slice lengths: L - 1 = min(SLICE, h + 1) - 1 in the first, L in each
-    later one but the last."""
+    """`walk_sums` against full-group sums over `qn` and against the
+    squares walk, which it takes in place of the rows unless u = 1 or
+    N - 1, and the squares walk's slice lengths: L - 1 = min(SLICE, h + 1)
+    - 1 in the first, L in each later one but the last."""
     assert df.ngens == 1
     _check_walk_sums(df)
+    assert cuspdim.walk_sums(df) == walk_sums_by_squares(df)
     h = (df.cardinality - 1) // 2
     size = min(SLICE, h + 1)
     lengths = [len(v) for v in cuspdim.square_walk(df)]
@@ -401,6 +409,117 @@ def test_square_walk_matches_qn_at_on_rank_one_forms():
 @given(strategies.cyclic_pieces)
 def test_square_walk_matches_qn_at_on_random_cyclic_forms(pieces):
     _check_square_walk(discriminant_form(strategies.lattice_of(pieces)))
+
+
+def test_row_sums_match_brute_force():
+    # both signs of u, with h = 0, 1, N/4, N/2, N and 3N, and a few between
+    for n in range(2, 121):
+        for h in sorted({0, 1, 2, n // 4, n // 2, n - 1, n, n + 1, 3 * n}):
+            for u in (1, n - 1):
+                assert cuspdim.row_sums(h, n, u) == row_sums_bruteforce(h, n, u), (h, n, u)
+
+
+def _check_rows(df):
+    """`walk_sums` of a cyclic form with u = 1 or N - 1, which counts by
+    rows, against the squares walk."""
+    n = df.level
+    assert df.ngens == 1 and int(df._upper[0, 0]) in (1, n - 1)
+    assert cuspdim.walk_sums(df) == walk_sums_by_squares(df)
+
+
+def test_rows_match_the_squares_walk_on_lambda_g():
+    for g in range(2, 3001):
+        _check_rows(discriminant_form(lambda_lattice(g)))
+
+
+def _first_with_rows(rows, order_of):
+    """The least m whose walk, of h = order_of(m) elements at level
+    4*(h + 1), has h^2 // (4*(h + 1)) == rows."""
+    m = 2
+    while (order_of(m) ** 2) // (4 * order_of(m) + 4) < rows:
+        m += 1
+    return m
+
+
+# K = h^2 // N rows one below, on and one past SLICE: Lambda_g (h = g - 2,
+# u = N - 1) and <2n> (h = |n| - 1, u = 1 for n > 0 and N - 1 for n < 0)
+@pytest.mark.parametrize("rows", [SLICE - 1, SLICE, SLICE + 1])
+def test_rows_match_the_squares_walk_across_slices(rows):
+    g = _first_with_rows(rows, lambda g: g - 2)
+    n = _first_with_rows(rows, lambda n: n - 1)
+    for lat in (lambda_lattice(g), make_lattice([[2 * n]]), make_lattice([[-2 * n]])):
+        df = discriminant_form(lat)
+        h = (df.cardinality - 1) // 2
+        assert h * h // df.level == rows
+        _check_rows(df)
+
+
+# rows just below 2^53, (t + 1)^2 - 2 to (t + 1)^2 with t + 1 <= 2^26.5,
+# whose float root rounds up to t + 1 at (t + 1)^2 - 1: the one-sided
+# correction of the slices below 2^53
+@pytest.mark.parametrize("t", [math.isqrt(2**53) - 1, math.isqrt(2**53) - 2])
+def test_row_slices_below_2_53_hold_a_float_root_one_above(t):
+    start, take = (t + 1) ** 2 - 2, 3
+    assert start + take - 1 < 2**53
+    assert int(np.sqrt(np.float64((t + 1) ** 2 - 1))) == t + 1
+    assert cuspdim._row_slice(start, take, 1) == row_slice_bruteforce(start, take, 1)
+
+
+# single row slices, k = start, ..., start + take - 1, against math.isqrt:
+# k*n a perfect square above 2^53 (n = t, k = t); t^2 - 1, t^2 and t^2 + 1
+# near 2^62 (n = 1); and rows next to 3037000498^2, the largest m^2 with
+# (m + 1)^2 < 2^63
+ROW_SLICES = [
+    (10**8 + 7 - 2000, SLICE, 10**8 + 7),
+    (4 * (10**8 + 7) - 100, 200, 10**8 + 7),
+    *[(t * t - 1, 3, 1) for t in (2**31 - 1, 2**31, 2**31 + 1)],
+    (3037000497**2 - 1, 3, 1),
+    (3037000498**2 - 4, 5, 1),
+]
+
+
+@pytest.mark.parametrize("start, take, n", ROW_SLICES)
+def test_row_slices_match_isqrt_above_2_53(start, take, n):
+    assert (start + take - 1) * n >= 2**53
+    assert cuspdim._row_slice(start, take, n) == row_slice_bruteforce(start, take, n)
+
+
+def test_row_slices_at_the_last_admitted_genus():
+    # the walk of Lambda_g at g = 3037000500 has h = g - 2 with
+    # (h + 1)^2 < 2^63 <= (h + 2)^2; its first, second and last row slices
+    # and the full slice before the last, without counting the rest
+    df = discriminant_form(lambda_lattice(ROWS_LAST_GENUS))
+    n, h = df.level, (df.cardinality - 1) // 2
+    assert (h + 1) ** 2 < 2**63 <= (h + 2) ** 2
+    rows = h * h // n
+    last = (rows - 1) // SLICE * SLICE + 1  # the start of the last slice
+    assert rows * n >= 2**62
+    for start in (1, SLICE + 1, last - SLICE, last):
+        take = min(SLICE, rows + 1 - start)
+        got = cuspdim._row_slice(start, take, n)
+        assert got == row_slice_bruteforce(start, take, n), start
+
+
+def test_rows_end_at_the_last_admitted_genus(monkeypatch):
+    # Lambda_g at g = 3037000500 counts by rows and never walks; at the
+    # next genus, (h + 1)^2 >= 2^63, it takes the squares walk.  Neither
+    # sum is run to its end
+    class Taken(Exception):
+        pass
+
+    def refuse(*args):
+        raise Taken(args)
+
+    monkeypatch.setattr(cuspdim, "square_walk", refuse)
+    monkeypatch.setattr(cuspdim, "row_sums", refuse)
+    top = discriminant_form(lambda_lattice(ROWS_LAST_GENUS))
+    with pytest.raises(Taken) as taken:
+        cuspdim.walk_sums(top)
+    assert taken.value.args[0] == (ROWS_LAST_GENUS - 2, top.level, top.level - 1)
+    over = discriminant_form(lambda_lattice(ROWS_LAST_GENUS + 1))
+    with pytest.raises(Taken) as taken:
+        cuspdim.walk_sums(over)
+    assert taken.value.args[0] == (over,)
 
 
 def test_small_square_walk_holds_no_slice_long_buffer():
