@@ -17,16 +17,13 @@ x*g for x = 1, ..., h = (d - 1)//2, with the values u*x^2 mod N.  When
 u = 1 or N - 1, as for every Lambda_g and every <2n>, their sums are the
 lattice points under the parabola N*y = x^2, counted by rows (`row_sums`):
 about h^2/N, for Lambda_g g/4, integer square roots, SLICE rows at a time,
-exact in int64 while (h + 1)^2 < 2^63, so for Lambda_g up to
-g = 3037000500.  Other cyclic forms, and Lambda_g past that genus, are
-walked by squares a bounded slice at a time (`square_walk`: one table of
-u*t^2 mod N per walk, then one exact start value and slope per slice),
-whose int64 bound, (SLICE + 2)*N < 2^63, admits Lambda_g up to g - 1 of
-about 5.6*10^14.  Neither builds an array as long as the group, so their
-memory does not grow with |A|, and neither uses a class number or a
-factorization.  A form with several generators reads the three sums off
-its cached full-group `qn`, the array the Weil operators read, and so
-holds its exponents and `qn` in memory.
+with no array as long as the group, so their memory does not grow with
+|A|, and with no class number and no factorization.  The rows are exact in
+int64 while (SLICE + 2)*N < 2^63, and a cyclic form past that bound is
+refused, which admits Lambda_g up to g - 1 of about 5.6*10^14.  Any other
+form, cyclic with another u or with several generators, reads the three
+sums off its cached full-group `qn`, the array the Weil operators read, and
+so holds its exponents and `qn` in memory.
 
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
@@ -57,7 +54,7 @@ from fractions import Fraction
 
 # `lattices` before numpy: where no bytecode is cached, compiling it once
 # numpy has loaded would add the compiler's ~1 MB to the process's peak RSS
-from .lattices import DiscriminantForm, Lattice, _blocks, _reduce, discriminant_form, signature
+from .lattices import DiscriminantForm, Lattice, _blocks, discriminant_form, signature
 import numpy as np
 
 from .errors import (
@@ -329,79 +326,21 @@ def _rational(x: tuple, what: str) -> int:
     return x[0]
 
 
-# -- the integer sums: by rows or squares on a cyclic form, else from `qn` ---
+# -- the integer sums: by rows on a cyclic form, else from `qn` ---------------
 
-# elements per slice of `square_walk`, and rows per slice of `row_sums`: the
-# squares table and each slice buffer take 32 KiB, below glibc's default
-# 128 KiB mmap threshold, so walks reuse heap memory instead of mapping
-# fresh pages
+# rows per slice of `row_sums`: each slice's arrays take 32 KiB, below
+# glibc's default 128 KiB mmap threshold, so slices reuse heap memory
+# instead of mapping fresh pages
 SLICE = 4096
 
-# 0, 1, ..., SLICE - 1, read-only: the t of `square_walk` and of `_row_slice`
+# 0, 1, ..., SLICE - 1, read-only: the row offsets of `_row_slice`
 _RAMP = np.arange(SLICE, dtype=np.int64)
 _RAMP.flags.writeable = False
 
 
-def _square_slice(table, start, u, n, out, quotient):
-    """u*(start + t)^2 mod n for t < len(out), written into `out`.
-
-    From u*(s + t)^2 = u*s^2 + 2u*s*t + u*t^2 with table[t] = u*t^2 mod n:
-    the start value u*s^2 and the slope 2u*s are exact Python ints reduced
-    mod n, so out = slope*t + table[t] + start stays below (SLICE + 2)*n
-    before its one reduce, whose quotient goes to `quotient`, a buffer as
-    long as `out`.
-    """
-    np.multiply(_RAMP[: len(out)], 2 * u * start % n, out=out)
-    out += table[: len(out)]
-    out += u * start * start % n
-    np.floor_divide(out, n, out=quotient)
-    quotient *= n
-    out -= quotient
-    return out
-
-
-def square_walk(df: DiscriminantForm):
-    """One element of each pair {gamma, -gamma} with gamma != -gamma of a
-    cyclic form, as N*q/2 mod N slices: the path of `walk_sums` for a
-    generator with u not 1 or N - 1, or with (h + 1)^2 >= 2^63, and the
-    tests' oracle of `row_sums`.
-
-    With d the order, u = N*q(g)/2 mod N for the generator g and
-    h = (d - 1)//2, the walk is x*g for x = 1, ..., h, the value at x*g
-    being u*x^2 mod N.  A table of u*t^2 mod N for t < L = min(SLICE, h + 1),
-    from `_RAMP`, is also the first slice, x = 1, ..., L - 1; each later
-    slice, at start s = L, 2L, ..., is `_square_slice` into a buffer made
-    once per walk, with a second one for the quotient of its reduce, so a
-    slice is overwritten when the next is drawn.  Raises TooLarge before
-    the first slice when (SLICE + 2)*N >= 2^63, as the slices' int64
-    intermediates, and the sum of a slice, stay below that.
-    """
-    (d,) = df.orders
-    n = df.level
-    bound = (SLICE + 2) * n
-    if bound >= 1 << 63:
-        raise TooLarge(
-            f"level {n} times SLICE + 2 is {bound} >= 2^63: the squares "
-            f"walk of |A| = {d} would overflow int64"
-        )
-    u = int(df._upper[0, 0])
-    h = (d - 1) // 2
-    ramp = _RAMP[: min(SLICE, h + 1)]
-    table = _reduce(ramp * u, n)
-    table *= ramp
-    _reduce(table, n)
-    yield table[1:]
-    size = len(table)
-    if h >= size:
-        out, quotient = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-        for start in range(size, h + 1, size):
-            take = min(size, h + 1 - start)
-            yield _square_slice(table, start, u, n, out[:take], quotient[:take])
-
-
 def two_torsion(df: DiscriminantForm) -> list[int]:
-    """N*q/2 mod N on T = {gamma : 2*gamma = 0}, which `square_walk` does
-    not visit, in elements() order.
+    """N*q/2 mod N on T = {gamma : 2*gamma = 0}, which `row_sums` does not
+    count, in elements() order.
 
     T's exponents are 0 or orders[i]/2 in each coordinate.  A cyclic form's
     two values at most are Python ints, as its level may pass the bound of
@@ -421,34 +360,36 @@ def two_torsion(df: DiscriminantForm) -> list[int]:
 def _row_slice(start: int, take: int, n: int) -> tuple[int, int]:
     """The number of perfect squares among k*n, and the sum of
     ceil(sqrt(k*n)), over the rows k = start, ..., start + take - 1, for
-    take <= SLICE and every k*n at most m^2 with (m + 1)^2 < 2^63, so that
-    every square below stays in int64.
+    take <= SLICE with k, n and m = isqrt(k*n) below 2^53 and the slice's
+    roots summing below 2^63, as in every slice `row_sums` takes.
 
-    s = the float square root of k*n, floored, is m = isqrt(k*n) or m + 1,
-    so s^2 = k*n counts the squares, s^2 > k*n the rows where s is one too
-    large, and ceil(sqrt(k*n)) = m + 1 on every other row.  That rests on
-    IEEE 754, which rounds the int64 -> float64 conversion and the square
-    root correctly, and on m < 2^32.  Rounding is monotone, so k*n >= m^2
-    comes out at least fl(m^2).  If m is a power of two, m^2 is a float and
-    the root is at least m.  Otherwise, with 2^e < m < 2^(e + 1), fl(m^2)
-    is at least m^2 - 2^(2e - 52), whose root is above m - 2^(e - 53), the
-    midpoint between m and the float below it, so it rounds to m or above.
-    At the top, k*n < (m + 1)^2 keeps the root below m + 2 by far more than
-    an ulp, also above 2^53, where float64 rounds k*n itself.
+    k*n is made a float from the exact k and n, one correctly rounded
+    product, and s is its float square root, floored.  s is m or m + 1.
+    IEEE 754 rounds the product and the root correctly, and rounding is
+    monotone, so k*n >= m^2 comes out at least fl(m^2).  If m is a power of
+    two, m^2 is a float and the root is at least m.  Otherwise, with
+    2^e < m < 2^(e + 1), fl(m^2) is at least m^2 - 2^(2e - 52), whose root
+    is above m - 2^(e - 53), the midpoint between m and the float below it
+    (m < 2^53 is a float), so it rounds to m or above.  At the top,
+    k*n < (m + 1)^2 keeps the root below m + 2 by far more than an ulp.  So
+    d = s^2 - k*n is at most 2m + 1 in absolute value, and it is exact in
+    wrapping int64 even where s^2 and k*n overflow: d = 0 on the squares,
+    and ceil(sqrt(k*n)) is s + 1 where d < 0 (s = m on a row that is no
+    square) and s on every other row.
     """
-    kn = _RAMP[:take] * n
-    kn += start * n
-    s = np.sqrt(kn).astype(np.int64)
-    sq = s * s
-    over = int(np.count_nonzero(sq > kn))
-    squares = int(np.count_nonzero(sq == kn))
-    return squares, int(s.sum()) - over + take - squares
+    k = _RAMP[:take] + start
+    s = np.sqrt(k * float(n)).astype(np.int64)
+    k *= n
+    d = s * s
+    d -= k
+    squares = take - int(np.count_nonzero(d))
+    return squares, int(s.sum()) + int(np.count_nonzero(d < 0))
 
 
 def row_sums(h: int, n: int, u: int) -> tuple[int, int]:
     """The zero count and the sum of u*x^2 mod n over x = 1, ..., h, for
-    u = 1 or n - 1 and (h + 1)^2 < 2^63, from the lattice points under the
-    parabola n*y = x^2 counted by rows.
+    u = 1 or n - 1, h <= n and (SLICE + 2)*n < 2^63, from the lattice
+    points under the parabola n*y = x^2 counted by rows.
 
     With K = h^2 // n rows y = 1, ..., K, F = sum of x^2 // n over the
     walk is sum over the rows of h + 1 - ceil(sqrt(k*n)), and x^2 is a
@@ -456,8 +397,9 @@ def row_sums(h: int, n: int, u: int) -> tuple[int, int]:
     is the number of rows k*n that are perfect squares.  With
     S2 = h(h + 1)(2h + 1)/6, the sum is S2 - n*F for u = 1 and
     n*(F + h - z) - S2 for u = n - 1, as -x^2 mod n = n*ceil(x^2/n) - x^2.
-    The rows run SLICE at a time (`_row_slice`), on `_RAMP`; every square
-    is below (h + 1)^2.  No class number and no factorization is used.
+    The rows run SLICE at a time (`_row_slice`), on `_RAMP`: every k <= h,
+    n and root <= h + 1 are below 2^53, and a slice's roots sum below
+    SLICE*(n + 1) < 2^63.  No class number and no factorization is used.
     """
     rows = h * h // n
     zeros = ceil_sum = 0
@@ -474,36 +416,35 @@ def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
     """The zero count and the sum of N*q/2 mod N over the whole group, and
     its values on T = {gamma : 2*gamma = 0} (`two_torsion`).
 
-    On a cyclic form, every Lambda_g among them, each sum is even under
+    A cyclic form of level N with (SLICE + 2)*N >= 2^63 raises TooLarge
+    first, before its generator's value is read: below it the rows' float64
+    and int64 arithmetic is exact (`row_sums`).  On a cyclic form each sum is even under
     gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice that over one
     element of each pair {gamma, -gamma} with gamma != -gamma, plus that
     over T.  Those pairs are x*g for x = 1, ..., h = (d - 1)//2, with the
     values u*x^2 mod N.  When u is 1 or N - 1, as for every Lambda_g
-    (u = N - 1) and every <2n>, and (h + 1)^2 < 2^63, which admits Lambda_g
-    up to g = 3037000500, their sums are counted by rows (`row_sums`) in
-    about h^2/N integer square roots; otherwise they are walked by squares
-    (`square_walk`), which raises TooLarge before its first slice, so
-    before T is read.  Any other form reads its cached full-group `qn`,
-    which raises TooLarge before any array of |A| entries.
+    (u = N - 1) and every <2n>, their sums are counted by rows
+    (`row_sums`) in about h^2/N integer square roots.  Any other form reads
+    its cached full-group `qn`, which raises TooLarge before any array of
+    |A| entries.
     """
-    if df.ngens != 1:
-        qn = df.qn
-        # exact in int64: N divides twice the group's exponent, so the sum
-        # is below N*|A| <= 2|A|^2 < 2^63 for any group whose `qn` fits in
-        # memory
-        return len(qn) - int(np.count_nonzero(qn)), int(qn.sum()), two_torsion(df)
-    (d,) = df.orders
-    n, h = df.level, (d - 1) // 2
-    # the bound first: N <= 4(h + 1), so it also keeps `_upper` in int64
-    if (h + 1) ** 2 < 1 << 63 and (u := int(df._upper[0, 0])) in (1, n - 1):
-        zeros, total = row_sums(h, n, u)
-    else:
-        zeros = total = 0
-        for v in square_walk(df):
-            zeros += len(v) - int(np.count_nonzero(v))
-            total += int(v.sum())
-    two = two_torsion(df)
-    return 2 * zeros + two.count(0), 2 * total + sum(two), two
+    if df.ngens == 1:
+        (d,) = df.orders
+        n = df.level
+        bound = (SLICE + 2) * n
+        if bound >= 1 << 63:
+            raise TooLarge(
+                f"level {n} times SLICE + 2 is {bound} >= 2^63: the row slices "
+                f"of |A| = {d} would not be exact in float64 and int64"
+            )
+        if (u := int(df._upper[0, 0])) in (1, n - 1):
+            zeros, total = row_sums((d - 1) // 2, n, u)
+            two = two_torsion(df)
+            return 2 * zeros + two.count(0), 2 * total + sum(two), two
+    qn = df.qn
+    # exact in int64: N divides twice the group's exponent, so the sum is
+    # below N*|A| <= 2|A|^2 < 2^63 for any group whose `qn` fits in memory
+    return len(qn) - int(np.count_nonzero(qn)), int(qn.sum()), two_torsion(df)
 
 
 def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:

@@ -29,12 +29,11 @@ made once per process, and each genus adds one row and one rank-one block.
 A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
 generators' values of q and b, by one formula (`qn_at`): for the whole group
 at once (`qn`, which the Weil operators read, and the cusp dimension of a
-form with several generators) or at an index array, the tests' oracle of
-the cyclic walk by squares (see `cuspdim`).  The index maps of -gamma and
-xi(gamma) are one map, M*gamma mod `orders` (`_image_index`).  A form
-whose int64 products could overflow raises TooLarge before any element is
-evaluated: N times the sum of the orders (`check_int64`), g - 1 >= 2^30
-for Lambda_g.
+form that `cuspdim` does not count by rows) or at an index array.  The
+index maps of -gamma and xi(gamma) are one map, M*gamma mod `orders`
+(`_image_index`).  A form whose int64 products could overflow raises
+TooLarge before any element is evaluated: N times the sum of the orders
+(`check_int64`), g - 1 >= 2^30 for Lambda_g.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -470,8 +469,8 @@ class DiscriminantForm:
     over the common denominator N = level, indexed in elements() order,
     and `_upper` holds N*q/2 and N*b on the generators; the exact q() and
     b() are their test oracle.  `qn_at` is the same formula at any indices.
-    The cusp dimension reads `qn` on a form with several generators and
-    walks a cyclic one by squares (see `cuspdim`); its Gauss sums come from
+    The cusp dimension counts a cyclic form with u = 1 or N - 1 by rows and
+    reads `qn` on any other (see `cuspdim`); its Gauss sums come from
     `gen_pairing` instead.  `roots` and `qroots`, e(q/2) at every element,
     serve the float Gauss sum and the Weil operators.
     """
@@ -525,8 +524,8 @@ class DiscriminantForm:
         of streaming for hours.  It bounds the full-group arrays (`qn`,
         `neg_index`, `dual_index`, `_exponents`), which the Weil operators
         and the cusp dimension of a form with several generators read, and
-        `qn_at`.  A cyclic form's sums, counted by rows or walked by squares
-        (`cuspdim.walk_sums`), read none of them and have their own bounds.
+        `qn_at`.  A cyclic form's sums counted by rows (`cuspdim.walk_sums`)
+        read none of them and have their own bound.
         """
         bound = self.level * sum(self.orders)
         if bound >= 1 << 63:

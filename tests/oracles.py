@@ -10,7 +10,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from nlrank.cuspdim import SLICE, CuspDimReport, square_walk, two_torsion, walk_sums
+from nlrank.cuspdim import SLICE, CuspDimReport, walk_sums
 from nlrank.errors import NegativeDiscriminant, SnapFailure, WeightTooSmall
 from nlrank.lattices import (
     DiscriminantForm,
@@ -170,24 +170,10 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
     )
 
 
-# Lambda_g has level N = 4(g - 1), and its squares walk is refused exactly
-# when (SLICE + 2)*N >= 2^63: from this genus on, g - 1 >= about 5.6*10^14
-SQUARE_WALK_FIRST_REFUSED_GENUS = -(-(2**63) // (4 * (SLICE + 2))) + 1
-
-# Lambda_g walks h = g - 2 elements, counted by rows while (h + 1)^2 < 2^63:
-# up to this genus, and by squares from the next one on
-ROWS_LAST_GENUS = math.isqrt(2**63 - 1) + 1
-
-
-def walk_sums_by_squares(df: DiscriminantForm) -> tuple[int, int, list[int]]:
-    """`cuspdim.walk_sums` of a cyclic form by the squares walk, whatever
-    its generator: the oracle of the rows."""
-    zeros = total = 0
-    for v in square_walk(df):
-        zeros += len(v) - int(np.count_nonzero(v))
-        total += int(v.sum())
-    two = two_torsion(df)
-    return 2 * zeros + two.count(0), 2 * total + sum(two), two
+# Lambda_g has level N = 4(g - 1), and the cusp side refuses a cyclic form
+# exactly when (SLICE + 2)*N >= 2^63: from this genus on, g - 1 >= about
+# 5.6*10^14
+CUSP_FIRST_REFUSED_GENUS = -(-(2**63) // (4 * (SLICE + 2))) + 1
 
 
 def row_sums_bruteforce(h: int, n: int, u: int) -> tuple[int, int]:

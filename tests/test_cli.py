@@ -13,7 +13,7 @@ from nlrank import cuspdim, picard_rank
 from nlrank import nl as nlmod
 from nlrank import rank as rankmod
 from nlrank.cli import dispatch
-from oracles import SQUARE_WALK_FIRST_REFUSED_GENUS, enumerate_nl_grid
+from oracles import CUSP_FIRST_REFUSED_GENUS, enumerate_nl_grid
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -139,10 +139,10 @@ def test_crosscheck_runs_out_of_memory_before_the_closed_form(monkeypatch):
 
 
 def test_dim_above_the_int64_bound_fails_fast():
-    # Lambda_g past the squares walk's int64 bound, g - 1 >= about
+    # Lambda_g past the cusp side's int64 bound, g - 1 >= about
     # 5.6*10^14, is refused before any element is evaluated, also where |A|
     # itself is past int64
-    for g in (str(SQUARE_WALK_FIRST_REFUSED_GENUS), str(10**30)):
+    for g in (str(CUSP_FIRST_REFUSED_GENUS), str(10**30)):
         start = time.perf_counter()
         code, out, err = run(["dim", "--g", g])
         assert time.perf_counter() - start < 2
@@ -167,14 +167,14 @@ def test_weil_verify_above_the_int64_bound_fails_fast(g):
 
 
 def test_crosscheck_above_the_int64_bound_fails_before_the_closed_form(monkeypatch):
-    # the first genus past the squares walk's bound, which the closed form
+    # the first genus past the cusp side's bound, which the closed form
     # would take, is refused by the cusp side first, at once
     def closed_form(g):
         raise AssertionError(f"closed form at g = {g} ran before the cusp side")
 
     monkeypatch.setattr(rankmod, "picard_rank", closed_form)
     # the second has |A| past int64
-    for g in (str(SQUARE_WALK_FIRST_REFUSED_GENUS), str(10**30)):
+    for g in (str(CUSP_FIRST_REFUSED_GENUS), str(10**30)):
         start = time.perf_counter()
         code, out, err = run(["crosscheck", "--from", g, "--to", g])
         assert time.perf_counter() - start < 2

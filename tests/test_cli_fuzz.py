@@ -4,7 +4,7 @@ address-space limit and a timeout.
 
 Every run must end in exit 0, 1 or 2 with no traceback on stderr, and both
 runs must write the same stdout.  Huge values go only where a verb refuses
-them at once (a genus past the int64 bound of the cusp side's squares walk,
+them at once (a genus past the int64 bound of the cusp side's row count,
 g - 1 >= about 5.6*10^14, a group too large to allocate, a reversed range)
 or where they cost nothing (`nl --hmax`), so no run walks a large group.
 """
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlrank.lattices import CATALOG_NAMES
-from oracles import SQUARE_WALK_FIRST_REFUSED_GENUS
+from oracles import CUSP_FIRST_REFUSED_GENUS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # bytes of address space per child: numpy's import fits, a full group of
@@ -50,8 +50,8 @@ def flags(*pairs):
 
 BAD = st.sampled_from(["", "x", "1.5", "1/2", "-", "0x10", "nan", "1e3", "--g"])
 NEG = st.sampled_from(["-1", "0", "1", "-7"])
-# every one at or past the first genus whose squares walk is refused
-HUGE = st.sampled_from([SQUARE_WALK_FIRST_REFUSED_GENUS, 10**16, 10**30]).map(str)
+# every one at or past the first genus whose cusp side is refused
+HUGE = st.sampled_from([CUSP_FIRST_REFUSED_GENUS, 10**16, 10**30]).map(str)
 FORMAT = mostly(st.sampled_from(["csv", "json", "pretty"]), st.just("xml"))
 RECORD = mostly(st.sampled_from(["json", "pretty"]), st.sampled_from(["csv", "xml"]))
 NAME = mostly(st.sampled_from(CATALOG_NAMES), st.just("Lambda"))

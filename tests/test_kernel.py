@@ -7,11 +7,11 @@ reduce), and the pairing `oracles.bn` builds from the generator pairing, are
 compared element by element with the exact `Fraction` reference
 `elements()`, `q()` and `b()`, on the corpus, `NON_CYCLIC` and hypothesis
 forms;
-the cyclic walk `cuspdim.square_walk` with `qn_at`, and `cuspdim.walk_sums`
-with full-group sums over `qn`, and its refusal of a form too large for
-int64 before any array of |A| entries; the row count `cuspdim.row_sums`
-with brute force, its slices with `math.isqrt` up to the last admitted
-genus, and `walk_sums` by rows with the squares walk; `roots` with
+`cuspdim.walk_sums` with full-group sums over `qn`, by rows on a cyclic
+form with u = 1 or N - 1 and from `qn` on any other, and its refusal of a
+form too large for int64 before any array of |A| entries; the row count
+`cuspdim.row_sums` with brute force, and its slices with `math.isqrt` up
+to the last admitted genus; `roots` with
 `numpy.exp`, and as built once per form, with `qroots` evaluated once, by the Weil chain and
 never by the cusp dimension; the exact Gauss sums of
 `cuspdim.exact_gauss_sums` with brute-force complex sums; and the consumers built on them (`gauss_sum`,
@@ -55,8 +55,7 @@ from nlrank.lattices import DiscriminantForm
 import strategies
 from conftest import corpus_lattices
 from oracles import (
-    ROWS_LAST_GENUS,
-    SQUARE_WALK_FIRST_REFUSED_GENUS,
+    CUSP_FIRST_REFUSED_GENUS,
     bn,
     dim_cusp_df_elementwise,
     dim_cusp_df_float,
@@ -66,7 +65,6 @@ from oracles import (
     row_slice_bruteforce,
     row_sums_bruteforce,
     walk_sums_bruteforce,
-    walk_sums_by_squares,
 )
 from strategies import NON_CYCLIC
 
@@ -298,13 +296,12 @@ def _binary(c):
     return make_lattice([[2, 1], [1, c]])
 
 
-# cyclic groups just below, on and just past the slice boundaries of
-# `square_walk`: Lambda_g has |A| = 2g - 2 = 4094, 4096, 4098 and 8190 to
-# 8196, of which g - 2 are walked, so g = 4097, 4098 and 4099 walk
-# SLICE - 1, SLICE and SLICE + 1 elements; the binary forms have the odd
-# orders 4095, 4097 and 8193, walked in 2047, 2048 and 4096.  The sums of
-# U(N) and U(2)^6 + <2>, which is all 2-torsion, have several generators
-# and read their sums from `qn`, of up to 65600 elements
+# groups of about SLICE and 2*SLICE elements, whose `qn` is checked at
+# both ends of every SLICE-long run of indices: Lambda_g, with
+# |A| = 2g - 2 = 4094, 4096, 4098 and 8190 to 8196, and the binary forms,
+# cyclic of the odd orders 4095, 4097 and 8193, count their sums by rows;
+# the sums of U(N) and U(2)^6 + <2>, which is all 2-torsion, have several
+# generators and read their sums from `qn`, of up to 65600 elements
 SLICE_EDGE_FORMS = {
     **{f"Lambda_{g}": lambda_lattice(g) for g in (2048, 2049, 2050, 4096, 4097, 4098, 4099)},
     **{f"|A|={abs(2 * c - 1)}": _binary(c) for c in (2048, -2048, -4096)},
@@ -338,8 +335,7 @@ def _check_walk_sums(df):
     assert (zeros, total, sorted(two)) == walk_sums_bruteforce(df)
 
 
-# the corpus and the trivial forms; U(2)^k, all 2-torsion, whose walk is
-# empty; cyclic forms of even and odd order, d = 2 (h = 0) among them, and
+# the corpus and the trivial forms; U(2)^k, all 2-torsion; cyclic forms of even and odd order, d = 2 (h = 0) among them, and
 # with h = (d - 1)//2 one below, on and one past SLICE; and forms with
 # several generators
 WALK_SUM_FORMS = {
@@ -365,24 +361,18 @@ def test_walk_sums_match_full_group_sums_on_random_forms(pieces):
     _check_walk_sums(discriminant_form(strategies.lattice_of(pieces)))
 
 
-def _check_square_walk(df):
-    """`walk_sums` against full-group sums over `qn` and against the
-    squares walk, which it takes in place of the rows unless u = 1 or
-    N - 1, and the squares walk's slice lengths: L - 1 = min(SLICE, h + 1)
-    - 1 in the first, L in each later one but the last."""
+def _check_cyclic(df):
+    """`walk_sums` of a cyclic form, whatever its generator, against
+    full-group sums over `qn`."""
     assert df.ngens == 1
     _check_walk_sums(df)
-    assert cuspdim.walk_sums(df) == walk_sums_by_squares(df)
-    h = (df.cardinality - 1) // 2
-    size = min(SLICE, h + 1)
-    lengths = [len(v) for v in cuspdim.square_walk(df)]
-    tail = [(h + 1) % size] if (h + 1) % size and h >= size else []
-    assert lengths == [size - 1] + [size] * ((h + 1) // size - 1) + tail
 
 
 def test_square_walk_matches_qn_at_on_lambda_g():
-    for g in [*range(2, 400), 2 * 10**4, 10**6]:
-        _check_square_walk(discriminant_form(lambda_lattice(g)))
+    # two genera far above those of
+    # `test_rows_match_the_squares_walk_on_lambda_g`
+    for g in (2 * 10**4, 10**6):
+        _check_cyclic(discriminant_form(lambda_lattice(g)))
 
 
 # h = (d - 1)//2 around the slice boundaries: Lambda_{h + 2} has d = 2h + 2
@@ -396,19 +386,38 @@ def test_square_walk_matches_qn_at_across_slices(h):
     for lat in (lambda_lattice(h + 2), _binary(h + 1 if h % 2 else -h)):
         df = discriminant_form(lat)
         assert (df.cardinality - 1) // 2 == h
-        _check_square_walk(df)
+        _check_cyclic(df)
 
 
 def test_square_walk_matches_qn_at_on_rank_one_forms():
     for n in range(1, 351):
         for w in (2 * n, -2 * n):
-            _check_square_walk(discriminant_form(make_lattice([[w]])))
+            _check_rows(discriminant_form(make_lattice([[w]])))
 
 
 @settings(max_examples=40, deadline=None)
 @given(strategies.cyclic_pieces)
 def test_square_walk_matches_qn_at_on_random_cyclic_forms(pieces):
-    _check_square_walk(discriminant_form(strategies.lattice_of(pieces)))
+    _check_cyclic(discriminant_form(strategies.lattice_of(pieces)))
+
+
+def test_walk_sums_read_qn_on_a_cyclic_form_with_another_generator(monkeypatch):
+    # [[4, 1], [1, 4]] and [[6, 3], [3, 8]] are cyclic of orders 15 and 39,
+    # with u = 2 and 10, neither 1 nor N - 1: their sums come from `qn`,
+    # never from the rows, while Lambda_g's come from the rows and build no
+    # `qn`
+    def refuse(*args):
+        raise AssertionError(f"row_sums{args}")
+
+    monkeypatch.setattr(cuspdim, "row_sums", refuse)
+    for gram, u in (([[4, 1], [1, 4]], 2), ([[6, 3], [3, 8]], 10)):
+        df = discriminant_form(make_lattice(gram))
+        assert int(df._upper[0, 0]) == u
+        _check_cyclic(df)
+    monkeypatch.undo()
+    rows = discriminant_form(lambda_lattice(60))
+    cuspdim.walk_sums(rows)
+    assert "qn" not in vars(rows)
 
 
 def test_row_sums_match_brute_force():
@@ -421,10 +430,10 @@ def test_row_sums_match_brute_force():
 
 def _check_rows(df):
     """`walk_sums` of a cyclic form with u = 1 or N - 1, which counts by
-    rows, against the squares walk."""
+    rows, against full-group sums over `qn`."""
     n = df.level
     assert df.ngens == 1 and int(df._upper[0, 0]) in (1, n - 1)
-    assert cuspdim.walk_sums(df) == walk_sums_by_squares(df)
+    _check_walk_sums(df)
 
 
 def test_rows_match_the_squares_walk_on_lambda_g():
@@ -455,8 +464,7 @@ def test_rows_match_the_squares_walk_across_slices(rows):
 
 
 # rows just below 2^53, (t + 1)^2 - 2 to (t + 1)^2 with t + 1 <= 2^26.5,
-# whose float root rounds up to t + 1 at (t + 1)^2 - 1: the one-sided
-# correction of the slices below 2^53
+# whose float root rounds up to t + 1 at (t + 1)^2 - 1
 @pytest.mark.parametrize("t", [math.isqrt(2**53) - 1, math.isqrt(2**53) - 2])
 def test_row_slices_below_2_53_hold_a_float_root_one_above(t):
     start, take = (t + 1) ** 2 - 2, 3
@@ -484,53 +492,76 @@ def test_row_slices_match_isqrt_above_2_53(start, take, n):
     assert cuspdim._row_slice(start, take, n) == row_slice_bruteforce(start, take, n)
 
 
-def test_row_slices_at_the_last_admitted_genus():
-    # the walk of Lambda_g at g = 3037000500 has h = g - 2 with
-    # (h + 1)^2 < 2^63 <= (h + 2)^2; its first, second and last row slices
-    # and the full slice before the last, without counting the rest
-    df = discriminant_form(lambda_lattice(ROWS_LAST_GENUS))
+# rows past 2^63 at which k*n is a perfect square m^2 (n = 4s^2, k = t^2),
+# or one away from one: m^2 - 1 (m = 1 + 64n) and m^2 + 1 (n = c^2 + 1,
+# m = c + 64n).  With k*n past 53 bits, fl(k*n) is m^2 on all three, so
+# only the exact int64 difference tells them apart
+_S, _N, _C = 2**24 + 1, 10**12 + 39, 10**6 + 1
+PAST_2_63 = {
+    "square": (2 * _S * 1000, 4 * _S**2, 0),
+    "square-1": (1 + 64 * _N, _N, -1),
+    "square+1": (_C + 64 * (_C**2 + 1), _C**2 + 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_2_63))
+def test_row_slices_at_squares_past_2_63(name):
+    # k*n = m^2 + offset, with its neighbouring rows k - 1 and k + 1
+    m, n, offset = PAST_2_63[name]
+    k, rest = divmod(m * m + offset, n)
+    assert rest == 0 and k * n > 2**63 and k < 2**53
+    assert float(k * n) == float(m * m)
+    assert cuspdim._row_slice(k - 1, 3, n) == row_slice_bruteforce(k - 1, 3, n)
+
+
+def _check_row_slices(df):
+    """The first, second and last row slices of a cyclic form, and the full
+    slice before the last, against `math.isqrt`, without counting the
+    rest."""
     n, h = df.level, (df.cardinality - 1) // 2
-    assert (h + 1) ** 2 < 2**63 <= (h + 2) ** 2
     rows = h * h // n
     last = (rows - 1) // SLICE * SLICE + 1  # the start of the last slice
-    assert rows * n >= 2**62
+    assert (h + 1) ** 2 >= 2**63
     for start in (1, SLICE + 1, last - SLICE, last):
         take = min(SLICE, rows + 1 - start)
         got = cuspdim._row_slice(start, take, n)
         assert got == row_slice_bruteforce(start, take, n), start
 
 
+@pytest.mark.parametrize("g", [3037000501, 10**10 + 19])
+def test_row_slices_past_the_int64_square_bound(g):
+    # from g = 3037000501 on, (h + 1)^2 = (g - 1)^2, which bounds the
+    # squares of the rows' float roots, is past 2^63
+    _check_row_slices(discriminant_form(lambda_lattice(g)))
+
+
+def test_row_slices_at_the_last_admitted_genus():
+    df = discriminant_form(lambda_lattice(CUSP_FIRST_REFUSED_GENUS - 1))
+    assert (SLICE + 2) * df.level < 2**63
+    _check_row_slices(df)
+
+
 def test_rows_end_at_the_last_admitted_genus(monkeypatch):
-    # Lambda_g at g = 3037000500 counts by rows and never walks; at the
-    # next genus, (h + 1)^2 >= 2^63, it takes the squares walk.  Neither
-    # sum is run to its end
+    # Lambda_g counts by rows up to the last admitted genus, past the
+    # genus g = 3037000501 whose squares pass int64; the next genus is
+    # refused before the rows and before its generator's value is read.
+    # No sum is run to its end
     class Taken(Exception):
         pass
 
     def refuse(*args):
         raise Taken(args)
 
-    monkeypatch.setattr(cuspdim, "square_walk", refuse)
     monkeypatch.setattr(cuspdim, "row_sums", refuse)
-    top = discriminant_form(lambda_lattice(ROWS_LAST_GENUS))
-    with pytest.raises(Taken) as taken:
-        cuspdim.walk_sums(top)
-    assert taken.value.args[0] == (ROWS_LAST_GENUS - 2, top.level, top.level - 1)
-    over = discriminant_form(lambda_lattice(ROWS_LAST_GENUS + 1))
-    with pytest.raises(Taken) as taken:
+    for g in (3037000501, CUSP_FIRST_REFUSED_GENUS - 1):
+        df = discriminant_form(lambda_lattice(g))
+        with pytest.raises(Taken) as taken:
+            cuspdim.walk_sums(df)
+        assert taken.value.args[0] == (g - 2, df.level, df.level - 1)
+    over = discriminant_form(lambda_lattice(CUSP_FIRST_REFUSED_GENUS))
+    with pytest.raises(TooLarge):
         cuspdim.walk_sums(over)
-    assert taken.value.args[0] == (over,)
-
-
-def test_small_square_walk_holds_no_slice_long_buffer():
-    # the table of h + 1 < SLICE entries is the first slice, and no slice
-    # buffer is made; the 2-torsion's one or two values are not walked
-    for lat in (lambda_lattice(2), lambda_lattice(60), _binary(-20), lambda_lattice(SLICE)):
-        df = discriminant_form(lat)
-        h = (df.cardinality - 1) // 2
-        (first,) = cuspdim.square_walk(df)
-        assert len(first.base) == h + 1 < SLICE, lat
-        assert len(cuspdim.two_torsion(df)) == 2 - df.cardinality % 2, lat
+    assert "_upper" not in vars(over)
 
 
 def test_small_walk_holds_no_slice_long_buffer():
@@ -541,7 +572,7 @@ def test_small_walk_holds_no_slice_long_buffer():
         ramp[0] = 1
 
 
-def test_int64_bound_of_lambda_g():
+def test_int64_bound_of_lambda_g(monkeypatch):
     # the full-group arrays and `qn_at`: N * sum(orders) = (4g-4)(2g-2) =
     # 8(g-1)^2 for Lambda_g, below 2^63 exactly while g-1 < 2^30
     top = discriminant_form(lambda_lattice(2**30))
@@ -555,17 +586,20 @@ def test_int64_bound_of_lambda_g():
         over.check_int64()
     with pytest.raises(TooLarge):
         over.qn_at(np.zeros(1, dtype=np.int64))
-    # the cyclic walk by squares: the last admitted genus gives its first
-    # slice, the next one is refused before any element, also by dim
-    top = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS - 1))
-    assert (SLICE + 2) * top.level < 2**63 <= (SLICE + 2) * (top.level + 4)
-    first = next(cuspdim.square_walk(top))
-    assert len(first) == SLICE - 1
-    over = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS))
-    with pytest.raises(TooLarge):
-        next(cuspdim.square_walk(over))
-    with pytest.raises(TooLarge):
-        dim_cusp_df(over, HALF_21)
+    # the cyclic sums: the last admitted genus has its 2-torsion
+    # {0, (d/2)*g} in Python ints, past the bound of `qn_at`; the next one
+    # is refused before any row, also by dim and where |A| is past int64
+    top = discriminant_form(lambda_lattice(CUSP_FIRST_REFUSED_GENUS - 1))
+    n = top.level
+    assert (SLICE + 2) * n < 2**63 <= (SLICE + 2) * (n + 4)
+    assert cuspdim.two_torsion(top) == [0, top.q((top.cardinality // 2,)) * n / 2 % n]
+    monkeypatch.setattr(cuspdim, "row_sums", None)
+    for g in (CUSP_FIRST_REFUSED_GENUS, 10**30):
+        over = discriminant_form(lambda_lattice(g))
+        with pytest.raises(TooLarge):
+            cuspdim.walk_sums(over)
+        with pytest.raises(TooLarge):
+            dim_cusp_df(over, HALF_21)
 
 
 def test_walk_sums_refuse_a_non_cyclic_form_past_the_int64_bound(small_arange):
@@ -581,26 +615,6 @@ def test_walk_sums_refuse_a_non_cyclic_form_past_the_int64_bound(small_arange):
         dim_cusp_df(df, HALF_21)
     assert "qn" not in vars(df)
     discriminant_form(direct_sum(hyperbolic(2), lambda_lattice(2**30))).check_int64()
-
-
-def test_square_slices_at_the_int64_bound():
-    # slices at starts near the end of the walk of the largest admitted
-    # genus, against Python ints, without walking the group
-    df = discriminant_form(lambda_lattice(SQUARE_WALK_FIRST_REFUSED_GENUS - 1))
-    n, u, h = df.level, int(df._upper[0, 0]), (df.cardinality - 1) // 2
-    assert u == df.q((1,)) * n / 2 % n
-    first = next(cuspdim.square_walk(df))
-    # the 2-torsion {0, (d/2)*g} in Python ints, past the bound of `qn_at`
-    assert cuspdim.two_torsion(df) == [0, df.q((df.cardinality // 2,)) * n / 2 % n]
-    table = first.base
-    assert len(table) == SLICE
-    assert first.tolist() == [u * x * x % n for x in range(1, SLICE)]
-    last = h // SLICE * SLICE  # the start of the walk's last slice
-    for start in (h + 1 - SLICE, last - SLICE, last, h - 2, h):
-        take = min(SLICE, h + 1 - start)
-        out, quotient = np.empty(take, dtype=np.int64), np.empty(take, dtype=np.int64)
-        got = cuspdim._square_slice(table, start, u, n, out, quotient)
-        assert got.tolist() == [u * x * x % n for x in range(start, start + take)], start
 
 
 def test_dual_index_matrix_at_the_int64_bound(monkeypatch):

@@ -446,7 +446,7 @@ def test_exponents_are_read_at_most_once_per_form(monkeypatch):
 
 
 # the first genus past the int64 bound of the full-group arrays, the first
-# past that of the squares walk, and one with |A| = 2*10^16 - 2
+# past that of the cusp side's row count, and one with |A| = 2*10^16 - 2
 HUGE_GENERA = [2**30 + 1, 562675209666593, 10**16]
 
 
