@@ -9,9 +9,10 @@ or a closed stdout), 2 usage error.
 
 Each verb's handler imports the modules it needs, so start-up pays only for
 them: `rank` and `nl` never load `lattices`, `lattice info` loads it but
-never numpy, and `dim`, `weil` and `crosscheck` load numpy with `cuspdim` or
-`weil`.  `rank`, `nl` and `crosscheck` write each row as it is made; `nl`
-merges one sorted run per h (`nl.iter_nl`).
+never numpy, `weil` loads numpy, and `dim` and `crosscheck` load it only
+for a genus whose cusp side counts more than `cuspdim.ISQRT_ROWS` rows
+(g > 262).  `rank`, `nl` and `crosscheck` write each row as it is made;
+`nl` merges one sorted run per h (`nl.iter_nl`).
 """
 
 from __future__ import annotations

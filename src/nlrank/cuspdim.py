@@ -13,17 +13,20 @@ the group, and its values on the 2-torsion T = {gamma : 2*gamma = 0}
 even under gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice the sum
 over one element of each pair {gamma, -gamma} with gamma != -gamma, plus
 the sum over T, whose one or two values are evaluated once.  The pairs are
-x*g for x = 1, ..., h = (d - 1)//2, with the values u*x^2 mod N.  When
-u = 1 or N - 1, as for every Lambda_g and every <2n>, their sums are the
-lattice points under the parabola N*y = x^2, counted by rows (`row_sums`):
-about h^2/N, for Lambda_g g/4, integer square roots, SLICE rows at a time,
-with no array as long as the group, so their memory does not grow with
-|A|, and with no class number and no factorization.  The rows are exact in
+x*g for x = 1, ..., h = (d - 1)//2, with the values u*x^2 mod N, where
+u = N*q(g)/2 mod N is read in Python ints from the generator's pairing.
+When u = 1 or N - 1, as for every Lambda_g and every <2n>, their sums are
+the lattice points under the parabola N*y = x^2, counted by rows
+(`row_sums`): about h^2/N, for Lambda_g g/4, integer square roots, with no
+class number and no factorization.  Up to ISQRT_ROWS rows (Lambda_g up to
+g = 262) they are `math.isqrt` in Python ints, and numpy is not loaded;
+more rows run in numpy, SLICE at a time, with no array as long as the
+group, so their memory does not grow with |A|.  The slices are exact in
 int64 while (SLICE + 2)*N < 2^63, and a cyclic form past that bound is
-refused, which admits Lambda_g up to g - 1 of about 5.6*10^14.  Any other
-form, cyclic with another u or with several generators, reads the three
-sums off its cached full-group `qn`, the array the Weil operators read, and
-so holds its exponents and `qn` in memory.
+refused on both paths, which admits Lambda_g up to g - 1 of about
+5.6*10^14.  Any other form, cyclic with another u or with several
+generators, reads the three sums off its cached full-group `qn`, the array
+the Weil operators read, and so holds its exponents and `qn` in memory.
 
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
@@ -52,11 +55,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-# `lattices` before numpy: where no bytecode is cached, compiling it once
-# numpy has loaded would add the compiler's ~1 MB to the process's peak RSS
-from .lattices import DiscriminantForm, Lattice, _blocks, discriminant_form, signature
-import numpy as np
-
 from .errors import (
     BadSignature,
     HypothesisNotAsserted,
@@ -64,6 +62,7 @@ from .errors import (
     TooLarge,
     WeightTooSmall,
 )
+from .lattices import DiscriminantForm, Lattice, _blocks, discriminant_form, signature
 
 _U_GRAM = ((0, 1), (1, 0))
 
@@ -333,9 +332,21 @@ def _rational(x: tuple, what: str) -> int:
 # instead of mapping fresh pages
 SLICE = 4096
 
-# 0, 1, ..., SLICE - 1, read-only: the row offsets of `_row_slice`
-_RAMP = np.arange(SLICE, dtype=np.int64)
-_RAMP.flags.writeable = False
+# the most rows `row_sums` counts in Python integers (`_isqrt_rows`); more
+# go to numpy slices (`_row_slice`).  At K rows, in process with numpy
+# loaded (Python 3.11, numpy 2.4, 2-core x86-64, `timeit` minima), Python /
+# numpy took 2.5 / 8.0 us at K = 14, 6.0 / 14 at 49, 8.1 / 9.5 at 64,
+# 10 / 8.1 at 74, 12.5 / 8.1 at 99 and 36 / 12 at 249.  64 rows are
+# Lambda_g up to g = 262
+ISQRT_ROWS = 64
+
+
+def _generator_qn(df: DiscriminantForm) -> int:
+    """N*q(g)/2 mod N of a cyclic form's generator g, N the level, in
+    Python ints from its pairing: q(g)/2 = u/m mod 1 (`_half`) is
+    u*(N/m)/N."""
+    u, m = _half(df.gen_pairing[0][0])
+    return u * (df.level // m)
 
 
 def two_torsion(df: DiscriminantForm) -> list[int]:
@@ -343,18 +354,31 @@ def two_torsion(df: DiscriminantForm) -> list[int]:
     count, in elements() order.
 
     T's exponents are 0 or orders[i]/2 in each coordinate.  A cyclic form's
-    two values at most are Python ints, as its level may pass the bound of
-    `check_int64`; otherwise they are the form's `qn` at T's indices, which
-    raises TooLarge first.
+    two values at most are Python ints, read from its pairing, as its level
+    may pass the bound of `check_int64`; otherwise they are the form's `qn`
+    at T's indices, which raises TooLarge first.
     """
     if df.ngens == 1:
         (d,) = df.orders
-        return [0] if d % 2 else [0, int(df._upper[0, 0]) * (d // 2) ** 2 % df.level]
+        return [0] if d % 2 else [0, _generator_qn(df) * (d // 2) ** 2 % df.level]
     index = [0]
     for d in df.orders:
         halves = (0, d // 2) if d % 2 == 0 else (0,)
         index = [p * d + t for p in index for t in halves]
     return df.qn[index].tolist()
+
+
+def _isqrt_rows(rows: int, n: int) -> tuple[int, int]:
+    """The number of perfect squares among k*n, and the sum of
+    ceil(sqrt(k*n)), over the rows k = 1, ..., rows, by `math.isqrt`.
+
+    For k*n >= 1, ceil(sqrt(k*n)) = isqrt(k*n - 1) + 1, and k*n is a
+    perfect square exactly when isqrt(k*n) - isqrt(k*n - 1) = 1.  Exact in
+    Python ints at any size.
+    """
+    below = sum(map(math.isqrt, range(n - 1, rows * n, n)))
+    at = sum(map(math.isqrt, range(n, rows * n + 1, n)))
+    return at - below, below + rows
 
 
 def _row_slice(start: int, take: int, n: int) -> tuple[int, int]:
@@ -377,7 +401,9 @@ def _row_slice(start: int, take: int, n: int) -> tuple[int, int]:
     and ceil(sqrt(k*n)) is s + 1 where d < 0 (s = m on a row that is no
     square) and s on every other row.
     """
-    k = _RAMP[:take] + start
+    import numpy as np
+
+    k = np.arange(start, start + take, dtype=np.int64)
     s = np.sqrt(k * float(n)).astype(np.int64)
     k *= n
     d = s * s
@@ -397,16 +423,22 @@ def row_sums(h: int, n: int, u: int) -> tuple[int, int]:
     is the number of rows k*n that are perfect squares.  With
     S2 = h(h + 1)(2h + 1)/6, the sum is S2 - n*F for u = 1 and
     n*(F + h - z) - S2 for u = n - 1, as -x^2 mod n = n*ceil(x^2/n) - x^2.
-    The rows run SLICE at a time (`_row_slice`), on `_RAMP`: every k <= h,
-    n and root <= h + 1 are below 2^53, and a slice's roots sum below
-    SLICE*(n + 1) < 2^63.  No class number and no factorization is used.
+    Up to ISQRT_ROWS rows, where numpy's call overhead outweighs the work,
+    z and the sum of the ceilings come from `math.isqrt` in Python ints
+    (`_isqrt_rows`); more rows run SLICE at a time in numpy
+    (`_row_slice`): every k <= h, n and root <= h + 1 are below 2^53, and
+    a slice's roots sum below SLICE*(n + 1) < 2^63.  No class number and
+    no factorization is used.
     """
     rows = h * h // n
-    zeros = ceil_sum = 0
-    for start in range(1, rows + 1, SLICE):
-        squares, part = _row_slice(start, min(SLICE, rows + 1 - start), n)
-        zeros += squares
-        ceil_sum += part
+    if rows <= ISQRT_ROWS:
+        zeros, ceil_sum = _isqrt_rows(rows, n)
+    else:
+        zeros = ceil_sum = 0
+        for start in range(1, rows + 1, SLICE):
+            squares, part = _row_slice(start, min(SLICE, rows + 1 - start), n)
+            zeros += squares
+            ceil_sum += part
     f = rows * (h + 1) - ceil_sum
     s2 = h * (h + 1) * (2 * h + 1) // 6
     return zeros, s2 - n * f if u == 1 else n * (f + h - zeros) - s2
@@ -418,15 +450,17 @@ def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
 
     A cyclic form of level N with (SLICE + 2)*N >= 2^63 raises TooLarge
     first, before its generator's value is read: below it the rows' float64
-    and int64 arithmetic is exact (`row_sums`).  On a cyclic form each sum is even under
-    gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice that over one
-    element of each pair {gamma, -gamma} with gamma != -gamma, plus that
-    over T.  Those pairs are x*g for x = 1, ..., h = (d - 1)//2, with the
-    values u*x^2 mod N.  When u is 1 or N - 1, as for every Lambda_g
-    (u = N - 1) and every <2n>, their sums are counted by rows
-    (`row_sums`) in about h^2/N integer square roots.  Any other form reads
-    its cached full-group `qn`, which raises TooLarge before any array of
-    |A| entries.
+    and int64 arithmetic is exact (`row_sums`).  On a cyclic form each sum
+    is even under gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice
+    that over one element of each pair {gamma, -gamma} with gamma != -gamma,
+    plus that over T.  Those pairs are x*g for x = 1, ..., h = (d - 1)//2,
+    with the values u*x^2 mod N, u = N*q(g)/2 mod N read in Python ints
+    from the generator's pairing (`_generator_qn`), so no array is built.
+    When u is 1 or N - 1, as for every Lambda_g (u = N - 1) and every <2n>,
+    their sums are counted by rows (`row_sums`) in about h^2/N integer
+    square roots, in Python ints or numpy slices by their number.  Any
+    other form reads its cached full-group `qn`, which raises TooLarge
+    before any array of |A| entries.
     """
     if df.ngens == 1:
         (d,) = df.orders
@@ -437,10 +471,12 @@ def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
                 f"level {n} times SLICE + 2 is {bound} >= 2^63: the row slices "
                 f"of |A| = {d} would not be exact in float64 and int64"
             )
-        if (u := int(df._upper[0, 0])) in (1, n - 1):
+        if (u := _generator_qn(df)) in (1, n - 1):
             zeros, total = row_sums((d - 1) // 2, n, u)
             two = two_torsion(df)
             return 2 * zeros + two.count(0), 2 * total + sum(two), two
+    import numpy as np
+
     qn = df.qn
     # exact in int64: N divides twice the group's exponent, so the sum is
     # below N*|A| <= 2|A|^2 < 2^63 for any group whose `qn` fits in memory

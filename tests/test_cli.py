@@ -138,10 +138,16 @@ def test_crosscheck_runs_out_of_memory_before_the_closed_form(monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_dim_above_the_int64_bound_fails_fast():
+def _rows_refused(*args):
+    raise AssertionError(f"row_sums{args} ran past the cusp side's refusal")
+
+
+def test_dim_above_the_int64_bound_fails_fast(monkeypatch):
     # Lambda_g past the cusp side's int64 bound, g - 1 >= about
     # 5.6*10^14, is refused before any element is evaluated, also where |A|
-    # itself is past int64
+    # itself is past int64.  The rows are stubbed, so a missing refusal
+    # fails at once instead of counting about 1.4*10^14 rows
+    monkeypatch.setattr(cuspdim, "row_sums", _rows_refused)
     for g in (str(CUSP_FIRST_REFUSED_GENUS), str(10**30)):
         start = time.perf_counter()
         code, out, err = run(["dim", "--g", g])
@@ -173,6 +179,7 @@ def test_crosscheck_above_the_int64_bound_fails_before_the_closed_form(monkeypat
         raise AssertionError(f"closed form at g = {g} ran before the cusp side")
 
     monkeypatch.setattr(rankmod, "picard_rank", closed_form)
+    monkeypatch.setattr(cuspdim, "row_sums", _rows_refused)
     # the second has |A| past int64
     for g in (str(CUSP_FIRST_REFUSED_GENUS), str(10**30)):
         start = time.perf_counter()

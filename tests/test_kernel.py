@@ -10,8 +10,9 @@ forms;
 `cuspdim.walk_sums` with full-group sums over `qn`, by rows on a cyclic
 form with u = 1 or N - 1 and from `qn` on any other, and its refusal of a
 form too large for int64 before any array of |A| entries; the row count
-`cuspdim.row_sums` with brute force, and its slices with `math.isqrt` up
-to the last admitted genus; `roots` with
+`cuspdim.row_sums` with brute force, its Python rows with its numpy
+slices, and its slices with `math.isqrt` up to the last admitted genus; a
+cyclic generator's value read from the pairing with `_upper`; `roots` with
 `numpy.exp`, and as built once per form, with `qroots` evaluated once, by the Weil chain and
 never by the cusp dimension; the exact Gauss sums of
 `cuspdim.exact_gauss_sums` with brute-force complex sums; and the consumers built on them (`gauss_sum`,
@@ -363,14 +364,15 @@ def test_walk_sums_match_full_group_sums_on_random_forms(pieces):
 
 def _check_cyclic(df):
     """`walk_sums` of a cyclic form, whatever its generator, against
-    full-group sums over `qn`."""
+    full-group sums over `qn`, and the generator's N*q/2 mod N, which
+    `walk_sums` reads from the pairing, against `_upper`."""
     assert df.ngens == 1
+    assert cuspdim._generator_qn(df) == int(df._upper[0, 0])
     _check_walk_sums(df)
 
 
-def test_square_walk_matches_qn_at_on_lambda_g():
-    # two genera far above those of
-    # `test_rows_match_the_squares_walk_on_lambda_g`
+def test_cyclic_walk_sums_match_qn_on_large_lambda_g():
+    # two genera far above those of `test_rows_match_qn_on_lambda_g`
     for g in (2 * 10**4, 10**6):
         _check_cyclic(discriminant_form(lambda_lattice(g)))
 
@@ -389,7 +391,7 @@ def test_square_walk_matches_qn_at_across_slices(h):
         _check_cyclic(df)
 
 
-def test_square_walk_matches_qn_at_on_rank_one_forms():
+def test_rows_match_qn_on_rank_one_forms():
     for n in range(1, 351):
         for w in (2 * n, -2 * n):
             _check_rows(discriminant_form(make_lattice([[w]])))
@@ -397,7 +399,7 @@ def test_square_walk_matches_qn_at_on_rank_one_forms():
 
 @settings(max_examples=40, deadline=None)
 @given(strategies.cyclic_pieces)
-def test_square_walk_matches_qn_at_on_random_cyclic_forms(pieces):
+def test_cyclic_walk_sums_match_qn_on_random_cyclic_forms(pieces):
     _check_cyclic(discriminant_form(strategies.lattice_of(pieces)))
 
 
@@ -429,16 +431,44 @@ def test_row_sums_match_brute_force():
 
 
 def _check_rows(df):
-    """`walk_sums` of a cyclic form with u = 1 or N - 1, which counts by
-    rows, against full-group sums over `qn`."""
-    n = df.level
-    assert df.ngens == 1 and int(df._upper[0, 0]) in (1, n - 1)
-    _check_walk_sums(df)
+    """`_check_cyclic` on a cyclic form with u = 1 or N - 1, whose sums
+    `walk_sums` counts by rows."""
+    assert df.ngens == 1 and int(df._upper[0, 0]) in (1, df.level - 1)
+    _check_cyclic(df)
 
 
-def test_rows_match_the_squares_walk_on_lambda_g():
+def test_rows_match_qn_on_lambda_g():
+    # up to K = 749 rows: in Python ints to ISQRT_ROWS, then in numpy
     for g in range(2, 3001):
         _check_rows(discriminant_form(lambda_lattice(g)))
+
+
+def test_isqrt_rows_match_the_numpy_slices(monkeypatch):
+    # every row count K = 0, ..., 4*ISQRT_ROWS, on Lambda_g and on <2n>
+    # and <-2n>: `row_sums` with every K in Python ints against `row_sums`
+    # with every K in numpy slices, on the same (h, N, u)
+    top = 4 * cuspdim.ISQRT_ROWS
+    counts = set()
+    for m in range(2, 4 * top + 8):
+        for lat in (lambda_lattice(m), make_lattice([[2 * m]]), make_lattice([[-2 * m]])):
+            df = discriminant_form(lat)
+            h, n, u = (df.cardinality - 1) // 2, df.level, cuspdim._generator_qn(df)
+            assert u in (1, n - 1)
+            monkeypatch.setattr(cuspdim, "ISQRT_ROWS", top)
+            by_isqrt = cuspdim.row_sums(h, n, u)
+            monkeypatch.setattr(cuspdim, "ISQRT_ROWS", -1)
+            assert cuspdim.row_sums(h, n, u) == by_isqrt, (m, h, n, u)
+            counts.add(h * h // n)
+    assert counts >= set(range(top + 1))
+
+
+# rows past 2^53 and 2^63, where only Python ints hold k*n exactly: the
+# last admitted level of Lambda_g, and levels near 2^62, 2^64 and 10^30
+@pytest.mark.parametrize("n", [4 * (CUSP_FIRST_REFUSED_GENUS - 2), 2**62 + 1, 2**64 + 13, 10**30])
+def test_isqrt_rows_match_isqrt_past_2_63(n):
+    rows = cuspdim.ISQRT_ROWS
+    assert cuspdim._isqrt_rows(rows, n) == row_slice_bruteforce(1, rows, n)
+    assert cuspdim._isqrt_rows(0, n) == (0, 0)
 
 
 def _first_with_rows(rows, order_of):
@@ -562,14 +592,6 @@ def test_rows_end_at_the_last_admitted_genus(monkeypatch):
     with pytest.raises(TooLarge):
         cuspdim.walk_sums(over)
     assert "_upper" not in vars(over)
-
-
-def test_small_walk_holds_no_slice_long_buffer():
-    ramp = cuspdim._RAMP
-    assert ramp.tolist() == list(range(SLICE))
-    assert not ramp.flags.writeable
-    with pytest.raises(ValueError):
-        ramp[0] = 1
 
 
 def test_int64_bound_of_lambda_g(monkeypatch):

@@ -74,6 +74,29 @@ def test_rank_loads_no_numpy(g_from, g_to):
     assert _loaded_after(rank, ["numpy"]) == "[]"
 
 
+def test_small_cusp_sides_load_no_numpy():
+    # up to cuspdim.ISQRT_ROWS rows, Lambda_g up to g = 262, the cusp side
+    # counts its rows in Python ints and loads no numpy: dim at g = 200
+    # (49 rows), crosscheck to g = 60 (14) and <10>, <-10> (one row) at
+    # weights of either parity; then dim at g = 10^4 (2499 rows) loads it
+    script = (
+        "import io\n"
+        "from fractions import Fraction\n"
+        "from nlrank.cli import dispatch\n"
+        "from nlrank.cuspdim import dim_cusp_df\n"
+        "from nlrank.lattices import discriminant_form, make_lattice\n"
+        "for argv in (['dim', '--g', '200'], ['crosscheck', '--from', '2', '--to', '60']):\n"
+        "    assert dispatch(argv, out=io.StringIO()) == 0\n"
+        "for w in (10, -10):\n"
+        "    df = discriminant_form(make_lattice([[w]]))\n"
+        "    assert any(dim_cusp_df(df, Fraction(j, 2)).parity_ok for j in range(17, 27))\n"
+        "if 'numpy' in sys.modules:\n"
+        "    raise SystemExit('numpy loaded below ISQRT_ROWS rows')\n"
+        "assert dispatch(['dim', '--g', '10000'], out=io.StringIO()) == 0\n"
+    )
+    assert _loaded_after(script, ["numpy"]) == "['numpy']"
+
+
 def test_rank_and_nl_leave_lattices_unloaded():
     verbs = (
         "import io\n"
