@@ -40,10 +40,6 @@ class TooLarge(NLRankError):
 
 
 # Weil representation / dimension formula
-class SnapFailure(NLRankError):
-    pass
-
-
 class WeightTooSmall(NLRankError):
     pass
 

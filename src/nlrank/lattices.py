@@ -90,14 +90,6 @@ class Lattice:
         `signature` and `discriminant_form` both read this tuple."""
         return tuple([_block_invariants(sub) for _, sub in self.blocks])
 
-    def inner(self, x, y) -> Fraction:
-        """Bilinear form on rational coordinate vectors in the lattice basis."""
-        total = Fraction(0)
-        for i, row in enumerate(self.gram):
-            if x[i]:
-                total += x[i] * sum(Fraction(row[j]) * y[j] for j in range(self.rank) if y[j])
-        return total
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -294,16 +286,14 @@ def _add_col(m, dst, src, c):
 def smith_normal_form(rows: Gram):
     """Smith normal form D = U * M * V with unimodular U, V.
 
-    Returns (divisors, U, V) where divisors is the full diagonal of D
-    (positive, each dividing the next).  A 1x1 matrix (x) is its own form,
-    with U = (sign x).
+    Returns (divisors, V) where divisors is the full diagonal of D
+    (positive, each dividing the next); U, the row operations, is not
+    kept.  A 1x1 matrix (x) is its own form, with V = (1).
     """
     n = len(rows)
     if n == 1:
-        x = rows[0][0]
-        return [abs(x)], [[-1 if x < 0 else 1]], [[1]]
+        return [abs(rows[0][0])], [[1]]
     a = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
     for t in range(n):
         while True:
@@ -317,7 +307,6 @@ def smith_normal_form(rows: Gram):
                 break
             if piv != (t, t):
                 _swap_rows(a, t, piv[0])
-                _swap_rows(u, t, piv[0])
                 _swap_cols(a, t, piv[1])
                 _swap_cols(v, t, piv[1])
             p = a[t][t]
@@ -326,7 +315,6 @@ def smith_normal_form(rows: Gram):
                 if a[i][t]:
                     c = -(a[i][t] // p)
                     _add_row(a, i, t, c)
-                    _add_row(u, i, t, c)
                     if a[i][t]:
                         clean = False
             for j in range(t + 1, n):
@@ -349,11 +337,9 @@ def smith_normal_form(rows: Gram):
             if bad is None:
                 break
             _add_row(a, t, bad, 1)
-            _add_row(u, t, bad, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return [a[i][i] for i in range(n)], u, v
+    return [a[i][i] for i in range(n)], v
 
 
 # Lambda_g = <2-2g> + U^2 + (-E8)^2 repeats its U and -E8 blocks in every
@@ -425,7 +411,7 @@ def _block_invariants(sub: Gram) -> _Block:
     denominators of q(g_i)/2 and of b(g_i, g_j), i < j.
     """
     pos, neg = _congruence_signature(sub)
-    divisors, _, v = smith_normal_form(sub)
+    divisors, v = smith_normal_form(sub)
     cols = [(d, [row[i] for row in v]) for i, d in enumerate(divisors) if d > 1]
     gens = tuple((d, tuple([Fraction(x, d) for x in col])) for d, col in cols)
     # G v_j for each column, then v_i . (G v_j) over d_i d_j
@@ -623,8 +609,9 @@ class DiscriminantForm:
 
         With b = ceil(sqrt(N)), e(v/N) = hi[v // b] * lo[v - b*(v // b)] from
         the tables lo[r] = e(r/N), r < b, and hi[t] = e(t*b/N): two lookups
-        and one product per value, within a few ulp of `numpy.exp`, and only
-        about 2*sqrt(N) calls of `exp`, once per form.
+        and one product per value, within a few ulp of `numpy.exp` (at `qn`,
+        `weil.verify_relations` reports that distance as `maxErrTN`), and
+        only about 2*sqrt(N) calls of `exp`, once per form.
         """
         import numpy as np
 

@@ -24,17 +24,14 @@ group's order is bounded by memory alone.  The metaplectic relations are
 checked on a fixed set of probe vectors with four applications of rho(S),
 (ST)^3 = S^2 in the equivalent form TSTST = S (see `verify_relations`).
 The form's int64 arrays are built once per form, and a group too large for
-int64 is refused before any of them (`build_weil_rep`).  T^N = 1 is
-checked, and the traces' eigenvalue content read, from one comparison of
-rho(T)'s diagonal with the N-th roots of unity e(q(gamma)/2), the form's
-`qroots` (`WeilRep.t_snap`).  `build_weil_rep` makes that diagonal the
-`qroots` array itself, so on every representation it builds the comparison
-is of an array with itself: `maxErrTN` reads 0.0 and the snap in `traces`
-cannot fire.  Only a hand-built or altered `WeilRep` moves them, and
-neither measures how far `qroots` sits from e(q/2).  Like the cusp
-dimension, this module imports nothing from the closed form.  Complex
-double precision throughout; every downstream consumer snaps to roots of
-unity or integers.
+int64 is refused before any of them (`build_weil_rep`).  rho(T)'s
+diagonal is the form's `qroots`, read from its `roots` tables at the exact
+integers `qn` = N*q(gamma)/2 mod N, N the level.  So T^N = 1 holds exactly
+and rho(T)'s eigenvalue content is the histogram of `qn`; the float check
+of T measures how far each diagonal entry sits from an e(q(gamma)/2)
+computed by `numpy.exp`, without the tables.  Like the cusp dimension,
+this module imports nothing from the closed form.  Complex double
+precision throughout.
 """
 
 from __future__ import annotations
@@ -46,12 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SnapFailure
 from .lattices import DiscriminantForm, Lattice, discriminant_form
-
-# how far a diagonal entry of rho(T) may sit from its N-th root of unity
-# e(q(gamma)/2) before `traces` raises SnapFailure
-T_SNAP_TOL = 1e-6
 
 # the probes: PROBE_RANDOM random unit vectors drawn from PROBE_SEED, then
 # the basis vectors e_0, e_{d//2} and e_{d-1}
@@ -110,15 +102,6 @@ class WeilRep:
     @property
     def level(self) -> int:
         return self.df.level
-
-    @cached_property
-    def t_snap(self) -> tuple[np.ndarray, np.ndarray]:
-        """rho(T)'s diagonal against its N-th roots of unity, N the level:
-        k = the form's `qn` and dist = |t(gamma) - e(k/N)| by the form's
-        `qroots`.  `build_weil_rep` sets the diagonal to that same `qroots`
-        array, so on its representations dist is 0 everywhere; it moves only
-        on a hand-built or altered `WeilRep`."""
-        return self.df.qn, np.abs(self.t_diag - self.df.qroots)
 
     @cached_property
     def dft_matrices(self) -> dict[int, np.ndarray]:
@@ -254,21 +237,21 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
     has the entries of a difference of two vectors like Sp, on the scale
     1/sqrt(|A|) for a basis probe, where (ST)^3 p - S^2 p has entries of
     size 1: at Lambda_100000 it reads 4.4e-17 where (ST)^3 p - S^2 p reads
-    5.8e-16.  T^N = 1 for N the level is checked on the diagonal of rho(T)
-    as N times the largest distance of an entry t(gamma) to its N-th root
-    of unity e(q(gamma)/2) (`WeilRep.t_snap`): to first order that bounds
-    |t^N - 1|, without the rounding error of an N-th power, and it also
-    catches an entry moved onto another N-th root.  But `build_weil_rep`
-    takes the diagonal to be the form's `qroots`, the very array the
-    distance is taken to, so on every representation it builds `maxErrTN`
-    is 0.0 by construction and says nothing about the error of `qroots`;
-    only a hand-built or altered `WeilRep` moves it.
+    5.8e-16.  T^N = 1, N the level, holds exactly for the exponents `qn`,
+    so `maxErrTN` checks the floats: the largest |t(gamma) - e(q(gamma)/2)|
+    over the diagonal, with e(q(gamma)/2) = exp(2 pi i qn/N) by `numpy.exp`
+    rather than the form's `roots` tables.  Unscaled, it stays a few ulps
+    of 2 pi at every level (1.0e-15 at Lambda_100000), and an entry moved
+    onto another N-th root of unity reads as far off as one moved anywhere
+    else.  It is taken before the probes exist, so it adds nothing to the
+    peak below.
 
     The probes, Sp, S^2 p and p at -gamma, with the moduli of the last two
     (half as large, as reals), or two applications of rho(S) in flight:
     the check holds at most five (|A|, 7) complex arrays' worth of memory
     at once.  Reports errors, never raises.
     """
+    err_tn = _max_abs(w.t_diag - np.exp((2j * np.pi / w.level) * w.df.qn))
     # the probes as the rows of a (7, |A|) array, so that rho(T), the
     # gathers and a cyclic form's transform run along contiguous rows
     p = np.ascontiguousarray(_probes(w.dimension).T)
@@ -290,7 +273,6 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
     p *= w.t_diag
     p -= sp
     err_st3 = _max_abs(p)
-    err_tn = w.level * _max_abs(w.t_snap[1])
     passed = all(
         e < tol for e in (err_s2z, err_st3, err_tn, err_unitary, err_swap)
     )
@@ -312,7 +294,8 @@ class TraceReport:
     trST: complex
     level: int
     # multiplicity of each N-th root of unity e(k/N) on the diagonal of
-    # rhoT, N = level, keyed by the integer exponent k in [0, N)
+    # rhoT, N = level, keyed by the integer exponent k in [0, N): the
+    # histogram of the form's `qn`
     eigT_multiplicities: dict[int, int]
 
 
@@ -321,18 +304,13 @@ def traces(w: WeilRep) -> TraceReport:
 
     The diagonal of rho(S) is e(-sig/8)/sqrt(|A|) * e(-q(gamma)), the
     square of the conjugate of rho(T)'s diagonal times the phase.  The
-    eigenvalue content is one `np.bincount` of the exponents k in [0, N)
-    from `WeilRep.t_snap`, the snap `verify_relations` also reads; an
-    entry further than the module constant T_SNAP_TOL from its N-th root
-    of unity e(q(gamma)/2) (N = level) raises SnapFailure.
+    eigenvalue content is one `np.bincount` of the form's exact exponents
+    `qn` in [0, N), N the level: e(k/N) occurs once for each gamma with
+    N*q(gamma)/2 = k mod N.
     """
     n = w.level
     z = w.t_diag
-    k, dist = w.t_snap
-    off = dist > T_SNAP_TOL
-    if off.any():
-        raise SnapFailure(f"rhoT entry {z[off][0]} is not an {n}-th root of unity")
-    counts = np.bincount(k, minlength=n)
+    counts = np.bincount(w.df.qn, minlength=n)
     keys = np.flatnonzero(counts)
     s_diag = w.s_phase * z.conj() ** 2
     return TraceReport(

@@ -44,7 +44,7 @@ from nlrank.lattices import (
 )
 
 import strategies
-from oracles import discriminant_form_whole
+from oracles import discriminant_form_whole, inner
 
 
 def _permuted(gram, perm):
@@ -87,7 +87,7 @@ def _check_generators(lat, df):
             assert sum(x * y for x, y in zip(row, gen)).denominator == 1
     for i, gi in enumerate(df.generators):
         for j, gj in enumerate(df.generators):
-            assert lat.inner(gi, gj) == df.gen_pairing[i][j], (i, j)
+            assert inner(lat, gi, gj) == df.gen_pairing[i][j], (i, j)
 
 
 def _weights(sig_mod_8):

@@ -117,17 +117,37 @@ def test_signature_of_degenerate_lattice_raises_degenerate():
             signature(Lattice(gram))
 
 
+def _det(m) -> Fraction:
+    """Determinant of a square matrix by exact Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for t in range(n):
+        piv = next((i for i in range(t, n) if a[i][t]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, n):
+            f = a[i][t] / a[t][t]
+            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return det
+
+
 def test_smith_normal_form_transforms():
+    # U G V = D holds for some unimodular U exactly when V is unimodular and
+    # G V D^-1, which is then U^-1, is integral and unimodular
     gram = lambda_lattice(5).gram
-    divisors, u, v = smith_normal_form(gram)
+    divisors, v = smith_normal_form(gram)
     n = len(gram)
-    # D = U G V entrywise
-    for i in range(n):
-        for j in range(n):
-            entry = sum(
-                u[i][a] * gram[a][b] * v[b][j] for a in range(n) for b in range(n)
-            )
-            assert entry == (divisors[i] if i == j else 0)
+    assert abs(_det(v)) == 1
+    u_inv = [
+        [Fraction(sum(gram[i][b] * v[b][j] for b in range(n)), divisors[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    assert all(x.denominator == 1 for row in u_inv for x in row)
+    assert abs(_det(u_inv)) == 1
     for i in range(n - 1):
         assert divisors[i + 1] % divisors[i] == 0
 

@@ -26,7 +26,7 @@ from nlrank import (
     verify_relations,
     weil_rep_of,
 )
-from nlrank.errors import SnapFailure, TooLarge
+from nlrank.errors import TooLarge
 from nlrank.lattices import DiscriminantForm
 from nlrank.weil import MATMUL_MAX_ORDER, _probes
 import strategies
@@ -190,8 +190,8 @@ def test_trace_t_equals_gauss_sum(corpus):
 
 
 def test_eig_t_multiplicities_are_the_q_histogram(corpus):
-    """The snapped eigenvalue content of rho(T) is exact: e(k/N) occurs as
-    often as N*q/2 = k mod N does."""
+    """The eigenvalue content of rho(T) is exact: e(k/N) occurs as often as
+    N*q/2 = k mod N does."""
     for name, lat in corpus.items():
         df = discriminant_form(lat)
         tr = traces(build_weil_rep(df))
@@ -202,11 +202,11 @@ def test_eig_t_multiplicities_are_the_q_histogram(corpus):
 
 
 def test_eig_t_multiplicities_match_unique(corpus):
-    # the histogram of rho(T)'s snapped exponents, keys ascending as
+    # the histogram of the form's exponents `qn`, keys ascending as
     # np.unique returns them
     for name, lat in [*corpus.items(), *NON_CYCLIC.items()]:
         w = weil_rep_of(lat)
-        keys, counts = np.unique(w.t_snap[0], return_counts=True)
+        keys, counts = np.unique(w.df.qn, return_counts=True)
         got = traces(w).eigT_multiplicities
         assert list(got.items()) == list(zip(keys.tolist(), counts.tolist())), name
 
@@ -289,15 +289,6 @@ def test_t_order_residual_does_not_grow_with_level():
     rep = verify_relations(weil_rep_of(lambda_lattice(2000)))
     assert rep.level == 7996
     assert rep.maxErrTN < 1e-13
-
-
-def test_traces_refuse_an_entry_moved_to_another_root():
-    w = weil_rep_of(lambda_lattice(9))
-    assert verify_relations(w).maxErrTN == 0.0
-    t_diag = w.t_diag.copy()
-    t_diag[3] *= np.exp(2j * np.pi / w.level)
-    with pytest.raises(SnapFailure):
-        traces(dataclasses.replace(w, t_diag=t_diag))
 
 
 WRONG_XI = {"Lambda_9": lambda_lattice(9), "U(2)+U(6)": NON_CYCLIC["U(2)+U(6)"]}
@@ -407,12 +398,26 @@ def test_tstst_residual_catches_a_wrong_s_phase(form):
     assert rep.maxErrST3 > 1e-3 and not rep.passed
 
 
+@pytest.mark.parametrize("form", sorted(MUTATED_FORMS))
+def test_t_check_measures_the_root_table(form):
+    """`maxErrTN` reads the error of the form's `qroots` itself: one entry
+    of the table 1e-8 off, before rho(T) is built from it, reads 1e-8."""
+    # a fresh copy of the form, so the cached one keeps its table
+    df = dataclasses.replace(discriminant_form(MUTATED_FORMS[form]))
+    qroots = df.qroots.copy()
+    qroots[3] *= 1 + 1e-8
+    vars(df)["qroots"] = qroots
+    rep = verify_relations(build_weil_rep(df))
+    assert abs(rep.maxErrTN - 1e-8) < 1e-13, rep.maxErrTN
+    assert rep.passed is False
+
+
 def test_verify_relations_peaks_at_five_probe_blocks():
     """The numpy memory of a check, as tracemalloc counts it: the probes,
     Sp, S^2 p with p at -gamma and two moduli, or two applications of
     rho(S) in flight, never more than five (|A|, 7) complex arrays."""
     w = weil_rep_of(lambda_lattice(10001))
-    w.df.neg_index, w.t_snap
+    w.df.neg_index, w.df.qn
     verify_relations(w)
     tracemalloc.start()
     try:
