@@ -21,12 +21,15 @@ the lattice points under the parabola N*y = x^2, counted by rows
 class number and no factorization.  Up to ISQRT_ROWS rows (Lambda_g up to
 g = 262) they are `math.isqrt` in Python ints, and numpy is not loaded;
 more rows run in numpy, SLICE at a time, with no array as long as the
-group, so their memory does not grow with |A|.  The slices are exact in
-int64 while (SLICE + 2)*N < 2^63, and a cyclic form past that bound is
-refused on both paths, which admits Lambda_g up to g - 1 of about
-5.6*10^14.  Any other form, cyclic with another u or with several
-generators, reads the three sums off its cached full-group `qn`, the array
-the Weil operators read, and so holds its exponents and `qn` in memory.
+group, so their memory does not grow with |A|.  A slice whose rows k*N stay
+below 2^52, every slice of Lambda_g up to g = 67108866, runs in float64
+alone, as a correctly rounded root then decides both the ceiling and a
+perfect square; a higher one runs in int64.  The slices are exact while
+(SLICE + 2)*N < 2^63, and a cyclic form past that bound is refused on both
+paths, which admits Lambda_g up to g - 1 of about 5.6*10^14.  Any other
+form, cyclic with another u or with several generators, reads the three
+sums off its cached full-group `qn`, the array the Weil operators read, and
+so holds its exponents and `qn` in memory.
 
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
@@ -333,11 +336,14 @@ def _rational(x: tuple, what: str) -> int:
 SLICE = 4096
 
 # the most rows `row_sums` counts in Python integers (`_isqrt_rows`); more
-# go to numpy slices (`_row_slice`).  At K rows, in process with numpy
-# loaded (Python 3.11, numpy 2.4, 2-core x86-64, `timeit` minima), Python /
-# numpy took 2.5 / 8.0 us at K = 14, 6.0 / 14 at 49, 8.1 / 9.5 at 64,
-# 10 / 8.1 at 74, 12.5 / 8.1 at 99 and 36 / 12 at 249.  64 rows are
-# Lambda_g up to g = 262
+# go to numpy slices (`_row_slice`).  At K rows of Lambda_g, in process with
+# numpy loaded (Python 3.11, numpy 2.4, 2-core x86-64, `timeit` minima),
+# Python / the float64 slice took 2.0 / 3.7 us at K = 14, 5.1 / 3.6 at 49,
+# 8.6 / 5.8 at 64, 10 / 3.8 at 74, 11 / 3.7 at 99 and 29 / 4.4 at 249, so
+# the slices win from a few dozen rows on.  64 is kept all the same: up to
+# it, Lambda_g up to g = 262, `dim` and `crosscheck` never import numpy,
+# which costs a CLI child 0.1 s or more on the same machine, far above the
+# microseconds at stake (`test_small_cusp_sides_load_no_numpy` pins it)
 ISQRT_ROWS = 64
 
 
@@ -387,22 +393,41 @@ def _row_slice(start: int, take: int, n: int) -> tuple[int, int]:
     take <= SLICE with k, n and m = isqrt(k*n) below 2^53 and the slice's
     roots summing below 2^63, as in every slice `row_sums` takes.
 
-    k*n is made a float from the exact k and n, one correctly rounded
-    product, and s is its float square root, floored.  s is m or m + 1.
-    IEEE 754 rounds the product and the root correctly, and rounding is
-    monotone, so k*n >= m^2 comes out at least fl(m^2).  If m is a power of
-    two, m^2 is a float and the root is at least m.  Otherwise, with
-    2^e < m < 2^(e + 1), fl(m^2) is at least m^2 - 2^(2e - 52), whose root
-    is above m - 2^(e - 53), the midpoint between m and the float below it
-    (m < 2^53 is a float), so it rounds to m or above.  At the top,
-    k*n < (m + 1)^2 keeps the root below m + 2 by far more than an ulp.  So
-    d = s^2 - k*n is at most 2m + 1 in absolute value, and it is exact in
-    wrapping int64 even where s^2 and k*n overflow: d = 0 on the squares,
-    and ceil(sqrt(k*n)) is s + 1 where d < 0 (s = m on a row that is no
-    square) and s on every other row.
+    A slice whose top row has k*n < 2^52 runs in float64 alone.  Its rows
+    k*n are one float arange, exact as every integer below 2^53 is a
+    float, and c, the ceiling of the float root r of k*n, is
+    ceil(sqrt(k*n)), with k*n a perfect square exactly when c = r.  Let
+    X = k*n, 1 <= X < 2^52.  IEEE 754 rounds the root correctly.  If
+    X = m^2, the root m is a float and comes out exact.  Otherwise
+    m^2 < X < (m + 1)^2 with m < 2^26, and the true root is at least
+    1/(2m + 2) >= 2^-27 away from both m and m + 1, while rounding a number
+    below 2^26 moves it by at most half an ulp, 2^-28.  So r lies strictly
+    between m and m + 1: its ceiling is m + 1, and it is no whole number.
+    Each ceiling is at most 2^26, so a slice's sum, below 2^38, is exact in
+    float64 too.  At 2^52 the bound is tight: the float root of 2^52 + 1
+    is 2^26.
+
+    Any other slice runs in int64.  k*n is made a float from the exact k
+    and n, one correctly rounded product, and s is its float square root,
+    floored.  s is m or m + 1.  IEEE 754 rounds the product and the root
+    correctly, and rounding is monotone, so k*n >= m^2 comes out at least
+    fl(m^2).  If m is a power of two, m^2 is a float and the root is at
+    least m.  Otherwise, with 2^e < m < 2^(e + 1), fl(m^2) is at least
+    m^2 - 2^(2e - 52), whose root is above m - 2^(e - 53), the midpoint
+    between m and the float below it (m < 2^53 is a float), so it rounds
+    to m or above.  At the top, k*n < (m + 1)^2 keeps the root below m + 2
+    by far more than an ulp.  So d = s^2 - k*n is at most 2m + 1 in
+    absolute value, and it is exact in wrapping int64 even where s^2 and
+    k*n overflow: d = 0 on the squares, and ceil(sqrt(k*n)) is s + 1 where
+    d < 0 (s = m on a row that is no square) and s on every other row.
     """
     import numpy as np
 
+    if (start + take - 1) * n < 1 << 52:
+        r = np.arange(start * n, (start + take) * n, n, dtype=np.float64)
+        np.sqrt(r, out=r)
+        c = np.ceil(r)
+        return int(np.count_nonzero(c == r)), int(c.sum())
     k = np.arange(start, start + take, dtype=np.int64)
     s = np.sqrt(k * float(n)).astype(np.int64)
     k *= n
@@ -426,9 +451,10 @@ def row_sums(h: int, n: int, u: int) -> tuple[int, int]:
     Up to ISQRT_ROWS rows, where numpy's call overhead outweighs the work,
     z and the sum of the ceilings come from `math.isqrt` in Python ints
     (`_isqrt_rows`); more rows run SLICE at a time in numpy
-    (`_row_slice`): every k <= h, n and root <= h + 1 are below 2^53, and
-    a slice's roots sum below SLICE*(n + 1) < 2^63.  No class number and
-    no factorization is used.
+    (`_row_slice`), in float64 alone while a slice's rows k*n stay below
+    2^52 and in int64 above: every k <= h, n and root <= h + 1 are below
+    2^53, and a slice's roots sum below SLICE*(n + 1) < 2^63.  No class
+    number and no factorization is used.
     """
     rows = h * h // n
     if rows <= ISQRT_ROWS:

@@ -11,7 +11,8 @@ forms;
 form with u = 1 or N - 1 and from `qn` on any other, and its refusal of a
 form too large for int64 before any array of |A| entries; the row count
 `cuspdim.row_sums` with brute force, its Python rows with its numpy
-slices, and its slices with `math.isqrt` up to the last admitted genus; a
+slices, and its slices with `math.isqrt` on both sides of their float64 /
+int64 seam at 2^52 and up to the last admitted genus; a
 cyclic generator's value read from the pairing with `_upper`; `roots` with
 `numpy.exp`, and as built once per form, with `qroots` evaluated once, by the Weil chain and
 never by the cusp dimension; the exact Gauss sums of
@@ -25,6 +26,7 @@ dense dual Weil representation (`oracles.dim_cusp_from_eigenvalues`).
 import cmath
 import io
 import math
+import random
 from fractions import Fraction
 from functools import cached_property
 
@@ -384,7 +386,7 @@ SQUARE_EDGES = [SLICE - 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE - 1, 2 * SLICE
 
 
 @pytest.mark.parametrize("h", SQUARE_EDGES)
-def test_square_walk_matches_qn_at_across_slices(h):
+def test_cyclic_walk_sums_match_qn_across_slices(h):
     for lat in (lambda_lattice(h + 2), _binary(h + 1 if h % 2 else -h)):
         df = discriminant_form(lat)
         assert (df.cardinality - 1) // 2 == h
@@ -483,7 +485,7 @@ def _first_with_rows(rows, order_of):
 # K = h^2 // N rows one below, on and one past SLICE: Lambda_g (h = g - 2,
 # u = N - 1) and <2n> (h = |n| - 1, u = 1 for n > 0 and N - 1 for n < 0)
 @pytest.mark.parametrize("rows", [SLICE - 1, SLICE, SLICE + 1])
-def test_rows_match_the_squares_walk_across_slices(rows):
+def test_rows_match_qn_across_slices(rows):
     g = _first_with_rows(rows, lambda g: g - 2)
     n = _first_with_rows(rows, lambda n: n - 1)
     for lat in (lambda_lattice(g), make_lattice([[2 * n]]), make_lattice([[-2 * n]])):
@@ -501,6 +503,59 @@ def test_row_slices_below_2_53_hold_a_float_root_one_above(t):
     assert start + take - 1 < 2**53
     assert int(np.sqrt(np.float64((t + 1) ** 2 - 1))) == t + 1
     assert cuspdim._row_slice(start, take, 1) == row_slice_bruteforce(start, take, 1)
+
+
+# the float64 / int64 seam of `_row_slice`: a slice whose top row k*n is
+# below 2^52 runs in float64 alone, any other in int64.  With n = 1, slices
+# ending at 2^52 - 1 and around (2^26 - 1)^2 run in float64; slices that
+# reach 2^52 + 1 run in int64, and there the float root is already 2^26, so
+# a seam moved even two rows higher counts 2^52 + 1 as a square of ceiling
+# 2^26
+SEAM = 2**52
+BELOW_SEAM = [(SEAM - SLICE, SLICE), (SEAM - 3, 3), ((2**26 - 1) ** 2 - 2, 5)]
+AT_SEAM = [(SEAM - 1, 3), (SEAM + 2 - SLICE, SLICE), (SEAM + 1, 1)]
+
+
+@pytest.mark.parametrize("start, take", BELOW_SEAM)
+def test_row_slices_below_2_52_run_in_float64(start, take):
+    assert start + take - 1 < SEAM
+    assert cuspdim._row_slice(start, take, 1) == row_slice_bruteforce(start, take, 1)
+
+
+@pytest.mark.parametrize("start, take", AT_SEAM)
+def test_row_slices_reaching_2_52_plus_1_run_in_int64(start, take):
+    assert start + take - 1 == SEAM + 1
+    assert np.sqrt(np.float64(SEAM + 1)) == 2**26
+    assert cuspdim._row_slice(start, take, 1) == row_slice_bruteforce(start, take, 1)
+
+
+def test_random_row_slices_below_2_52_match_isqrt():
+    # seeded slices below the seam: within the rows of Lambda_g past
+    # ISQRT_ROWS rows, up to the last genus whose rows stay below 2^52; and
+    # at levels n = 4a anywhere below the seam, or around a row k = a*j^2,
+    # where k*n = (2aj)^2 is a perfect square
+    rng = random.Random(52)
+    squares = 0
+    for i in range(240):
+        if i % 3 == 0:
+            g = rng.randrange(263, 67108867)
+            n = 4 * g - 4
+            rows = (g - 2) ** 2 // n
+        else:
+            a = rng.randrange(1, 2 ** rng.randrange(1, 25))
+            n = 4 * a
+            rows = (SEAM - 1) // n
+        take = rng.randrange(1, min(SLICE, rows) + 1)
+        if i % 3 == 2:
+            k = a * rng.randrange(1, math.isqrt(rows // a) + 1) ** 2
+            start = rng.randrange(max(1, k - take + 1), min(k, rows - take + 1) + 1)
+        else:
+            start = rng.randrange(1, rows - take + 2)
+        assert (start + take - 1) * n < SEAM
+        got = cuspdim._row_slice(start, take, n)
+        assert got == row_slice_bruteforce(start, take, n), (start, take, n)
+        squares += got[0]
+    assert squares >= 80
 
 
 # single row slices, k = start, ..., start + take - 1, against math.isqrt:
@@ -551,7 +606,6 @@ def _check_row_slices(df):
     n, h = df.level, (df.cardinality - 1) // 2
     rows = h * h // n
     last = (rows - 1) // SLICE * SLICE + 1  # the start of the last slice
-    assert (h + 1) ** 2 >= 2**63
     for start in (1, SLICE + 1, last - SLICE, last):
         take = min(SLICE, rows + 1 - start)
         got = cuspdim._row_slice(start, take, n)
@@ -562,12 +616,24 @@ def _check_row_slices(df):
 def test_row_slices_past_the_int64_square_bound(g):
     # from g = 3037000501 on, (h + 1)^2 = (g - 1)^2, which bounds the
     # squares of the rows' float roots, is past 2^63
+    assert (g - 1) ** 2 >= 2**63
     _check_row_slices(discriminant_form(lambda_lattice(g)))
+
+
+def test_row_slices_at_the_2_52_seam():
+    # Lambda_67108866's rows all stay below 2^52, and its last slice runs
+    # in float64; Lambda_67108867 is the first genus whose last slice
+    # crosses the seam, with K*N - 2^52 = 2^27 at its last row K
+    for g, over in ((67108866, -201326596), (67108867, 2**27)):
+        df = discriminant_form(lambda_lattice(g))
+        n, h = df.level, (df.cardinality - 1) // 2
+        assert (h * h // n) * n - SEAM == over
+        _check_row_slices(df)
 
 
 def test_row_slices_at_the_last_admitted_genus():
     df = discriminant_form(lambda_lattice(CUSP_FIRST_REFUSED_GENUS - 1))
-    assert (SLICE + 2) * df.level < 2**63
+    assert (SLICE + 2) * df.level < 2**63 <= (df.cardinality // 2) ** 2
     _check_row_slices(df)
 
 

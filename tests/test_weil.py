@@ -202,11 +202,14 @@ def test_eig_t_multiplicities_are_the_q_histogram(corpus):
 
 
 def test_eig_t_multiplicities_match_unique(corpus):
-    # the histogram of the form's exponents `qn`, keys ascending as
-    # np.unique returns them
+    # the histogram of rho(T)'s own diagonal, read in floats without `qn`:
+    # each entry t of `t_diag` is keyed by round(N*angle(t)/2pi) mod N,
+    # keys ascending as np.unique returns them
     for name, lat in [*corpus.items(), *NON_CYCLIC.items()]:
         w = weil_rep_of(lat)
-        keys, counts = np.unique(w.df.qn, return_counts=True)
+        n = w.level
+        angles = np.rint(np.angle(w.t_diag) * (n / (2 * np.pi))).astype(np.int64) % n
+        keys, counts = np.unique(angles, return_counts=True)
         got = traces(w).eigT_multiplicities
         assert list(got.items()) == list(zip(keys.tolist(), counts.tolist())), name
 
