@@ -10,8 +10,9 @@ Usage: python3 scripts/nl_catalog.py G [D_MAX] [H_MAX]
 
 import sys
 
-from nlrank import enumerate_nl, projection_oracle
-from nlrank.nl import labels_to_csv
+from nlrank import projection_oracle
+from nlrank.cli import _write_rows
+from nlrank.nl import CSV_COLUMNS, iter_nl
 
 
 def main():
@@ -21,13 +22,13 @@ def main():
     g = int(sys.argv[1])
     d_max = int(sys.argv[2]) if len(sys.argv) > 2 else 20
     h_max = int(sys.argv[3]) if len(sys.argv) > 3 else 20
-    labels = enumerate_nl(g, d_max, h_max)
+    labels = list(iter_nl(g, d_max, h_max))
     for lab in labels:
         expected = projection_oracle(g, lab.h, lab.d)
         if expected != lab.n:
             print(f"label {lab}: projection oracle gives n = {expected}", file=sys.stderr)
             sys.exit(1)
-    sys.stdout.write(labels_to_csv(labels))
+    _write_rows(sys.stdout, "csv", CSV_COLUMNS, labels)
 
 
 if __name__ == "__main__":

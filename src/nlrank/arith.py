@@ -19,13 +19,9 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING
 
 from .errors import BadGenus, EvenDenominator, NonpositiveDenominator
 from .hurwitz import h6, reserve
-
-if TYPE_CHECKING:
-    from .lattices import DiscriminantForm
 
 
 def jacobi(a: int, b: int) -> int:
@@ -157,8 +153,8 @@ def square_count(g: int) -> int:
     return (g - 1) // _root_radical(4 * g - 4) + 1
 
 
-def gauss_sum(df: DiscriminantForm) -> complex:
-    """Sum of exp(pi*i*<gamma,gamma>) over the discriminant group.
+def gauss_sum(df) -> complex:
+    """Sum of exp(pi*i*<gamma,gamma>) over the group of a discriminant form.
 
     Evaluated as the sum of e(v/N) over the form's q-values v = N*q/2 mod N,
     the form's `qroots`, which rho(T) reads too and which refuses a group

@@ -34,15 +34,15 @@ so holds its exponents and `qn` in memory.
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
 Milgram's sqrt(|A|)*e(sig/8).  G(2) and G(3) are products over orthogonal
-pieces (`gauss_pieces`): a component of the generator pairing with one
-generator is a cyclic piece, whose sum is the classical quadratic Gauss
-sum, read from a Jacobi symbol coded here; a component with more is split
-by its p-adic Jordan decomposition at each prime p of its order into
-cyclic pieces and, at p = 2, the even blocks U(2^k) and V(2^k).  The
-elliptic terms are then exact elements of Q(sqrt 2, sqrt 3), and the
-dimension is a sum of rationals with no float anywhere: a total that is not
-a nonnegative integer raises NonIntegerResult.  Nothing here comes from the
-closed form.
+pieces (`gauss_pieces`): a cyclic form is one cyclic piece, whose sum is
+the classical quadratic Gauss sum, read from a Jacobi symbol coded here;
+any other form is split, one component of its generator pairing at a
+time, by its p-adic Jordan decomposition at each prime p of the
+component's order into cyclic pieces and, at p = 2, the even blocks
+U(2^k) and V(2^k).  The elliptic terms are then exact elements of
+Q(sqrt 2, sqrt 3), and the dimension is a sum of rationals with no float
+anywhere: a total that is not a nonnegative integer raises
+NonIntegerResult.  Nothing here comes from the closed form.
 
 The forms counted are of type rho* = conj(rho), the dual of the Weil
 representation rho that `nlrank.weil` builds, as in Bruinier's treatment
@@ -132,20 +132,6 @@ def _quadratic_sum(a: int, c: int) -> tuple[int, int]:
     return 2 * g * g * c, (1 if a % 4 == 1 else 7) + (4 if _jacobi(c, abs(a)) < 0 else 0)
 
 
-def _cyclic_sum(d: int, q: tuple, j: int) -> tuple[int, int]:
-    """Sum of e(j*u*x^2/m) over x mod d, for a cyclic piece of order d whose
-    generator has q(g)/2 = u/m mod 1 in lowest terms, q = (u, m): m is d
-    (d odd) or 2d (d even), and a sum over x mod 2d is twice the sum over
-    x mod d."""
-    u, m = q
-    if m == d:
-        return _quadratic_sum(j * u, m)
-    if m != 2 * d:
-        raise ValueError(f"q(g)/2 = {u}/{m} is not that of a generator of order {d}")
-    r, t = _quadratic_sum(j * u, m)
-    return r // 4, t
-
-
 def _half(x: Fraction) -> tuple[int, int]:
     """x/2 mod 1 in lowest terms, as (numerator, denominator)."""
     u, m = x.numerator, 2 * x.denominator
@@ -156,14 +142,21 @@ def _half(x: Fraction) -> tuple[int, int]:
 def gauss_factor(piece: tuple, j: int) -> tuple[int, int]:
     """G(j) of one orthogonal piece (see `gauss_pieces`) as (r, t).
 
-    A cyclic piece ("c", d, (u, m)) has the classical sum of `_cyclic_sum`.  The
-    even blocks of order 2^k x 2^k, with g = gcd(j, 2^k): U(2^k), q/2 = xy/2^k,
+    A cyclic piece ("c", d, (u, m)), whose generator has q(g)/2 = u/m mod 1
+    in lowest terms, has the sum of e(j*u*x^2/m) over x mod d: m is d (d
+    odd), where that is the classical sum of `_quadratic_sum`, or 2d (d
+    even), where the classical sum over x mod 2d is twice it.  The even
+    blocks of order 2^k x 2^k, with g = gcd(j, 2^k): U(2^k), q/2 = xy/2^k,
     has 2^k * g, and V(2^k), q/2 = (x^2 + xy + y^2)/2^k, has
     (-1)^(k - v_2(g)) * 2^k * g, as an odd multiple of V is V again.
     """
     kind, d, q = piece
     if kind == "c":
-        return _cyclic_sum(d, q, j)
+        u, m = q
+        if m not in (d, 2 * d):
+            raise ValueError(f"q(g)/2 = {u}/{m} is not that of a generator of order {d}")
+        r, t = _quadratic_sum(j * u, m)
+        return r if m == d else r // 4, t
     g = math.gcd(j, d)
     return (d * g) ** 2, 0 if kind == "u" else 4 * ((d // g).bit_length() - 1) % 8
 
@@ -234,11 +227,11 @@ def _jordan(p: int, pairing: list) -> list[tuple]:
 def gauss_pieces(df: DiscriminantForm) -> list[tuple]:
     """Orthogonal pieces whose Gauss sums multiply to the form's.
 
-    A component of the generator pairing with one generator g, of order d,
-    is the cyclic piece ("c", d, (u, m)), u/m = q(g)/2 mod 1 (`_half`).  A
-    component with more generators is split into its p-parts, generated by
-    (d_i / p^e_i) * g_i, and each is split by `_jordan`.  A one-generator
-    form is its own single cyclic piece, with no component search.
+    A one-generator form, every Lambda_g among them, is its own cyclic
+    piece ("c", d, (u, m)), d the order of its generator g and
+    u/m = q(g)/2 mod 1 (`_half`), with no component search.  Otherwise
+    each component of the generator pairing is split into its p-parts,
+    generated by (d_i / p^e_i) * g_i, and each is split by `_jordan`.
     """
     if df.ngens == 1:
         return [("c", df.orders[0], _half(df.gen_pairing[0][0]))]
@@ -247,10 +240,6 @@ def gauss_pieces(df: DiscriminantForm) -> list[tuple]:
     # b(g_i, g_j), the pairing mod 1, is not 0
     nonzero = [[x.denominator != 1 for x in row] for row in df.gen_pairing]
     for comp, _ in _blocks(nonzero):
-        if len(comp) == 1:
-            (i,) = comp
-            pieces.append(("c", df.orders[i], _half(df.gen_pairing[i][i])))
-            continue
         orders = [df.orders[i] for i in comp]
         for p in _prime_factors(math.lcm(*orders)):
             scale = {}

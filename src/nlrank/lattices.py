@@ -48,7 +48,6 @@ from functools import cached_property, lru_cache
 from math import isqrt, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import CATALOG_NAMES  # noqa: F401  (the names `catalog` accepts)
 from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric, TooLarge
 
 if TYPE_CHECKING:
@@ -204,8 +203,8 @@ def lambda_lattice(g: int) -> Lattice:
 
 
 def catalog(name: str, *, g: int | None = None, scale: int | None = None) -> Lattice:
-    """Named lattices, one per entry of CATALOG_NAMES.  Only U(N) reads
-    `scale` and only Lambda_g reads `g`; the other names ignore both."""
+    """Named lattices, one per entry of `nlrank.CATALOG_NAMES`.  Only U(N)
+    reads `scale` and only Lambda_g reads `g`; the other names ignore both."""
     if name == "U":
         return hyperbolic()
     if name == "U(N)":
@@ -390,8 +389,9 @@ _LAMBDA_BLOCKS = tuple(
 class _Block(NamedTuple):
     pos: int
     neg: int
-    # (d, column of V / d) for each elementary divisor d > 1, block basis
-    gens: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    # (d, column of V) for each elementary divisor d > 1, block basis: the
+    # generator is the column over d
+    cols: tuple[tuple[int, tuple[int, ...]], ...]
     pairing: tuple[tuple[Fraction, ...], ...]
     level: int
 
@@ -412,8 +412,7 @@ def _block_invariants(sub: Gram) -> _Block:
     """
     pos, neg = _congruence_signature(sub)
     divisors, v = smith_normal_form(sub)
-    cols = [(d, [row[i] for row in v]) for i, d in enumerate(divisors) if d > 1]
-    gens = tuple((d, tuple([Fraction(x, d) for x in col])) for d, col in cols)
+    cols = tuple((d, tuple([row[i] for row in v])) for i, d in enumerate(divisors) if d > 1)
     # G v_j for each column, then v_i . (G v_j) over d_i d_j
     images = [(d, [_dot(row, col) for row in sub]) for d, col in cols]
     pairing = tuple(
@@ -425,7 +424,7 @@ def _block_invariants(sub: Gram) -> _Block:
         level = lcm(level, row[i].denominator * (1 + row[i].numerator % 2))
         for x in row[i + 1 :]:
             level = lcm(level, x.denominator)
-    return _Block(pos, neg, gens, pairing, level)
+    return _Block(pos, neg, cols, pairing, level)
 
 
 def signature(lat: Lattice) -> Signature:
@@ -447,14 +446,14 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
 class DiscriminantForm:
     """The finite quadratic module (A, q, b) of an even lattice.
 
-    A = M^dual / M with q valued in Q/2Z (stored in [0,2)) and pairing b
-    in Q/Z (stored in [0,1)).  Elements are exponent tuples against the
-    stored generators, which are rational vectors in the lattice basis.
+    A = M^dual / M with q valued in Q/2Z and pairing b in Q/Z.  Elements
+    are exponent tuples against generators of the given `orders`, which
+    pair as `gen_pairing` says.
 
     The int64 arrays `qn`, `neg_index` and `dual_index` encode (A, q, b)
     over the common denominator N = level, indexed in elements() order,
-    and `_upper` holds N*q/2 and N*b on the generators; the exact q() and
-    b() are their test oracle.  `qn_at` is the same formula at any indices.
+    and `_upper` holds N*q/2 and N*b on the generators.  `qn_at` is the
+    same formula at any indices.
     The cusp dimension counts a cyclic form with u = 1 or N - 1 by rows and
     reads `qn` on any other (see `cuspdim`); its Gauss sums come from
     `gen_pairing` instead.  `roots` and `qroots`, e(q/2) at every element,
@@ -462,7 +461,6 @@ class DiscriminantForm:
     """
 
     orders: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
     cardinality: int
     level: int
     sig_mod_8: int
@@ -476,29 +474,6 @@ class DiscriminantForm:
     def elements(self):
         """All group elements as exponent tuples, lexicographic order."""
         return itertools.product(*(range(d) for d in self.orders))
-
-    def q(self, exps) -> Fraction:
-        """q(gamma) = <gamma, gamma> mod 2, in [0, 2)."""
-        total = Fraction(0)
-        for i, ei in enumerate(exps):
-            if ei:
-                row = self.gen_pairing[i]
-                total += ei * ei * row[i]
-                for j in range(i + 1, len(exps)):
-                    if exps[j]:
-                        total += 2 * ei * exps[j] * row[j]
-        return total % 2
-
-    def b(self, e1, e2) -> Fraction:
-        """b(gamma, delta) = <gamma, delta> mod 1, in [0, 1)."""
-        total = Fraction(0)
-        for i, x in enumerate(e1):
-            if x:
-                row = self.gen_pairing[i]
-                for j, y in enumerate(e2):
-                    if y:
-                        total += x * y * row[j]
-        return total % 1
 
     def check_int64(self) -> None:
         """Raise TooLarge unless every int64 product of `qn_at` is exact.
@@ -679,40 +654,33 @@ class DiscriminantForm:
 def discriminant_form(lat: Lattice) -> DiscriminantForm:
     """Discriminant form as the orthogonal sum of those of the Gram blocks.
 
-    Each orthogonal block contributes the generators of its Smith normal
-    form (see `_block_invariants`, read once per lattice from
-    `Lattice.block_invariants`), zero-padded into lattice coordinates;
-    the generator pairing is block-diagonal and the level is the lcm over
-    the blocks.  So `orders` are the blocks' invariant factors in block
-    order, which are the global invariant factors only when each divides
-    the next: <4> + <6> gives (4, 6), not (2, 12).
+    Each orthogonal block contributes the orders and the generator pairing
+    of its Smith normal form (see `_block_invariants`, read once per
+    lattice from `Lattice.block_invariants`); the generator pairing is
+    block-diagonal and the level is the lcm over the blocks.  So `orders`
+    are the blocks' invariant factors in block order, which are the global
+    invariant factors only when each divides the next: <4> + <6> gives
+    (4, 6), not (2, 12).
     """
-    n = lat.rank
     pos = neg = 0
     level = 1
-    orders, gens, pairings = [], [], []
-    for (idx, _), block in zip(lat.blocks, lat.block_invariants):
+    orders, pairings = [], []
+    for block in lat.block_invariants:
         pos += block.pos
         neg += block.neg
-        if not block.gens:  # a unimodular block: level 1, no generator
+        if not block.cols:  # a unimodular block: level 1, no generator
             continue
         level = lcm(level, block.level)
-        for d, col in block.gens:
-            vec = [_ZERO] * n
-            for r, x in zip(idx, col):
-                vec[r] = x
-            orders.append(d)
-            gens.append(tuple(vec))
+        orders += [d for d, _ in block.cols]
         pairings.append(block.pairing)
     pairing, off = [], 0
     for rows in pairings:
-        pad = len(gens) - off - len(rows)
+        pad = len(orders) - off - len(rows)
         for row in rows:
             pairing.append((_ZERO,) * off + row + (_ZERO,) * pad)
         off += len(rows)
     return DiscriminantForm(
         orders=tuple(orders),
-        generators=tuple(gens),
         cardinality=prod(orders),
         level=level,
         sig_mod_8=(pos - neg) % 8,

@@ -145,6 +145,33 @@ def inner(lat: Lattice, x, y) -> Fraction:
     return total
 
 
+def q(df: DiscriminantForm, exps) -> Fraction:
+    """q(gamma) = <gamma, gamma> mod 2, in [0, 2), for gamma with these
+    exponents, from the generator pairing in `Fraction`s."""
+    total = Fraction(0)
+    for i, ei in enumerate(exps):
+        if ei:
+            row = df.gen_pairing[i]
+            total += ei * ei * row[i]
+            for j in range(i + 1, len(exps)):
+                if exps[j]:
+                    total += 2 * ei * exps[j] * row[j]
+    return total % 2
+
+
+def b(df: DiscriminantForm, e1, e2) -> Fraction:
+    """b(gamma, delta) = <gamma, delta> mod 1, in [0, 1), for gamma and
+    delta with these exponents, from the generator pairing in `Fraction`s."""
+    total = Fraction(0)
+    for i, x in enumerate(e1):
+        if x:
+            row = df.gen_pairing[i]
+            for j, y in enumerate(e2):
+                if y:
+                    total += x * y * row[j]
+    return total % 1
+
+
 def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
     """Discriminant form from one Smith normal form of the whole Gram matrix.
 
@@ -172,7 +199,6 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
             level = lcm(level, pairing[i][j].denominator)
     return DiscriminantForm(
         orders=tuple(orders),
-        generators=tuple(gens),
         cardinality=prod(orders),
         level=level,
         sig_mod_8=(pos - neg) % 8,

@@ -80,13 +80,24 @@ def _invariants(df):
 
 
 def _check_generators(lat, df):
-    """Each generator lies in M^dual, has its order and pairs as gen_pairing says."""
-    for d, gen in zip(df.orders, df.generators):
+    """Each generator, a block's Smith column over its order zero-padded
+    into lattice coordinates, lies in M^dual, has its order and pairs as
+    gen_pairing says."""
+    orders, gens = [], []
+    for (idx, _), block in zip(lat.blocks, lat.block_invariants):
+        for d, col in block.cols:
+            gen = [Fraction(0)] * lat.rank
+            for r, x in zip(idx, col):
+                gen[r] = Fraction(x, d)
+            orders.append(d)
+            gens.append(gen)
+    assert tuple(orders) == df.orders
+    for d, gen in zip(orders, gens):
         assert all((d * x).denominator == 1 for x in gen)
         for row in lat.gram:
             assert sum(x * y for x, y in zip(row, gen)).denominator == 1
-    for i, gi in enumerate(df.generators):
-        for j, gj in enumerate(df.generators):
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
             assert inner(lat, gi, gj) == df.gen_pairing[i][j], (i, j)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlrank.lattices import CATALOG_NAMES
+from nlrank import CATALOG_NAMES
 from oracles import CUSP_FIRST_REFUSED_GENUS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

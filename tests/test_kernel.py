@@ -5,7 +5,7 @@ the same for every element, read once per form), `qn`, `neg_index` and
 `dual_index` (from `_exponents`, or on a cyclic form by one multiply and
 reduce), and the pairing `oracles.bn` builds from the generator pairing, are
 compared element by element with the exact `Fraction` reference
-`elements()`, `q()` and `b()`, on the corpus, `NON_CYCLIC` and hypothesis
+`elements()`, `oracles.q` and `oracles.b`, on the corpus, `NON_CYCLIC` and hypothesis
 forms;
 `cuspdim.walk_sums` with full-group sums over `qn`, by rows on a cyclic
 form with u = 1 or N - 1 and from `qn` on any other, and its refusal of a
@@ -59,12 +59,14 @@ import strategies
 from conftest import corpus_lattices
 from oracles import (
     CUSP_FIRST_REFUSED_GENUS,
+    b,
     bn,
     dim_cusp_df_elementwise,
     dim_cusp_df_float,
     dim_cusp_from_eigenvalues,
     gauss_sums_bruteforce,
     operator_matrix,
+    q,
     row_slice_bruteforce,
     row_sums_bruteforce,
     walk_sums_bruteforce,
@@ -96,11 +98,11 @@ def _check_kernel(df, pairs=None):
     qn, neg_index, dual_index = df.qn.tolist(), df.neg_index.tolist(), df.dual_index.tolist()
     units = [tuple(int(i == j) for i in range(df.ngens)) for j in range(df.ngens)]
     for i, e in enumerate(elems):
-        assert qn[i] == df.q(e) * n / 2 % n, e
+        assert qn[i] == q(df, e) * n / 2 % n, e
         neg = tuple((-x) % m for x, m in zip(e, df.orders))
         assert neg_index[i] == index[neg], e
         # xi(gamma)_j = b(gamma, g_j) * d_j
-        xi = tuple(int(df.b(e, u) * m) for u, m in zip(units, df.orders))
+        xi = tuple(int(b(df, e, u) * m) for u, m in zip(units, df.orders))
         assert dual_index[i] == index[xi], e
     assert df._exponents.dtype == np.int64
     assert np.array_equal(df._exponents.T, exponents)
@@ -109,7 +111,7 @@ def _check_kernel(df, pairs=None):
     pairing = pairing.tolist()
     for i in rows:
         for j in cols:
-            assert pairing[i][j] == df.b(elems[i], elems[j]) * n, (elems[i], elems[j])
+            assert pairing[i][j] == b(df, elems[i], elems[j]) * n, (elems[i], elems[j])
 
 
 def _walk(df, k):
@@ -121,7 +123,7 @@ def _walk(df, k):
     symm = ((2 * k).numerator + df.sig_mod_8) % 4 == 0
     rank_pm, alpha, n_iso = 0, Fraction(0), 0
     for e in df.elements():
-        qt = df.q(e) / 2 % 1
+        qt = q(df, e) / 2 % 1
         neg = tuple((-x) % m for x, m in zip(e, df.orders))
         if neg < e or (neg == e and not symm):
             continue
@@ -160,7 +162,6 @@ def test_kernel_rejects_level_that_is_not_a_common_denominator():
     df = discriminant_form(make_lattice([[2]]))
     wrong = DiscriminantForm(
         orders=df.orders,
-        generators=df.generators,
         cardinality=df.cardinality,
         level=2,  # q(g)/2 = 1/4 needs N = 4
         sig_mod_8=df.sig_mod_8,
@@ -222,7 +223,7 @@ def test_root_tables_are_built_once_per_form(monkeypatch):
 @pytest.mark.parametrize("name", sorted(NON_CYCLIC))
 def test_gauss_sum_matches_fraction_walk(name):
     df = discriminant_form(NON_CYCLIC[name])
-    walk = sum(cmath.exp(1j * cmath.pi * df.q(e)) for e in df.elements())
+    walk = sum(cmath.exp(1j * cmath.pi * q(df, e)) for e in df.elements())
     assert abs(gauss_sum(df) - walk) < 1e-9
 
 
@@ -324,7 +325,7 @@ def test_dim_matches_elementwise_oracle_across_slices(name):
     qn = df.qn
     for i in edges:
         e = tuple(int(x) for x in np.unravel_index(i, df.orders))
-        assert qn[i] == df.q(e) * df.level / 2 % df.level, (name, i)
+        assert qn[i] == q(df, e) * df.level / 2 % df.level, (name, i)
     # weights 9 to 13: half-integral ones for the odd signatures, integral
     # ones for the even
     weights = [Fraction(j, 2) for j in range(18, 27)]
@@ -668,7 +669,7 @@ def test_int64_bound_of_lambda_g(monkeypatch):
     d, n = top.cardinality, top.level
     index = np.array([1, d // 2 - 1, d // 2 + 1, d - 2, d - 1], dtype=np.int64)
     for i, v in zip(index.tolist(), top.qn_at(index).tolist()):
-        assert v == top.q((i,)) * n / 2 % n, i
+        assert v == q(top, (i,)) * n / 2 % n, i
     over = discriminant_form(lambda_lattice(2**30 + 1))
     with pytest.raises(TooLarge):
         over.check_int64()
@@ -680,7 +681,7 @@ def test_int64_bound_of_lambda_g(monkeypatch):
     top = discriminant_form(lambda_lattice(CUSP_FIRST_REFUSED_GENUS - 1))
     n = top.level
     assert (SLICE + 2) * n < 2**63 <= (SLICE + 2) * (n + 4)
-    assert cuspdim.two_torsion(top) == [0, top.q((top.cardinality // 2,)) * n / 2 % n]
+    assert cuspdim.two_torsion(top) == [0, q(top, (top.cardinality // 2,)) * n / 2 % n]
     monkeypatch.setattr(cuspdim, "row_sums", None)
     for g in (CUSP_FIRST_REFUSED_GENUS, 10**30):
         over = discriminant_form(lambda_lattice(g))
@@ -710,7 +711,7 @@ def test_dual_index_matrix_at_the_int64_bound(monkeypatch):
     # Only the matrix is read: the group, of 2^31 elements, is not built
     top = discriminant_form(lambda_lattice(2**30))
     monkeypatch.setattr(DiscriminantForm, "_image_index", lambda self, m: m)
-    assert top.dual_index.tolist() == [[int(top.b((1,), (1,)) * top.orders[0])]]
+    assert top.dual_index.tolist() == [[int(b(top, (1,), (1,)) * top.orders[0])]]
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,6 +20,8 @@ from nlrank import (
 from nlrank.errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric
 from nlrank.lattices import Lattice, Signature
 
+from oracles import b, q
+
 
 def test_make_lattice_u():
     lat = make_lattice([[0, 1], [1, 0]])
@@ -165,7 +167,7 @@ def test_discriminant_form_lambda_g_cyclic(g):
     assert df.orders == (2 * g - 2,)
     # the canonical generator w/(2g-2) has q = -1/(2g-2) mod 2; whichever
     # unit multiple the SNF picked, that value is attained on the group
-    qs = {df.q((a,)) for a in range(2 * g - 2)}
+    qs = {q(df, (a,)) for a in range(2 * g - 2)}
     target = Fraction(-1, 2 * g - 2) % 2
     assert target in qs
 
@@ -173,7 +175,7 @@ def test_discriminant_form_lambda_g_cyclic(g):
 def test_discriminant_form_root_two():
     df = discriminant_form(make_lattice([[2]]))
     assert df.orders == (2,)
-    assert df.q((1,)) == Fraction(1, 2)
+    assert q(df, (1,)) == Fraction(1, 2)
     assert df.level == 4
 
 
@@ -193,8 +195,8 @@ def test_quadratic_form_polarization(corpus):
     for x in elems:
         for y in elems:
             s = tuple((a + b) % d for a, b, d in zip(x, y, df.orders))
-            lhs = (df.q(s) - df.q(x) - df.q(y)) % 2
-            assert lhs == (2 * df.b(x, y)) % 2
+            lhs = (q(df, s) - q(df, x) - q(df, y)) % 2
+            assert lhs == (2 * b(df, x, y)) % 2
 
 
 def test_level_definition(corpus):
@@ -207,10 +209,10 @@ def test_level_definition(corpus):
             exponent = max(exponent, d)
         assert n <= 2 * df.cardinality * exponent
         for e in df.elements():
-            assert (n * df.q(e)) % 2 == 0
+            assert (n * q(df, e)) % 2 == 0
         if n > 1:
             for m in range(1, n):
-                if any((m * df.q(e)) % 2 != 0 for e in df.elements()):
+                if any((m * q(df, e)) % 2 != 0 for e in df.elements()):
                     continue
                 pytest.fail(f"level {n} not minimal; {m} works for {lat.name}")
 
@@ -223,11 +225,11 @@ def test_disc_form_of_direct_sum_is_orthogonal_sum():
     dfs = discriminant_form(direct_sum(a, b))
     assert sorted(dfs.orders) == sorted(dfa.orders + dfb.orders)
     qs_sum = sorted(
-        (dfa.q(x) + dfb.q(y)) % 2
+        (q(dfa, x) + q(dfb, y)) % 2
         for x in dfa.elements()
         for y in dfb.elements()
     )
-    assert qs_sum == sorted(dfs.q(e) for e in dfs.elements())
+    assert qs_sum == sorted(q(dfs, e) for e in dfs.elements())
 
 
 def _unimodular(entries, n):

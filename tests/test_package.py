@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -59,6 +60,34 @@ def test_the_two_pipelines_import_nothing_of_each_other():
     assert _loaded_after(cusp_side, ["nlrank.arith", "nlrank.hurwitz", "nlrank.rank"]) == "[]"
     closed_side = "from nlrank.rank import picard_rank, rank_table\npicard_rank(7)\nlist(rank_table(2, 50))\n"
     assert _loaded_after(closed_side, ["nlrank.lattices", "nlrank.cuspdim", "nlrank.weil"]) == "[]"
+
+
+def _imported_modules(module):
+    """The nlrank modules that `module`'s source imports relatively anywhere:
+    at the top, in a function or in an `if TYPE_CHECKING:` block."""
+    tree = ast.parse((Path(SRC) / "nlrank" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # `from . import x` may name the module x
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found.update(name.split(".")[0] for name in names)
+    return found
+
+
+@pytest.mark.parametrize(
+    "side, other",
+    [
+        (("arith", "rank", "hurwitz"), ("lattices", "cuspdim", "weil")),
+        (("lattices", "cuspdim", "weil"), ("arith", "rank", "hurwitz")),
+    ],
+    ids=["closed-form", "cusp-side"],
+)
+def test_the_two_pipelines_name_nothing_of_each_other(side, other):
+    """What the child processes above load, read statically from the source,
+    so an import that only a type checker runs counts too."""
+    for module in side:
+        assert _imported_modules(module).isdisjoint(other), module
 
 
 @pytest.mark.parametrize("g_from, g_to", [(2, 3), (10**7, 10**7)])

@@ -392,6 +392,18 @@ def test_tstst_gives_the_verdict_of_st_cubed(form, mutation):
     assert verify_relations(bad).passed == relations_pass_st3(bad)
 
 
+def test_z_swap_residual_never_exceeds_s2_z(corpus):
+    """Entrywise ||a| - |b|| <= |a - c*b| for |c| = 1, so the Z-swap
+    residual, |S^2 p| against |p(-gamma)|, is at most that of S^2 = Z,
+    S^2 p against z_phase * p(-gamma), up to rounding: on the corpus, on
+    `NON_CYCLIC` and on every broken operator of the mutation matrix."""
+    reps = [weil_rep_of(lat) for lat in (*corpus.values(), *NON_CYCLIC.values())]
+    reps += [MUTATIONS[m](weil_rep_of(MUTATED_FORMS[f])) for f, m in MUTATION_MATRIX]
+    for w in reps:
+        rep = verify_relations(w)
+        assert rep.maxErrZSwap <= rep.maxErrS2Z + 1e-15, (w.df.orders, rep)
+
+
 @pytest.mark.parametrize("form", sorted(MUTATED_FORMS))
 def test_tstst_residual_catches_a_wrong_s_phase(form):
     # S^2 = Z cannot see a negated S; TSTST = S can
