@@ -141,7 +141,15 @@ def _cmd_dim(args, out, err) -> int:
     weight = args.weight if args.weight is not None else Fraction(lat.rank, 2)
     rep = dim_cusp_df(df, weight)
     if args.format == "json":
-        out.write(rep.to_json() + "\n")
+        obj = {
+            "k": [rep.k.numerator, rep.k.denominator],
+            "d": rep.d,
+            "dim": rep.dim,
+            "parity_ok": rep.parity_ok,
+            "symmetric": rep.symmetric,
+            "boundary_terms": rep.boundary_terms,
+        }
+        _write_record(out, "json", obj)
     else:
         out.write(
             f"g={args.g} k={rep.k} d={rep.d} dim={rep.dim} "

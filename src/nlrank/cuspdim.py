@@ -53,7 +53,6 @@ most forms and weights.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,17 +77,6 @@ class CuspDimReport:
     parity_ok: bool
     symmetric: bool | None
     boundary_terms: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        obj = {
-            "k": [self.k.numerator, self.k.denominator],
-            "d": self.d,
-            "dim": self.dim,
-            "parity_ok": self.parity_ok,
-            "symmetric": self.symmetric,
-            "boundary_terms": self.boundary_terms,
-        }
-        return json.dumps(obj, sort_keys=True)
 
 
 # -- Gauss sums from local data ----------------------------------------------

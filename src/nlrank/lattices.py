@@ -19,21 +19,21 @@ once per process.  A lattice looks its blocks up in that cache once
 read the tuple.  A discriminant form's `orders` are therefore the blocks'
 invariant factors, not always the global ones (see `discriminant_form`).
 
-A lattice given by its Gram matrix finds its blocks by a search (`_blocks`);
-a `direct_sum` takes them from its summands instead.  U and +-E8 are shared
-frozen instances, so the catalog lattices are built from summands whose
-blocks are already known.  Lambda_g is <2-2g> plus U^2 + (-E8)^2, built
-from a template: the 20 rows and four blocks that do not depend on g are
-made once per process, and each genus adds one row and one rank-one block.
+A lattice finds its blocks by one search of its Gram matrix (`_blocks`),
+a direct sum included.  Lambda_g is <2-2g> plus U^2 + (-E8)^2, built from
+a template: the 20 rows and four blocks that do not depend on g are made
+once per process, and each genus adds one row and one rank-one block, so
+no search runs on its Gram matrix.
 
 A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
-generators' values of q and b, by one formula (`qn_at`): for the whole group
-at once (`qn`, which the Weil operators read, and the cusp dimension of a
-form that `cuspdim` does not count by rows) or at an index array.  The
-index maps of -gamma and xi(gamma) are one map, M*gamma mod `orders`
-(`_image_index`).  A form whose int64 products could overflow raises
-TooLarge before any element is evaluated: N times the sum of the orders
-(`check_int64`), g - 1 >= 2^30 for Lambda_g.
+generators' values of q and b, for the whole group at once (`qn`, which the
+Weil operators read, and the cusp dimension of a form that `cuspdim` does
+not count by rows): on a cyclic form by the cyclic formula `qn_at`, which
+also reads any index array, and otherwise from the exponents of every
+element (`_exponents`).  The index maps of -gamma and xi(gamma) are one
+map, M*gamma mod `orders` (`_image_index`).  A form whose int64 products
+could overflow raises TooLarge before any element is evaluated: N times
+the sum of the orders (`check_int64`), g - 1 >= 2^30 for Lambda_g.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -80,7 +80,7 @@ class Lattice:
     def blocks(self) -> tuple[tuple[tuple[int, ...], Gram], ...]:
         """Orthogonal blocks of the Gram matrix, found once by `_blocks`.
 
-        A `direct_sum` and `lambda_lattice` set them from known blocks instead."""
+        `lambda_lattice` sets them from its template instead."""
         return tuple(_blocks(self.gram))
 
     @cached_property
@@ -159,24 +159,17 @@ def e8(negative: bool = False) -> Lattice:
 def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
     """Orthogonal direct sum: block-diagonal Gram matrix.
 
-    The sum's `blocks` are taken from the summands' blocks, shifted by each
-    summand's row offset, so no block search runs on the sum's Gram matrix;
-    they are ordered by smallest index, as `_blocks` orders them.  Their
-    invariants are looked up once, when `signature` or `discriminant_form`
-    first reads `Lattice.block_invariants`.  `lambda_lattice` makes the sum
+    Its `blocks` are found by one search of the sum's Gram matrix the first
+    time they are read.  `lambda_lattice` makes the sum
     <2-2g> + U^2 + (-E8)^2 from a template instead of calling this.
     """
-    ranks = [lat.rank for lat in lattices]
-    total = sum(ranks)
-    rows, blocks, off = [], [], 0
-    for lat, n in zip(lattices, ranks):
-        left, right = (0,) * off, (0,) * (total - off - n)
+    total = sum([lat.rank for lat in lattices])
+    rows, off = [], 0
+    for lat in lattices:
+        left, right = (0,) * off, (0,) * (total - off - lat.rank)
         rows += [left + tuple(row) + right for row in lat.gram]
-        blocks += [(tuple([i + off for i in idx]), sub) for idx, sub in lat.blocks]
-        off += n
-    result = Lattice(tuple(rows), name)
-    vars(result)["blocks"] = tuple(blocks)  # seeds the cached property
-    return result
+        off += lat.rank
+    return Lattice(tuple(rows), name)
 
 
 def k3_lattice() -> Lattice:
@@ -198,7 +191,7 @@ def lambda_lattice(g: int) -> Lattice:
         raise BadGenus(f"genus must be >= 2, got {g}")
     w = 2 - 2 * g
     lat = Lattice(((w,) + _LAMBDA_PAD,) + _LAMBDA_ROWS, f"Lambda_{g}")
-    vars(lat)["blocks"] = (((0,), ((w,),)),) + _LAMBDA_BLOCKS  # as in `direct_sum`
+    vars(lat)["blocks"] = (((0,), ((w,),)),) + _LAMBDA_BLOCKS  # seeds the cached property
     return lat
 
 
@@ -374,7 +367,7 @@ def _blocks(gram: Gram) -> list[tuple[tuple[int, ...], Gram]]:
 
 
 # the part of Lambda_g that does not depend on g, shared like U and -E8
-# (built here, after `_blocks`, which reading its summands' blocks needs),
+# (built here, after `_blocks`, which finds its blocks once per process),
 # and the template `lambda_lattice` fills in: its rows after the column of
 # <2-2g>, the zeros of that column in the first row, and its blocks one
 # row down
@@ -452,8 +445,8 @@ class DiscriminantForm:
 
     The int64 arrays `qn`, `neg_index` and `dual_index` encode (A, q, b)
     over the common denominator N = level, indexed in elements() order,
-    and `_upper` holds N*q/2 and N*b on the generators.  `qn_at` is the
-    same formula at any indices.
+    and `_upper` holds N*q/2 and N*b on the generators.  `qn_at` reads
+    N*q/2 at any indices.
     The cusp dimension counts a cyclic form with u = 1 or N - 1 by rows and
     reads `qn` on any other (see `cuspdim`); its Gauss sums come from
     `gen_pairing` instead.  `roots` and `qroots`, e(q/2) at every element,
@@ -476,7 +469,7 @@ class DiscriminantForm:
         return itertools.product(*(range(d) for d in self.orders))
 
     def check_int64(self) -> None:
-        """Raise TooLarge unless every int64 product of `qn_at` is exact.
+        """Raise TooLarge unless every int64 product of `qn` and `qn_at` is exact.
 
         With entries of `_upper` below N and exponents below orders[i],
         each partial sum stays below N * sum(orders); for Lambda_g that is
@@ -511,13 +504,17 @@ class DiscriminantForm:
                 u[i][j] = num // den % n
         return np.array(u, dtype=np.int64).reshape(k, k)
 
-    def _exponents_at(self, index: np.ndarray) -> np.ndarray:
-        """(ngens, len(index)) exponents of the elements with these indices
-        in elements(), read off by floor division, row-major over `orders`."""
+    @cached_property
+    def _exponents(self) -> np.ndarray:
+        """(ngens, |A|) exponents of every element in elements() order, read
+        off the indices by floor division, row-major over `orders`: what
+        `qn`, `neg_index` and `dual_index` of a form with several generators
+        read.  Raises TooLarge (see `check_int64`) first."""
         import numpy as np
 
-        e = np.empty((self.ngens, len(index)), dtype=np.int64)
-        rest = index
+        self.check_int64()
+        e = np.empty((self.ngens, self.cardinality), dtype=np.int64)
+        rest = np.arange(self.cardinality, dtype=np.int64)
         for i in range(self.ngens - 1, 0, -1):
             d = self.orders[i]
             r = rest // d
@@ -526,16 +523,6 @@ class DiscriminantForm:
         if self.ngens:
             e[0] = rest
         return e
-
-    @cached_property
-    def _exponents(self) -> np.ndarray:
-        """The exponents of every element, by one `_exponents_at` per form:
-        what `qn`, `neg_index` and `dual_index` of a form with several
-        generators read.  Raises TooLarge (see `check_int64`) first."""
-        import numpy as np
-
-        self.check_int64()
-        return self._exponents_at(np.arange(self.cardinality, dtype=np.int64))
 
     def _image_index(self, m: np.ndarray) -> np.ndarray:
         """Index in elements() of M*gamma mod `orders` for every gamma, M an
@@ -554,25 +541,18 @@ class DiscriminantForm:
         strides = [prod(self.orders[i + 1 :]) for i in range(self.ngens)]
         return np.array(strides, dtype=np.int64) @ e
 
-    def _qn_of(self, e: np.ndarray) -> np.ndarray:
-        """N*q/2 mod N at the elements with exponents e (see `qn_at`)."""
-        n = self.level
-        x = _reduce(self._upper @ e, n)
-        x *= e
-        return _reduce(x.sum(axis=0), n)
-
     def qn_at(self, index: np.ndarray) -> np.ndarray:
         """N*q(gamma)/2 mod N at the elements with these indices in elements().
 
-        N*q/2 = sum_i e_i * (sum_{j >= i} u_ij * e_j mod N) mod N, with e the
-        exponents and u = `_upper` (see `_reduce` for the mod).  The
-        exponents of a cyclic form are the indices themselves; otherwise
-        they come from `_exponents_at`.  Raises TooLarge (see
+        On a cyclic form the exponents are the indices themselves, so this
+        is the cyclic formula u*x^2 mod N, u = `_upper[0, 0]`, at any index
+        array, also where no full-group array would fit in memory; a form
+        with several generators reads `qn` at them.  Raises TooLarge (see
         `check_int64`) first.
         """
         self.check_int64()
         if self.ngens != 1:
-            return self._qn_of(self._exponents_at(index))
+            return self.qn[index]
         n = self.level
         x = _reduce(index * int(self._upper[0, 0]), n)
         x *= index
@@ -619,15 +599,20 @@ class DiscriminantForm:
 
     @cached_property
     def qn(self) -> np.ndarray:
-        """N*q(gamma)/2 mod N for every element, N the level (see `qn_at`),
-        from `_exponents` on a form with several generators.  Raises
-        TooLarge (see `check_int64`) before any array of |A| entries."""
+        """N*q(gamma)/2 mod N for every element, N the level: by `qn_at` on a
+        cyclic form, and otherwise, with e the exponents (`_exponents`) and
+        u = `_upper`, as sum_i e_i * (sum_{j >= i} u_ij * e_j mod N) mod N
+        (see `_reduce` for the mod).  Raises TooLarge (see `check_int64`)
+        before any array of |A| entries."""
         import numpy as np
 
         self.check_int64()
-        if self.ngens != 1:
-            return self._qn_of(self._exponents)
-        return self.qn_at(np.arange(self.cardinality, dtype=np.int64))
+        if self.ngens == 1:
+            return self.qn_at(np.arange(self.cardinality, dtype=np.int64))
+        n, e = self.level, self._exponents
+        x = _reduce(self._upper @ e, n)
+        x *= e
+        return _reduce(x.sum(axis=0), n)
 
     @cached_property
     def neg_index(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from nlrank import (
     picard_rank,
     picard_rank_via_cusp,
 )
+from nlrank.cli import dispatch
 from nlrank.errors import BadSignature, HypothesisNotAsserted, WeightTooSmall
 from nlrank.lattices import DiscriminantForm, Lattice
 
@@ -137,8 +139,9 @@ def test_monotone_in_weight_logged_only():
 
 
 def test_report_json():
-    rep = dim_cusp(lambda_lattice(2), HALF_21)
-    assert '"dim": 1' in rep.to_json()
+    out = io.StringIO()
+    assert dispatch(["dim", "--g", "2", "--format", "json"], out) == 0
+    assert '"dim": 1' in out.getvalue()
 
 
 def test_cusp_pipeline_memory_does_not_grow_with_the_group():

@@ -1,0 +1,66 @@
+"""README.md against the package it describes.
+
+Every backticked dotted name whose head is `nlrank`, one of its modules
+(`hurwitz.MAX_SIZE`) or an exported class (`Lattice.blocks`) must resolve
+to an attribute or a dataclass field, and every "`NAME` = value" must be
+the value of that module constant, so a rename or a retuned constant that
+the README still quotes fails here.
+"""
+
+import dataclasses
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import nlrank
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+MODULES = {
+    name: importlib.import_module(f"nlrank.{name}")
+    for _, name, _ in pkgutil.iter_modules(nlrank.__path__)
+}
+CLASSES = {
+    name: obj for name in nlrank.__all__ if isinstance(obj := getattr(nlrank, name), type)
+}
+
+
+def _resolves(head, attr) -> bool:
+    return hasattr(head, attr) or (
+        dataclasses.is_dataclass(head) and attr in {f.name for f in dataclasses.fields(head)}
+    )
+
+
+def test_readme_dotted_names_resolve():
+    heads = {"nlrank": nlrank, **MODULES, **CLASSES}
+    names = sorted({
+        name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README)
+        if name.split(".")[0] in heads
+    })
+    assert len(names) >= 10, names  # the pattern still finds the README's names
+    missing = []
+    for name in names:
+        head, *rest = name.split(".")
+        obj = heads[head]
+        for attr in rest:
+            if not _resolves(obj, attr):
+                missing.append(name)
+                break
+            obj = getattr(obj, attr, None)
+    assert missing == []
+
+
+def test_readme_constants_match():
+    quoted = re.findall(r"`([A-Za-z_][\w.]*)` = (\d+)(?:\^(\d+))?", README)
+    assert len(quoted) >= 6, quoted
+    wrong = []
+    for name, base, exp in quoted:
+        value = int(base) ** int(exp or 1)
+        *module, const = name.split(".")
+        owners = [MODULES[module[0]]] if module else [
+            mod for mod in MODULES.values() if const in vars(mod)
+        ]
+        actual = {vars(mod).get(const) for mod in owners}
+        if actual != {value}:
+            wrong.append((name, value, actual))
+    assert wrong == []
