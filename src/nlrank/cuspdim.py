@@ -14,7 +14,7 @@ even under gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice the sum
 over one element of each pair {gamma, -gamma} with gamma != -gamma, plus
 the sum over T, whose one or two values are evaluated once.  The pairs are
 x*g for x = 1, ..., h = (d - 1)//2, with the values u*x^2 mod N, where
-u = N*q(g)/2 mod N is read in Python ints from the generator's pairing.
+u = N*q(g)/2 mod N is the form's `gen_qn[0][0]`, a Python int.
 When u = 1 or N - 1, as for every Lambda_g and every <2n>, their sums are
 the lattice points under the parabola N*y = x^2, counted by rows
 (`row_sums`): about h^2/N, for Lambda_g g/4, integer square roots, with no
@@ -216,13 +216,14 @@ def gauss_pieces(df: DiscriminantForm) -> list[tuple]:
     """Orthogonal pieces whose Gauss sums multiply to the form's.
 
     A one-generator form, every Lambda_g among them, is its own cyclic
-    piece ("c", d, (u, m)), d the order of its generator g and
-    u/m = q(g)/2 mod 1 (`_half`), with no component search.  Otherwise
-    each component of the generator pairing is split into its p-parts,
-    generated by (d_i / p^e_i) * g_i, and each is split by `_jordan`.
+    piece ("c", d, (u, m)), d the order of its generator g, m the level and
+    u = `gen_qn[0][0]`, so that u/m = q(g)/2 mod 1 in lowest terms, with no
+    component search.  Otherwise each component of the generator pairing
+    is split into its p-parts, generated by (d_i / p^e_i) * g_i, and each
+    is split by `_jordan`.
     """
     if df.ngens == 1:
-        return [("c", df.orders[0], _half(df.gen_pairing[0][0]))]
+        return [("c", df.orders[0], (df.gen_qn[0][0], df.level))]
     pieces = []
     # the components of the generator pairing: g_i and g_j are joined when
     # b(g_i, g_j), the pairing mod 1, is not 0
@@ -324,26 +325,18 @@ SLICE = 4096
 ISQRT_ROWS = 64
 
 
-def _generator_qn(df: DiscriminantForm) -> int:
-    """N*q(g)/2 mod N of a cyclic form's generator g, N the level, in
-    Python ints from its pairing: q(g)/2 = u/m mod 1 (`_half`) is
-    u*(N/m)/N."""
-    u, m = _half(df.gen_pairing[0][0])
-    return u * (df.level // m)
-
-
 def two_torsion(df: DiscriminantForm) -> list[int]:
     """N*q/2 mod N on T = {gamma : 2*gamma = 0}, which `row_sums` does not
     count, in elements() order.
 
     T's exponents are 0 or orders[i]/2 in each coordinate.  A cyclic form's
-    two values at most are Python ints, read from its pairing, as its level
+    two values at most are Python ints, from its `gen_qn`, as its level
     may pass the bound of `check_int64`; otherwise they are the form's `qn`
     at T's indices, which raises TooLarge first.
     """
     if df.ngens == 1:
         (d,) = df.orders
-        return [0] if d % 2 else [0, _generator_qn(df) * (d // 2) ** 2 % df.level]
+        return [0] if d % 2 else [0, df.gen_qn[0][0] * (d // 2) ** 2 % df.level]
     index = [0]
     for d in df.orders:
         halves = (0, d // 2) if d % 2 == 0 else (0,)
@@ -452,13 +445,13 @@ def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
     its values on T = {gamma : 2*gamma = 0} (`two_torsion`).
 
     A cyclic form of level N with (SLICE + 2)*N >= 2^63 raises TooLarge
-    first, before its generator's value is read: below it the rows' float64
+    first, before any row is counted: below it the rows' float64
     and int64 arithmetic is exact (`row_sums`).  On a cyclic form each sum
     is even under gamma -> -gamma, as q(-gamma) = q(gamma), so it is twice
     that over one element of each pair {gamma, -gamma} with gamma != -gamma,
     plus that over T.  Those pairs are x*g for x = 1, ..., h = (d - 1)//2,
-    with the values u*x^2 mod N, u = N*q(g)/2 mod N read in Python ints
-    from the generator's pairing (`_generator_qn`), so no array is built.
+    with the values u*x^2 mod N, u = N*q(g)/2 mod N the form's
+    `gen_qn[0][0]`, a Python int, so no array is built.
     When u is 1 or N - 1, as for every Lambda_g (u = N - 1) and every <2n>,
     their sums are counted by rows (`row_sums`) in about h^2/N integer
     square roots, in Python ints or numpy slices by their number.  Any
@@ -474,7 +467,7 @@ def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
                 f"level {n} times SLICE + 2 is {bound} >= 2^63: the row slices "
                 f"of |A| = {d} would not be exact in float64 and int64"
             )
-        if (u := _generator_qn(df)) in (1, n - 1):
+        if (u := df.gen_qn[0][0]) in (1, n - 1):
             zeros, total = row_sums((d - 1) // 2, n, u)
             two = two_torsion(df)
             return 2 * zeros + two.count(0), 2 * total + sum(two), two

@@ -25,15 +25,17 @@ a template: the 20 rows and four blocks that do not depend on g are made
 once per process, and each genus adds one row and one rank-one block, so
 no search runs on its Gram matrix.
 
-A `DiscriminantForm` evaluates N*q/2 mod N (N the level) in int64 from the
-generators' values of q and b, for the whole group at once (`qn`, which the
-Weil operators read, and the cusp dimension of a form that `cuspdim` does
-not count by rows): on a cyclic form by the cyclic formula `qn_at`, which
-also reads any index array, and otherwise from the exponents of every
-element (`_exponents`).  The index maps of -gamma and xi(gamma) are one
-map, M*gamma mod `orders` (`_image_index`).  A form whose int64 products
-could overflow raises TooLarge before any element is evaluated: N times
-the sum of the orders (`check_int64`), g - 1 >= 2^30 for Lambda_g.
+A `DiscriminantForm` derives its level N and `gen_qn`, the generators'
+N*q/2 and N*b mod N, once when it is made, and every level-N encoding reads
+that one table.  From it N*q/2 mod N is evaluated in int64 for the whole
+group at once (`qn`, which the Weil operators read, and the cusp dimension
+of a form that `cuspdim` does not count by rows): on a cyclic form by the
+cyclic formula `qn_at`, which also reads any index array, and otherwise
+from the exponents of every element (`_exponents`).  The index maps of
+-gamma and xi(gamma) are one map, M*gamma mod `orders` (`_image_index`).
+A form whose int64 products could overflow raises TooLarge before any
+element is evaluated: N times the sum of the orders (`check_int64`),
+g - 1 >= 2^30 for Lambda_g.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
 so building lattices and reading their invariants never loads it.
@@ -386,7 +388,6 @@ class _Block(NamedTuple):
     # generator is the column over d
     cols: tuple[tuple[int, tuple[int, ...]], ...]
     pairing: tuple[tuple[Fraction, ...], ...]
-    level: int
 
 
 def _dot(x, y) -> int:
@@ -400,8 +401,7 @@ def _block_invariants(sub: Gram) -> _Block:
     With U*G*V = D the Smith normal form, the class of the i-th elementary
     divisor d_i > 1 is generated by (column i of V) / d_i, a vector of
     M^dual in the block's basis.  Their pairing is v_i^T G v_j / (d_i d_j),
-    from integer products over the columns v_i; the level is the lcm of the
-    denominators of q(g_i)/2 and of b(g_i, g_j), i < j.
+    from integer products over the columns v_i.
     """
     pos, neg = _congruence_signature(sub)
     divisors, v = smith_normal_form(sub)
@@ -411,13 +411,7 @@ def _block_invariants(sub: Gram) -> _Block:
     pairing = tuple(
         tuple([Fraction(_dot(ci, gv), di * dj) for dj, gv in images]) for di, ci in cols
     )
-    level = 1
-    for i, row in enumerate(pairing):
-        # q(g_i)/2 = a/(2b) for q(g_i) = a/b in lowest terms: over b if a is even
-        level = lcm(level, row[i].denominator * (1 + row[i].numerator % 2))
-        for x in row[i + 1 :]:
-            level = lcm(level, x.denominator)
-    return _Block(pos, neg, cols, pairing, level)
+    return _Block(pos, neg, cols, pairing)
 
 
 def signature(lat: Lattice) -> Signature:
@@ -441,24 +435,46 @@ class DiscriminantForm:
 
     A = M^dual / M with q valued in Q/2Z and pairing b in Q/Z.  Elements
     are exponent tuples against generators of the given `orders`, which
-    pair as `gen_pairing` says.
+    pair as `gen_pairing` says.  The rest is derived from these when the
+    form is made: `cardinality`, the product of the orders; the level N,
+    the lcm of the denominators of q(g_i)/2 and b(g_i, g_j), i < j; and
+    `gen_qn`, the generators' table over N in Python ints, N*q(g_i)/2 mod N
+    on the diagonal, N*b(g_i, g_j) mod N above it and 0 below.
 
-    The int64 arrays `qn`, `neg_index` and `dual_index` encode (A, q, b)
-    over the common denominator N = level, indexed in elements() order,
-    and `_upper` holds N*q/2 and N*b on the generators.  `qn_at` reads
-    N*q/2 at any indices.
-    The cusp dimension counts a cyclic form with u = 1 or N - 1 by rows and
-    reads `qn` on any other (see `cuspdim`); its Gauss sums come from
-    `gen_pairing` instead.  `roots` and `qroots`, e(q/2) at every element,
-    serve the float Gauss sum and the Weil operators.
+    Every level-N encoding reads that table: the int64 arrays `qn`,
+    `neg_index` and `dual_index`, indexed in elements() order, `qn_at` at
+    any indices, and the cusp dimension's cyclic shortcuts (see `cuspdim`),
+    which count a cyclic form with u = `gen_qn[0][0]` = 1 or N - 1 by rows
+    and read `qn` on any other form.  `roots` and `qroots`, e(q/2) at every
+    element, serve the float Gauss sum and the Weil operators.
     """
 
     orders: tuple[int, ...]
-    cardinality: int
-    level: int
+    cardinality: int = field(init=False)
+    level: int = field(init=False)
     sig_mod_8: int
     # pairing matrix of the generators: gen_pairing[i][j] = <g_i, g_j>
     gen_pairing: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    gen_qn: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # q(g_i)/2 and b(g_i, g_j), j > i, as (numerator, denominator) in
+        # lowest terms: q(g_i) = a/b halves to a/(2b) for odd a, else to (a/2)/b
+        rows, n = [], 1
+        for i, row in enumerate(self.gen_pairing):
+            a, b = row[i].as_integer_ratio()
+            ratios = [(a, 2 * b) if a % 2 else (a // 2, b)]
+            for x in row[i + 1 :]:
+                ratios.append(x.as_integer_ratio())
+            for _, b in ratios:
+                n = lcm(n, b)
+            rows.append(ratios)
+        table = tuple(
+            (0,) * i + tuple([a * (n // b) % n for a, b in row]) for i, row in enumerate(rows)
+        )
+        object.__setattr__(self, "cardinality", prod(self.orders))
+        object.__setattr__(self, "level", n)
+        object.__setattr__(self, "gen_qn", table)
 
     @property
     def ngens(self) -> int:
@@ -471,7 +487,7 @@ class DiscriminantForm:
     def check_int64(self) -> None:
         """Raise TooLarge unless every int64 product of `qn` and `qn_at` is exact.
 
-        With entries of `_upper` below N and exponents below orders[i],
+        With entries of `gen_qn` below N and exponents below orders[i],
         each partial sum stays below N * sum(orders); for Lambda_g that is
         (4g-4)(2g-2) = 8(g-1)^2, so g-1 < 2^30.  Checked before any element
         is evaluated, so a group too large for int64 fails at once instead
@@ -488,21 +504,6 @@ class DiscriminantForm:
                 f"{bound} >= 2^63: q-values of |A| = {self.cardinality} would "
                 "overflow int64"
             )
-
-    @cached_property
-    def _upper(self) -> np.ndarray:
-        """N*q(g_i)/2 on the diagonal and N*b(g_i, g_j) above it, mod N."""
-        import numpy as np
-
-        n, k = self.level, self.ngens
-        u = [[0] * k for _ in range(k)]
-        for i, row in enumerate(self.gen_pairing):
-            for j in range(i, k):
-                num, den = row[j].numerator * n, row[j].denominator * (2 if j == i else 1)
-                if num % den:
-                    raise ValueError(f"level {n} is not a common denominator of {row[j]}")
-                u[i][j] = num // den % n
-        return np.array(u, dtype=np.int64).reshape(k, k)
 
     @cached_property
     def _exponents(self) -> np.ndarray:
@@ -545,7 +546,7 @@ class DiscriminantForm:
         """N*q(gamma)/2 mod N at the elements with these indices in elements().
 
         On a cyclic form the exponents are the indices themselves, so this
-        is the cyclic formula u*x^2 mod N, u = `_upper[0, 0]`, at any index
+        is the cyclic formula u*x^2 mod N, u = `gen_qn[0][0]`, at any index
         array, also where no full-group array would fit in memory; a form
         with several generators reads `qn` at them.  Raises TooLarge (see
         `check_int64`) first.
@@ -554,7 +555,7 @@ class DiscriminantForm:
         if self.ngens != 1:
             return self.qn[index]
         n = self.level
-        x = _reduce(index * int(self._upper[0, 0]), n)
+        x = _reduce(index * self.gen_qn[0][0], n)
         x *= index
         return _reduce(x, n)
 
@@ -601,7 +602,7 @@ class DiscriminantForm:
     def qn(self) -> np.ndarray:
         """N*q(gamma)/2 mod N for every element, N the level: by `qn_at` on a
         cyclic form, and otherwise, with e the exponents (`_exponents`) and
-        u = `_upper`, as sum_i e_i * (sum_{j >= i} u_ij * e_j mod N) mod N
+        u = `gen_qn`, as sum_i e_i * (sum_{j >= i} u_ij * e_j mod N) mod N
         (see `_reduce` for the mod).  Raises TooLarge (see `check_int64`)
         before any array of |A| entries."""
         import numpy as np
@@ -609,8 +610,8 @@ class DiscriminantForm:
         self.check_int64()
         if self.ngens == 1:
             return self.qn_at(np.arange(self.cardinality, dtype=np.int64))
-        n, e = self.level, self._exponents
-        x = _reduce(self._upper @ e, n)
+        n, e, k = self.level, self._exponents, self.ngens
+        x = _reduce(np.array(self.gen_qn, dtype=np.int64).reshape(k, k) @ e, n)
         x *= e
         return _reduce(x.sum(axis=0), n)
 
@@ -627,9 +628,10 @@ class DiscriminantForm:
         M[j, i] = b(g_i, g_j) * d_j mod d_j, ValueError if not integral."""
         import numpy as np
 
-        n = self.level
+        n, k = self.level, self.ngens
         d = np.array(self.orders, dtype=np.int64)[:, None]
-        bn = self._upper + self._upper.T  # N*b(g_j, g_i), below 2N
+        u = np.array(self.gen_qn, dtype=np.int64).reshape(k, k)
+        bn = u + u.T  # N*b(g_j, g_i), below 2N
         # b * d_j = N*b / (N / d_j), with no product that could overflow
         if (n % d).any() or (bn % (n // d)).any():
             raise ValueError(f"b(g_i, g_j) * d_j is not integral at level {n}")
@@ -642,20 +644,17 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     Each orthogonal block contributes the orders and the generator pairing
     of its Smith normal form (see `_block_invariants`, read once per
     lattice from `Lattice.block_invariants`); the generator pairing is
-    block-diagonal and the level is the lcm over the blocks.  So `orders`
-    are the blocks' invariant factors in block order, which are the global
-    invariant factors only when each divides the next: <4> + <6> gives
-    (4, 6), not (2, 12).
+    block-diagonal.  So `orders` are the blocks' invariant factors in block
+    order, which are the global invariant factors only when each divides
+    the next: <4> + <6> gives (4, 6), not (2, 12).
     """
     pos = neg = 0
-    level = 1
     orders, pairings = [], []
     for block in lat.block_invariants:
         pos += block.pos
         neg += block.neg
-        if not block.cols:  # a unimodular block: level 1, no generator
+        if not block.cols:  # a unimodular block: no generator
             continue
-        level = lcm(level, block.level)
         orders += [d for d, _ in block.cols]
         pairings.append(block.pairing)
     pairing, off = [], 0
@@ -666,8 +665,6 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
         off += len(rows)
     return DiscriminantForm(
         orders=tuple(orders),
-        cardinality=prod(orders),
-        level=level,
         sig_mod_8=(pos - neg) % 8,
         gen_pairing=tuple(pairing),
     )

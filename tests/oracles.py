@@ -6,7 +6,7 @@ import math
 from array import array
 from fractions import Fraction
 from itertools import repeat
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 
@@ -178,7 +178,8 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
     With U*G*V = D, the class of the i-th elementary divisor d_i > 1 is
     generated by (column i of V) / d_i, paired by `inner`; the signature
     comes from congruence diagonalization of the whole matrix.  No
-    orthogonal blocks, no cache.
+    orthogonal blocks, no cache.  The level is found here too, by its own
+    loop over the pairing, and must be the level the form derives.
     """
     n = lat.rank
     divisors, v = smith_normal_form(lat.gram)
@@ -197,13 +198,9 @@ def discriminant_form_whole(lat: Lattice) -> DiscriminantForm:
         level = lcm(level, (pairing[i][i] / 2).denominator)
         for j in range(i + 1, len(gens)):
             level = lcm(level, pairing[i][j].denominator)
-    return DiscriminantForm(
-        orders=tuple(orders),
-        cardinality=prod(orders),
-        level=level,
-        sig_mod_8=(pos - neg) % 8,
-        gen_pairing=pairing,
-    )
+    df = DiscriminantForm(orders=tuple(orders), sig_mod_8=(pos - neg) % 8, gen_pairing=pairing)
+    assert df.level == level, (df.level, level)
+    return df
 
 
 # Lambda_g has level N = 4(g - 1), and the cusp side refuses a cyclic form
@@ -395,10 +392,12 @@ def dim_cusp_df_elementwise(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
 def bn(df: DiscriminantForm) -> np.ndarray:
     """N*b(gamma, delta) mod N for every pair of elements, N the level.
 
-    |A|^2 int64 entries, from the exponent rows and the generator pairing.
+    |A|^2 int64 entries, from the exponent rows and the generators' table
+    `gen_qn`.
     """
-    n, e = df.level, df._exponents.T
-    return e @ ((df._upper + df._upper.T) % n) % n @ e.T % n
+    n, e, k = df.level, df._exponents.T, df.ngens
+    u = np.array(df.gen_qn, dtype=np.int64).reshape(k, k)
+    return e @ ((u + u.T) % n) % n @ e.T % n
 
 
 def dense_weil(df: DiscriminantForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

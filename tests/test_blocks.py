@@ -3,7 +3,9 @@
 `signature` and `discriminant_form` work per connected block of the Gram
 matrix and cache each block's result; `oracles.discriminant_form_whole` is
 the whole-matrix construction they replace.  `lambda_lattice` carries its
-template's blocks, and the block search `_blocks` is their oracle.
+template's blocks, and the block search `_blocks` is their oracle; a
+direct sum's blocks, which are that search, are checked against its
+summands.
 """
 
 import os
@@ -213,13 +215,30 @@ def test_blocks_found_once_per_lattice(monkeypatch):
     assert calls == [((-98,),), lat.gram]
 
 
+def _summand_blocks(*parts):
+    """The blocks of a direct sum of connected lattices, with no search:
+    each summand's whole Gram matrix at its offset."""
+    blocks, off = [], 0
+    for part in parts:
+        blocks.append((tuple(range(off, off + part.rank)), part.gram))
+        off += part.rank
+    return tuple(blocks)
+
+
+# Lambda_g's blocks come from its template and are checked against the
+# search; K3 is a direct sum, whose blocks are that search, so they are
+# checked against its summands U, U, U, -E8 and -E8, each one block (the
+# Dynkin diagram of E8 is connected)
 @pytest.mark.parametrize(
-    "lat",
-    [*(lambda_lattice(g) for g in (2, 3, 50, 1000)), k3_lattice()],
-    ids=lambda lat: lat.name,
+    "lat, want",
+    [
+        *(pytest.param(lat, tuple(_blocks(lat.gram)), id=lat.name)
+          for lat in map(lambda_lattice, (2, 3, 50, 1000))),
+        pytest.param(k3_lattice(), _summand_blocks(*[hyperbolic()] * 3, *[e8(True)] * 2), id="K3"),
+    ],
 )
-def test_catalog_blocks_match_block_search(lat):
-    assert lat.blocks == tuple(_blocks(lat.gram))
+def test_catalog_blocks_match_block_search(lat, want):
+    assert lat.blocks == want
 
 
 def test_summands_are_shared_frozen_instances():

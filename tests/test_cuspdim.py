@@ -117,8 +117,6 @@ def test_stable_under_generator_reordering():
         assert (unit * unit) % 2 == 1
         scaled = DiscriminantForm(
             orders=df.orders,
-            cardinality=df.cardinality,
-            level=df.level,
             sig_mod_8=df.sig_mod_8,
             gen_pairing=((df.gen_pairing[0][0] * unit * unit,),),
         )

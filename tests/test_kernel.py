@@ -1,18 +1,20 @@
 """Oracle tests for the integer encoding of discriminant forms.
 
-The exponents of every element (`DiscriminantForm._exponents`, read once
-per form), `qn`, `neg_index` and `dual_index` (from `_exponents`, or on a
-cyclic form by one multiply and reduce), and the pairing `oracles.bn`
-builds from the generator pairing, are compared element by element with
-the exact `Fraction` reference `elements()`, `oracles.q` and `oracles.b`,
-on the corpus, `NON_CYCLIC` and hypothesis forms;
+The generators' level-N table `gen_qn`, which the form derives with its
+level, is compared entry by entry with `oracles.q` and `oracles.b` at the
+generators; the exponents of every element (`DiscriminantForm._exponents`,
+read once per form), `qn`, `neg_index` and `dual_index` (from
+`_exponents`, or on a cyclic form by one multiply and reduce), and the
+pairing `oracles.bn` builds from `gen_qn`, are compared element by element
+with the exact `Fraction` reference `elements()`, `oracles.q` and
+`oracles.b`, on the corpus, `NON_CYCLIC` and hypothesis forms;
 `cuspdim.walk_sums` with full-group sums over `qn`, by rows on a cyclic
 form with u = 1 or N - 1 and from `qn` on any other, and its refusal of a
 form too large for int64 before any array of |A| entries; the row count
 `cuspdim.row_sums` with brute force, its Python rows with its numpy
 slices, and its slices with `math.isqrt` on both sides of their float64 /
 int64 seam at 2^52 and up to the last admitted genus; a
-cyclic generator's value read from the pairing with `_upper`; `roots` with
+cyclic generator's `gen_qn[0][0]` with `oracles.q`; `roots` with
 `numpy.exp`, and as built once per form, with `qroots` evaluated once, by the Weil chain and
 never by the cusp dimension; the exact Gauss sums of
 `cuspdim.exact_gauss_sums` with brute-force complex sums; and the consumers built on them (`gauss_sum`,
@@ -96,6 +98,12 @@ def _check_kernel(df, pairs=None):
     index = {e: i for i, e in enumerate(elems)}
     qn, neg_index, dual_index = df.qn.tolist(), df.neg_index.tolist(), df.dual_index.tolist()
     units = [tuple(int(i == j) for i in range(df.ngens)) for j in range(df.ngens)]
+    # the table: N*q(g_i)/2 on the diagonal, N*b(g_i, g_j) above it, 0 below
+    assert len(df.gen_qn) == df.ngens
+    for i, (row, ui) in enumerate(zip(df.gen_qn, units)):
+        want = [0] * i + [q(df, ui) * n / 2 % n] + [b(df, ui, uj) * n for uj in units[i + 1 :]]
+        assert [type(x) for x in row] == [int] * df.ngens
+        assert row == tuple(want), i
     for i, e in enumerate(elems):
         assert qn[i] == q(df, e) * n / 2 % n, e
         neg = tuple((-x) % m for x, m in zip(e, df.orders))
@@ -153,19 +161,6 @@ def test_kernel_non_cyclic(name):
     df = discriminant_form(NON_CYCLIC[name])
     assert df.ngens > 1
     _check_kernel(df)
-
-
-def test_kernel_rejects_level_that_is_not_a_common_denominator():
-    df = discriminant_form(make_lattice([[2]]))
-    wrong = DiscriminantForm(
-        orders=df.orders,
-        cardinality=df.cardinality,
-        level=2,  # q(g)/2 = 1/4 needs N = 4
-        sig_mod_8=df.sig_mod_8,
-        gen_pairing=df.gen_pairing,
-    )
-    with pytest.raises(ValueError):
-        wrong.qn
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 99, 100, 101, 4096, 10**6 + 3, 4 * 10**9 - 4])
@@ -365,9 +360,9 @@ def test_walk_sums_match_full_group_sums_on_random_forms(pieces):
 def _check_cyclic(df):
     """`walk_sums` of a cyclic form, whatever its generator, against
     full-group sums over `qn`, and the generator's N*q/2 mod N, which
-    `walk_sums` reads from the pairing, against `_upper`."""
+    `walk_sums` reads from `gen_qn`, against `oracles.q`."""
     assert df.ngens == 1
-    assert cuspdim._generator_qn(df) == int(df._upper[0, 0])
+    assert df.gen_qn[0][0] == q(df, (1,)) * df.level / 2 % df.level
     _check_walk_sums(df)
 
 
@@ -414,7 +409,7 @@ def test_walk_sums_read_qn_on_a_cyclic_form_with_another_generator(monkeypatch):
     monkeypatch.setattr(cuspdim, "row_sums", refuse)
     for gram, u in (([[4, 1], [1, 4]], 2), ([[6, 3], [3, 8]], 10)):
         df = discriminant_form(make_lattice(gram))
-        assert int(df._upper[0, 0]) == u
+        assert df.gen_qn[0][0] == u
         _check_cyclic(df)
     monkeypatch.undo()
     rows = discriminant_form(lambda_lattice(60))
@@ -433,7 +428,7 @@ def test_row_sums_match_brute_force():
 def _check_rows(df):
     """`_check_cyclic` on a cyclic form with u = 1 or N - 1, whose sums
     `walk_sums` counts by rows."""
-    assert df.ngens == 1 and int(df._upper[0, 0]) in (1, df.level - 1)
+    assert df.ngens == 1 and df.gen_qn[0][0] in (1, df.level - 1)
     _check_cyclic(df)
 
 
@@ -452,7 +447,7 @@ def test_isqrt_rows_match_the_numpy_slices(monkeypatch):
     for m in range(2, 4 * top + 8):
         for lat in (lambda_lattice(m), make_lattice([[2 * m]]), make_lattice([[-2 * m]])):
             df = discriminant_form(lat)
-            h, n, u = (df.cardinality - 1) // 2, df.level, cuspdim._generator_qn(df)
+            h, n, u = (df.cardinality - 1) // 2, df.level, df.gen_qn[0][0]
             assert u in (1, n - 1)
             monkeypatch.setattr(cuspdim, "ISQRT_ROWS", top)
             by_isqrt = cuspdim.row_sums(h, n, u)
@@ -638,8 +633,7 @@ def test_row_slices_at_the_last_admitted_genus():
 def test_rows_end_at_the_last_admitted_genus(monkeypatch):
     # Lambda_g counts by rows up to the last admitted genus, past the
     # genus g = 3037000501 whose squares pass int64; the next genus is
-    # refused before the rows and before its generator's value is read.
-    # No sum is run to its end
+    # refused before the rows.  No sum is run to its end
     class Taken(Exception):
         pass
 
@@ -655,7 +649,6 @@ def test_rows_end_at_the_last_admitted_genus(monkeypatch):
     over = discriminant_form(lambda_lattice(CUSP_FIRST_REFUSED_GENUS))
     with pytest.raises(TooLarge):
         cuspdim.walk_sums(over)
-    assert "_upper" not in vars(over)
 
 
 def test_int64_bound_of_lambda_g(monkeypatch):

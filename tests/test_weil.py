@@ -27,7 +27,7 @@ from nlrank import (
     weil_rep_of,
 )
 from nlrank.errors import TooLarge
-from nlrank.weil import MATMUL_MAX_ORDER, _probes
+from nlrank.weil import MATMUL_MAX_ORDER, WeilRep, _probes
 import strategies
 from oracles import (
     apply_s_fftn,
@@ -156,7 +156,7 @@ def test_seven_factors_of_order_two_build_one_matrix():
 def test_build_rejects_orders_the_pairing_does_not_fit():
     # <4> has A = Z/4 with b(g, g) = 1/4; as Z/2, b(g, g) * 2 is not integral
     df = discriminant_form(make_lattice([[4]]))
-    wrong = dataclasses.replace(df, orders=(2,), cardinality=2)
+    wrong = dataclasses.replace(df, orders=(2,))
     with pytest.raises(ValueError, match="not integral"):
         build_weil_rep(wrong)
 
@@ -355,6 +355,21 @@ def _swap_two_xi_entries(w):
     return dataclasses.replace(w, xi=xi)
 
 
+def _conjugate_s_by_a_positive_diagonal(w):
+    """rho(S) replaced by D*S*D^-1, D the positive diagonal (x + x(-gamma))/2
+    with x = 1 + 0.1*cos(index).  D is even under gamma -> -gamma, so it
+    commutes with rho(T) and rho(Z): S^2 = Z, TSTST = S, T and the Z-swap
+    all hold, and only unitarity sees the change."""
+    x = 1 + 0.1 * np.cos(np.arange(w.dimension))
+    d = (x + x[w.df.neg_index]) / 2
+
+    class Conjugated(WeilRep):
+        def _s_rows(self, f):
+            return super()._s_rows(f / d) * d
+
+    return Conjugated(**{f.name: getattr(w, f.name) for f in dataclasses.fields(w)})
+
+
 MUTATIONS = {
     "s_phase conjugated": lambda w: dataclasses.replace(w, s_phase=w.s_phase.conjugate()),
     "s_phase negated": lambda w: dataclasses.replace(w, s_phase=-w.s_phase),
@@ -363,6 +378,7 @@ MUTATIONS = {
     "z_phase conjugated": lambda w: dataclasses.replace(w, z_phase=w.z_phase.conjugate()),
     "xi entries swapped": _swap_two_xi_entries,
     "DFT matrix conjugated": lambda w: _conjugate_a_dft_matrix(dataclasses.replace(w)),
+    "S conjugated by a positive diagonal": _conjugate_s_by_a_positive_diagonal,
 }
 MUTATED_FORMS = {
     "Lambda_9": lambda_lattice(9),
@@ -401,6 +417,16 @@ def test_z_swap_residual_never_exceeds_s2_z(corpus):
     for w in reps:
         rep = verify_relations(w)
         assert rep.maxErrZSwap <= rep.maxErrS2Z + 1e-15, (w.df.orders, rep)
+
+
+@pytest.mark.parametrize("form", sorted(MUTATED_FORMS))
+def test_unitarity_alone_catches_s_conjugated_by_a_positive_diagonal(form):
+    w = weil_rep_of(MUTATED_FORMS[form])
+    rep = verify_relations(_conjugate_s_by_a_positive_diagonal(w))
+    assert rep.passed is False
+    assert rep.maxErrUnitary > 1e-2
+    others = (rep.maxErrS2Z, rep.maxErrST3, rep.maxErrTN, rep.maxErrZSwap)
+    assert max(others) < 1e-12, rep
 
 
 @pytest.mark.parametrize("form", sorted(MUTATED_FORMS))
