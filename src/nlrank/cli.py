@@ -11,15 +11,17 @@ Each verb's handler imports the modules it needs, so start-up pays only for
 them: `rank` and `nl` never load `lattices`, `lattice info` loads it but
 never numpy, `weil` loads numpy, and `dim` and `crosscheck` load it only
 for a genus whose cusp side counts more than `cuspdim.ISQRT_ROWS` rows
-(g > 262).  `rank`, `nl` and `crosscheck` write each row as it is made;
-`nl` merges one sorted run per h (`nl.iter_nl`).
+(g > 262).  A verb that loads no numpy loads no `dataclasses` either, nor
+the `inspect`, `ast`, `dis` and `tokenize` it pulls in, nor `typing`: the
+records are named tuples, and `Lattice` and `DiscriminantForm` small
+read-only classes.  `json` and `csv` load only with the format that writes
+them.  `rank`, `nl` and `crosscheck` write each row as it is made; `nl`
+merges one sorted run per h (`nl.iter_nl`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -35,24 +37,32 @@ DOMAIN_EXIT = 1
 
 def _write_rows(out, fmt, columns, rows) -> None:
     """Write each row's csv_row(), to_json_obj() or pretty() as it is made.  The CSV header
-    or JSON "[" comes with the first row (each caller has one): a failing one writes nothing."""
-    writer = csv.writer(out, lineterminator="\n")
-    for i, row in enumerate(rows):
-        if fmt == "csv":
+    or JSON "[" comes with the first row (each caller has one): a failing one writes nothing.
+    `csv` and `json` are imported only by the format that writes them."""
+    if fmt == "csv":
+        import csv
+
+        writer = csv.writer(out, lineterminator="\n")
+        for i, row in enumerate(rows):
             if i == 0:
                 writer.writerow(columns)
             writer.writerow(row.csv_row())
-        elif fmt == "json":
+    elif fmt == "json":
+        import json
+
+        for i, row in enumerate(rows):
             out.write(("[" if i == 0 else ", ") + json.dumps(row.to_json_obj()))
-        else:
-            out.write(row.pretty() + "\n")
-    if fmt == "json":
         out.write("]\n")
+    else:
+        for row in rows:
+            out.write(row.pretty() + "\n")
 
 
 def _write_record(out, fmt, obj) -> None:
     """Write one key/value record: key-sorted JSON, or `key: value` lines."""
     if fmt == "json":
+        import json
+
         out.write(json.dumps(obj, sort_keys=True) + "\n")
     else:
         out.writelines(f"{key}: {obj[key]}\n" for key in sorted(obj))

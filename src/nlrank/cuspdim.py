@@ -54,7 +54,7 @@ most forms and weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -69,14 +69,17 @@ from .lattices import DiscriminantForm, Lattice, _blocks, discriminant_form, sig
 _U_GRAM = ((0, 1), (1, 0))
 
 
-@dataclass(frozen=True)
-class CuspDimReport:
-    k: Fraction
-    d: int
-    dim: int
-    parity_ok: bool
-    symmetric: bool | None
-    boundary_terms: dict = field(default_factory=dict)
+class CuspDimReport(namedtuple("CuspDimReport", "k d dim parity_ok symmetric boundary_terms")):
+    """dim S_{k, rho*} of a form of order `d` (k a Fraction), whether k's
+    parity fits the form, the symmetric (True) or antisymmetric (False)
+    eigenspace or None, and the Riemann-Roch terms by name: a new dict for
+    each report made without them."""
+
+    __slots__ = ()
+
+    def __new__(cls, k, d, dim, parity_ok, symmetric, boundary_terms=None):
+        terms = {} if boundary_terms is None else boundary_terms
+        return super().__new__(cls, k, d, dim, parity_ok, symmetric, terms)
 
 
 # -- Gauss sums from local data ----------------------------------------------

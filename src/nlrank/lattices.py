@@ -38,20 +38,25 @@ element is evaluated: N times the sum of the orders (`check_int64`),
 g - 1 >= 2^30 for Lambda_g.
 
 numpy is imported by the int64 kernel members of `DiscriminantForm` only,
-so building lattices and reading their invariants never loads it.
+so building lattices and reading their invariants never loads it, and
+neither loads `dataclasses` or `typing`: a `Lattice` and a form are
+read-only values of their own (`_Frozen`), and the other records are
+named tuples.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, lcm, prod
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadGenus, BadScale, Degenerate, NotEven, NotSymmetric, TooLarge
 
+# typing.TYPE_CHECKING without loading `typing`: type checkers take the name
+# as true, and the annotations are never evaluated
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -64,12 +69,55 @@ def _as_gram(rows) -> Gram:
     return tuple(tuple(map(int, row)) for row in rows)
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Even nondegenerate lattice given by its integer Gram matrix."""
+# how a `_Frozen` subclass's __init__ sets its fields, past its __setattr__
+_setattr = object.__setattr__
 
-    gram: Gram
-    name: str | None = None
+
+class _Frozen:
+    """A value fixed when it is made.  The fields named in `__match_args__`,
+    the constructor's arguments in order, decide equality, the hash and
+    pickling; assigning or deleting any attribute raises AttributeError
+    naming it.  A subclass holds its fields in `__slots__` and keeps a
+    `__dict__` slot for its `cached_property` values, which that decorator
+    writes into the instance dict directly."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Lattice(_Frozen):
+    """Even nondegenerate lattice given by its integer Gram matrix: a
+    read-only value, equal to another with the same `gram` and `name`."""
+
+    __slots__ = ("gram", "name", "__dict__")
+    __match_args__ = ("gram", "name")
+
+    def __init__(self, gram: Gram, name: str | None = None) -> None:
+        _setattr(self, "gram", gram)
+        _setattr(self, "name", name)
+
+    def __repr__(self) -> str:
+        return f"Lattice(gram={self.gram!r}, name={self.name!r})"
 
     @property
     def rank(self) -> int:
@@ -92,10 +140,7 @@ class Lattice:
         return tuple([_block_invariants(sub) for _, sub in self.blocks])
 
 
-@dataclass(frozen=True)
-class Signature:
-    positive: int
-    negative: int
+Signature = namedtuple("Signature", "positive negative")
 
 
 def make_lattice(gram, name: str | None = None) -> Lattice:
@@ -143,8 +188,8 @@ def hyperbolic(scale: int = 1) -> Lattice:
     """U(N): the rank-two lattice [[0, N], [N, 0]].
 
     U itself (N = 1) is one shared instance, like E8 and -E8 from `e8`:
-    `Lattice` is frozen, so every caller may hold it, and its `blocks` are
-    found once per process.
+    a `Lattice` is read-only, so every caller may hold it, and its
+    `blocks` are found once per process.
     """
     if scale < 1:
         raise BadScale(f"U(N) needs N >= 1, got {scale}")
@@ -154,7 +199,7 @@ def hyperbolic(scale: int = 1) -> Lattice:
 
 
 def e8(negative: bool = False) -> Lattice:
-    """E8, or -E8 if negative, in a root basis: one shared frozen instance each."""
+    """E8, or -E8 if negative, in a root basis: one shared read-only instance each."""
     return _MINUS_E8 if negative else _E8
 
 
@@ -381,13 +426,10 @@ _LAMBDA_BLOCKS = tuple(
 )
 
 
-class _Block(NamedTuple):
-    pos: int
-    neg: int
-    # (d, column of V) for each elementary divisor d > 1, block basis: the
-    # generator is the column over d
-    cols: tuple[tuple[int, tuple[int, ...]], ...]
-    pairing: tuple[tuple[Fraction, ...], ...]
+# a block's signature (pos, neg); its `cols`, (d, column of V) for each
+# elementary divisor d > 1 in the block basis, the generator being the
+# column over d; and the generators' `pairing`, a tuple of Fraction rows
+_Block = namedtuple("_Block", "pos neg cols pairing")
 
 
 def _dot(x, y) -> int:
@@ -429,13 +471,14 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class DiscriminantForm:
+class DiscriminantForm(_Frozen):
     """The finite quadratic module (A, q, b) of an even lattice.
 
     A = M^dual / M with q valued in Q/2Z and pairing b in Q/Z.  Elements
     are exponent tuples against generators of the given `orders`, which
-    pair as `gen_pairing` says.  The rest is derived from these when the
+    pair as `gen_pairing` says (gen_pairing[i][j] = <g_i, g_j>).  These
+    and `sig_mod_8` define the form, which is a read-only value equal to
+    any form with the same three.  The rest is derived from them when the
     form is made: `cardinality`, the product of the orders; the level N,
     the lcm of the denominators of q(g_i)/2 and b(g_i, g_j), i < j; and
     `gen_qn`, the generators' table over N in Python ints, N*q(g_i)/2 mod N
@@ -449,19 +492,17 @@ class DiscriminantForm:
     element, serve the float Gauss sum and the Weil operators.
     """
 
-    orders: tuple[int, ...]
-    cardinality: int = field(init=False)
-    level: int = field(init=False)
-    sig_mod_8: int
-    # pairing matrix of the generators: gen_pairing[i][j] = <g_i, g_j>
-    gen_pairing: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    gen_qn: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    __slots__ = ("orders", "sig_mod_8", "gen_pairing", "cardinality", "level", "gen_qn",
+                 "__dict__")
+    __match_args__ = ("orders", "sig_mod_8", "gen_pairing")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, orders: tuple[int, ...], sig_mod_8: int, gen_pairing: tuple[tuple[Fraction, ...], ...]
+    ) -> None:
         # q(g_i)/2 and b(g_i, g_j), j > i, as (numerator, denominator) in
         # lowest terms: q(g_i) = a/b halves to a/(2b) for odd a, else to (a/2)/b
         rows, n = [], 1
-        for i, row in enumerate(self.gen_pairing):
+        for i, row in enumerate(gen_pairing):
             a, b = row[i].as_integer_ratio()
             ratios = [(a, 2 * b) if a % 2 else (a // 2, b)]
             for x in row[i + 1 :]:
@@ -472,9 +513,16 @@ class DiscriminantForm:
         table = tuple(
             (0,) * i + tuple([a * (n // b) % n for a, b in row]) for i, row in enumerate(rows)
         )
-        object.__setattr__(self, "cardinality", prod(self.orders))
-        object.__setattr__(self, "level", n)
-        object.__setattr__(self, "gen_qn", table)
+        _setattr(self, "orders", orders)
+        _setattr(self, "sig_mod_8", sig_mod_8)
+        _setattr(self, "gen_pairing", gen_pairing)
+        _setattr(self, "cardinality", prod(orders))
+        _setattr(self, "level", n)
+        _setattr(self, "gen_qn", table)
+
+    def __repr__(self) -> str:
+        return (f"DiscriminantForm(orders={self.orders!r}, cardinality={self.cardinality!r}, "
+                f"level={self.level!r}, sig_mod_8={self.sig_mod_8!r})")
 
     @property
     def ngens(self) -> int:
@@ -625,9 +673,11 @@ class DiscriminantForm:
     @cached_property
     def dual_index(self) -> np.ndarray:
         """Index of xi(gamma) for every element gamma (see `weil`):
-        M[j, i] = b(g_i, g_j) * d_j mod d_j, ValueError if not integral."""
+        M[j, i] = b(g_i, g_j) * d_j mod d_j, ValueError if not integral.
+        Raises TooLarge (see `check_int64`) before the table goes to int64."""
         import numpy as np
 
+        self.check_int64()
         n, k = self.level, self.ngens
         d = np.array(self.orders, dtype=np.int64)[:, None]
         u = np.array(self.gen_qn, dtype=np.int64).reshape(k, k)

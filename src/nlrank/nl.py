@@ -10,12 +10,10 @@ formula.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 
@@ -24,15 +22,11 @@ from .errors import BadGenus, NegativeDiscriminant
 CSV_COLUMNS = ["g", "h", "d", "delta", "n_num", "n_den", "gamma", "degenerate"]
 
 
-@dataclass(frozen=True)
-class NLLabel:
-    g: int
-    h: int
-    d: int
-    delta: int
-    n: Fraction
-    gamma: int
-    degenerate: bool
+class NLLabel(namedtuple("NLLabel", "g h d delta n gamma degenerate")):
+    """The label of D_{h,d} in genus g: ints, the norm `n` a Fraction and
+    `degenerate` a bool (see `nl_label`)."""
+
+    __slots__ = ()
 
     def csv_row(self) -> list:
         return [
@@ -141,6 +135,9 @@ def enumerate_nl(g: int, d_max: int, h_max: int) -> list[NLLabel]:
 
 
 def labels_to_csv(labels) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -8,11 +8,8 @@ transcription bug and raises.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import frac_square_sum, jacobi, reserve_range, square_count
@@ -40,14 +37,11 @@ def beta(g: int) -> int:
     return j + jacobi(g - 1, 3)
 
 
-@dataclass(frozen=True)
-class RankReport:
-    g: int
-    alpha: int
-    beta: int
-    fracsum: Fraction
-    sqcount: int
-    rank: int
+class RankReport(namedtuple("RankReport", "g alpha beta fracsum sqcount rank")):
+    """The closed form's terms at genus g (ints; `fracsum` a Fraction) and
+    the rank they give."""
+
+    __slots__ = ()
 
     def csv_row(self) -> list:
         return [
@@ -113,6 +107,9 @@ def _rows(g_lo: int, g_hi: int) -> Iterator[RankReport]:
 
 
 def table_to_csv(reports) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -122,4 +119,6 @@ def table_to_csv(reports) -> str:
 
 
 def table_to_json(reports) -> str:
+    import json
+
     return json.dumps([rep.to_json_obj() for rep in reports], sort_keys=True)

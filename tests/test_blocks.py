@@ -11,7 +11,6 @@ summands.
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,9 +254,9 @@ def test_summands_are_shared_frozen_instances():
     }
     for shared, lat in literal.items():
         assert (shared.gram, shared.name) == (lat.gram, lat.name)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'name'"):
             shared.name = "X"
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'gram'"):
             shared.gram = lat.gram
 
 

@@ -2,12 +2,11 @@
 
 Every backticked dotted name whose head is `nlrank`, one of its modules
 (`hurwitz.MAX_SIZE`) or an exported class (`Lattice.blocks`) must resolve
-to an attribute or a dataclass field, and every "`NAME` = value" must be
+to an attribute or a field of the class, and every "`NAME` = value" must be
 the value of that module constant, so a rename or a retuned constant that
 the README still quotes fails here.
 """
 
-import dataclasses
 import importlib
 import pkgutil
 import re
@@ -26,9 +25,21 @@ CLASSES = {
 
 
 def _resolves(head, attr) -> bool:
-    return hasattr(head, attr) or (
-        dataclasses.is_dataclass(head) and attr in {f.name for f in dataclasses.fields(head)}
-    )
+    """attr is a field of the class head, a namedtuple's `_fields` or one of
+    its `__slots__`, or an attribute of head."""
+    fields = (*getattr(head, "_fields", ()), *getattr(head, "__slots__", ()))
+    return attr in fields or hasattr(head, attr)
+
+
+def test_fields_resolve_and_others_do_not():
+    for cls, field in (("NLLabel", "n"), ("RankReport", "fracsum"), ("Signature", "negative"),
+                       ("CuspDimReport", "boundary_terms"), ("Lattice", "gram"),
+                       ("DiscriminantForm", "gen_qn")):
+        assert _resolves(CLASSES[cls], field), (cls, field)
+    for cls, name in (("NLLabel", "n_abs"), ("DiscriminantForm", "gen_qn_"),
+                      ("Lattice", "grams")):
+        assert not _resolves(CLASSES[cls], name), (cls, name)
+    assert not _resolves(MODULES["cuspdim"], "ISQRT_ROW")
 
 
 def test_readme_dotted_names_resolve():
@@ -37,7 +48,7 @@ def test_readme_dotted_names_resolve():
         name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README)
         if name.split(".")[0] in heads
     })
-    assert len(names) >= 10, names  # the pattern still finds the README's names
+    assert len(names) >= 13, names  # the pattern still finds the README's names
     missing = []
     for name in names:
         head, *rest = name.split(".")

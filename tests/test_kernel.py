@@ -681,6 +681,16 @@ def test_int64_bound_of_lambda_g(monkeypatch):
             dim_cusp_df(over, HALF_21)
 
 
+@pytest.mark.parametrize("g", [2**62, 10**30])
+def test_dual_index_refuses_a_level_past_int64(g):
+    # N = 4g - 4 >= 2^63, so the generator's table entry N - 1 has no int64:
+    # the bound is checked before the table is converted, as `qn` does
+    df = discriminant_form(lambda_lattice(g))
+    assert df.gen_qn[0][0] >= 2**63
+    with pytest.raises(TooLarge):
+        df.dual_index  # noqa: B018
+
+
 def test_walk_sums_refuse_a_non_cyclic_form_past_the_int64_bound(small_arange):
     # U(2) + Lambda_g has orders (2, 2, 2g - 2) and level 4g - 4: at
     # g = 2^30 + 1, N * sum(orders) = 2^32 * (2^31 + 4) >= 2^63, so `qn`, the

@@ -1,8 +1,10 @@
 import ast
 import importlib
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,48 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         nlrank.no_such_name  # noqa: B018
     assert not hasattr(nlrank, "no_such_name")
+
+
+def test_records_are_read_only_values():
+    """Reports are named tuples, and a lattice or form a read-only value
+    with its defining fields: construction by keyword, the repr, equality,
+    the hash and pickling work on each, and assignment names the field."""
+    rep = nlrank.picard_rank(7)
+    assert rep == nlrank.RankReport(g=7, alpha=1, beta=0, fracsum=Fraction(43, 24),
+                                    sqcount=1, rank=7)
+    assert repr(rep) == (
+        "RankReport(g=7, alpha=1, beta=0, fracsum=Fraction(43, 24), sqcount=1, rank=7)"
+    )
+    label = nlrank.nl_label(3, 1, 2)
+    assert repr(label) == (
+        "NLLabel(g=3, h=1, d=2, delta=4, n=Fraction(-1, 2), gamma=2, degenerate=False)"
+    )
+    lat = nlrank.lambda_lattice(3)
+    assert repr(nlrank.signature(lat)) == "Signature(positive=2, negative=19)"
+    df = nlrank.discriminant_form(lat)
+    assert repr(df) == "DiscriminantForm(orders=(4,), cardinality=4, level=8, sig_mod_8=7)"
+    assert repr(nlrank.hyperbolic(2)) == "Lattice(gram=((0, 2), (2, 0)), name='U(2)')"
+    for value in (rep, label, lat, df, nlrank.signature(lat)):
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and hash(again) == hash(value), value
+        assert again is not value
+    assert pickle.loads(pickle.dumps(lat)).blocks == lat.blocks
+    assert df == nlrank.DiscriminantForm(orders=(4,), sig_mod_8=7, gen_pairing=df.gen_pairing)
+    assert df != nlrank.DiscriminantForm((4,), 3, df.gen_pairing)
+    assert lat != nlrank.Lattice(lat.gram, "Lambda")
+    for value, field in ((lat, "gram"), (lat, "name"), (df, "level"), (df, "orders")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, None)
+    for value, field in ((rep, "rank"), (label, "n")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    with pytest.raises(AttributeError, match="cannot delete field 'name'"):
+        del lat.name
+    # a report made without its Riemann-Roch terms gets a dict of its own
+    empty = [nlrank.CuspDimReport(k=Fraction(11), d=4, dim=0, parity_ok=False, symmetric=None)
+             for _ in range(2)]
+    assert empty[0] == empty[1] and empty[0].boundary_terms == {}
+    assert empty[0].boundary_terms is not empty[1].boundary_terms
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -124,6 +168,29 @@ def test_small_cusp_sides_load_no_numpy():
         "assert dispatch(['dim', '--g', '10000'], out=io.StringIO()) == 0\n"
     )
     assert _loaded_after(script, ["numpy"]) == "['numpy']"
+
+
+def test_numpy_free_verbs_load_no_dataclasses():
+    # `dataclasses` imports `inspect` (with `ast`, `dis` and `tokenize`),
+    # several milliseconds of every child's start-up; the verbs that load
+    # no numpy hold their records in tuples and plain classes instead.  The
+    # pretty format, every verb's default, loads neither `json` nor `csv`
+    verbs = (
+        "import io\n"
+        "from nlrank.cli import dispatch\n"
+        "rank = ['rank', '--from', '2', '--to', '30']\n"
+        "def run(*argvs):\n"
+        "    for argv in argvs:\n"
+        "        assert dispatch(argv, out=io.StringIO()) == 0, argv\n"
+        "run(rank, ['nl', '--g', '3', '--dmax', '5', '--hmax', '5'],\n"
+        "    ['lattice', 'info', '--name', 'K3'],\n"
+        "    ['lattice', 'info', '--name', 'Lambda_g', '--g', '500'],\n"
+        "    ['dim', '--g', '200'], ['crosscheck', '--from', '2', '--to', '60'])\n"
+        "if {'json', 'csv'} & set(sys.modules):\n"
+        "    raise SystemExit('the pretty format loaded json or csv')\n"
+        "run(rank + ['--format', 'csv'], rank + ['--format', 'json'])\n"
+    )
+    assert _loaded_after(verbs, ["dataclasses", "inspect", "numpy"]) == "[]"
 
 
 def test_rank_and_nl_leave_lattices_unloaded():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from nlrank import (
+    DiscriminantForm,
     build_weil_rep,
     direct_sum,
     discriminant_form,
@@ -37,6 +38,11 @@ from oracles import (
     relations_pass_st3,
 )
 from strategies import NON_CYCLIC
+
+
+def _fresh_copy(df):
+    """An equal form that holds none of `df`'s cached members."""
+    return DiscriminantForm(df.orders, df.sig_mod_8, df.gen_pairing)
 
 
 def _matrices(w):
@@ -140,7 +146,7 @@ def test_apply_s_matches_fftn_on_mixed_factors(k, n):
 
 def test_seven_factors_of_order_two_build_one_matrix():
     # a fresh copy of the form, whose `roots` is wrapped to count the reads
-    df = dataclasses.replace(discriminant_form(NON_CYCLIC["U(2)^3+<2>+(-E8)"]))
+    df = _fresh_copy(discriminant_form(NON_CYCLIC["U(2)^3+<2>+(-E8)"]))
     w = build_weil_rep(df)
     assert df.orders == (2,) * 7
     roots, reads = df.roots, []
@@ -156,7 +162,7 @@ def test_seven_factors_of_order_two_build_one_matrix():
 def test_build_rejects_orders_the_pairing_does_not_fit():
     # <4> has A = Z/4 with b(g, g) = 1/4; as Z/2, b(g, g) * 2 is not integral
     df = discriminant_form(make_lattice([[4]]))
-    wrong = dataclasses.replace(df, orders=(2,))
+    wrong = DiscriminantForm((2,), df.sig_mod_8, df.gen_pairing)
     with pytest.raises(ValueError, match="not integral"):
         build_weil_rep(wrong)
 
@@ -443,7 +449,7 @@ def test_t_check_measures_the_root_table(form):
     """`maxErrTN` reads the error of the form's `qroots` itself: one entry
     of the table 1e-8 off, before rho(T) is built from it, reads 1e-8."""
     # a fresh copy of the form, so the cached one keeps its table
-    df = dataclasses.replace(discriminant_form(MUTATED_FORMS[form]))
+    df = _fresh_copy(discriminant_form(MUTATED_FORMS[form]))
     qroots = df.qroots.copy()
     qroots[3] *= 1 + 1e-8
     vars(df)["qroots"] = qroots
