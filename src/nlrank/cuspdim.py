@@ -27,21 +27,23 @@ alone, as a correctly rounded root then decides both the ceiling and a
 perfect square; a higher one runs in int64.  The slices are exact while
 (SLICE + 2)*N < 2^63, and a cyclic form past that bound is refused on both
 paths, which admits Lambda_g up to g - 1 of about 5.6*10^14.  Any other
-form, cyclic with another u or with several generators, reads the three
-sums off its cached full-group `qn`, the array the Weil operators read, and
-so holds its exponents and `qn` in memory.
+form, cyclic with another u or with several generators, reads the zero
+count and the value sum off its cached full-group `qn`, the array the Weil
+operators read, and so holds its exponents and `qn` in memory; its values
+on T, at most 2^ngens, come from `gen_qn` in Python ints.
 
 The Gauss sums come from the form's local data instead of the walk, each
 as sqrt(r)*e(t/8) with integers r and t (`exact_gauss_sums`).  G(1) is
 Milgram's sqrt(|A|)*e(sig/8).  G(2) and G(3) are products over orthogonal
 pieces (`gauss_pieces`): a cyclic form is one cyclic piece, whose sum is
 the classical quadratic Gauss sum, read from a Jacobi symbol coded here;
-any other form is split, one component of its generator pairing at a
-time, by its p-adic Jordan decomposition at each prime p of the
-component's order into cyclic pieces and, at p = 2, the even blocks
-U(2^k) and V(2^k).  The elliptic terms are then exact elements of
-Q(sqrt 2, sqrt 3), and the dimension is a sum of rationals with no float
-anywhere: a total that is not a nonnegative integer raises
+any other form is split, one p-part at a time, by its p-adic Jordan
+decomposition into cyclic pieces and, at p = 2, the even blocks U(2^k)
+and V(2^k), on integers over the level read from `gen_qn`.  A form is
+read only through its orders, cardinality, sig_mod_8, level and `gen_qn`,
+and on the fallback above its `qn`.  The elliptic terms are then exact
+elements of Q(sqrt 2, sqrt 3), and the dimension is a sum of rationals
+with no float anywhere: a total that is not a nonnegative integer raises
 NonIntegerResult.  Nothing here comes from the closed form.
 
 The forms counted are of type rho* = conj(rho), the dual of the Weil
@@ -64,7 +66,7 @@ from .errors import (
     TooLarge,
     WeightTooSmall,
 )
-from .lattices import DiscriminantForm, Lattice, _blocks, discriminant_form, signature
+from .lattices import DiscriminantForm, Lattice, discriminant_form, signature
 
 _U_GRAM = ((0, 1), (1, 0))
 
@@ -123,13 +125,6 @@ def _quadratic_sum(a: int, c: int) -> tuple[int, int]:
     return 2 * g * g * c, (1 if a % 4 == 1 else 7) + (4 if _jacobi(c, abs(a)) < 0 else 0)
 
 
-def _half(x: Fraction) -> tuple[int, int]:
-    """x/2 mod 1 in lowest terms, as (numerator, denominator)."""
-    u, m = x.numerator, 2 * x.denominator
-    g = math.gcd(u, m)
-    return u // g % (m // g), m // g
-
-
 def gauss_factor(piece: tuple, j: int) -> tuple[int, int]:
     """G(j) of one orthogonal piece (see `gauss_pieces`) as (r, t).
 
@@ -173,45 +168,47 @@ def _add_multiple(pairing: list, i: int, m: int, c: int) -> None:
             row[i] = pairing[i][x]
 
 
-def _jordan(p: int, pairing: list) -> list[tuple]:
-    """The Jordan pieces of a p-group, given the inner products of a basis.
+def _jordan(p: int, n: int, table: list) -> list[tuple]:
+    """The Jordan pieces of a p-group, from its basis's table over the
+    level n (see `gauss_pieces`), which is changed in place.
 
-    Each step takes the entry of b = pairing mod 1 of largest order p^k,
-    which is the group's exponent.  On the diagonal, b(h, h) of order p^k
-    makes <h> a cyclic piece of order p^k; off it, for odd p, h_i + h_j is
-    such an h, and for p = 2, <h_i, h_j> is an even block, V(2^k) when both
-    q(h_i)/2 and q(h_j)/2 are odd multiples of 2^-k and U(2^k) otherwise.
-    The rest of the basis is then projected onto the piece's orthogonal
-    complement, which keeps the orders.  Inner products stay exact, with
-    the diagonal mod 2, so q is exact too.
+    An entry x stands for x/n mod 1, of order n // gcd(n, x), and each step
+    takes an entry of largest order p^k, the group's exponent.  On the
+    diagonal, b(h, h) of order p^k makes <h> a cyclic piece, with
+    q(h)/2 = x/2n; off it, for odd p, h_i + h_j is such an h, and for
+    p = 2, <h_i, h_j> is an even block, V(2^k) when both q(h_i)/2 and
+    q(h_j)/2 are odd multiples of 2^-k and U(2^k) otherwise.  The rest of
+    the basis is then projected onto the piece's orthogonal complement,
+    which keeps the orders; q and b times p^k are the entries over n/p^k.
     """
-    pairing = [list(row) for row in pairing]
-    live, pieces = list(range(len(pairing))), []
+    live, pieces = list(range(len(table))), []
     while live:
         order, diag, i, j = max(
-            ((pairing[i][j] % 1).denominator, i == j, i, j) for i in live for j in live if i <= j
+            (n // math.gcd(n, table[i][j]), i == j, i, j) for i in live for j in live if i <= j
         )
         if order == 1:  # what is left is 0
             break
         if not diag and p != 2:
-            _add_multiple(pairing, i, j, 1)
+            _add_multiple(table, i, j, 1)
             continue
         live = [x for x in live if x not in (i, j)]
+        unit = n // order
         if diag:
-            pieces.append(("c", order, _half(pairing[i][i])))
-            inv = pow(int(pairing[i][i] * order), -1, order)
+            g = math.gcd(table[i][i], 2 * n)
+            pieces.append(("c", order, (table[i][i] // g % (2 * n // g), 2 * n // g)))
+            inv = pow(table[i][i] // unit, -1, order)
             for x in live:
-                _add_multiple(pairing, x, i, -int(pairing[x][i] * order) * inv % order)
+                _add_multiple(table, x, i, -(table[x][i] // unit) * inv % order)
             continue
-        a, b, c = (int(pairing[x][y] * order) for x, y in ((i, i), (i, j), (j, j)))
+        a, b, c = (table[x][y] // unit for x, y in ((i, i), (i, j), (j, j)))
         aniso = (a // 2) % 2 == (c // 2) % 2 == 1
         pieces.append(("v" if aniso else "u", order, None))
         inv = pow(a * c - b * b, -1, order)
         for x in live:
-            s, t = int(pairing[x][i] * order), int(pairing[x][j] * order)
+            s, t = table[x][i] // unit, table[x][j] // unit
             ci, cj = (c * s - b * t) * inv % order, (a * t - b * s) * inv % order
-            _add_multiple(pairing, x, i, -ci)
-            _add_multiple(pairing, x, j, -cj)
+            _add_multiple(table, x, i, -ci)
+            _add_multiple(table, x, j, -cj)
     return pieces
 
 
@@ -220,29 +217,26 @@ def gauss_pieces(df: DiscriminantForm) -> list[tuple]:
 
     A one-generator form, every Lambda_g among them, is its own cyclic
     piece ("c", d, (u, m)), d the order of its generator g, m the level and
-    u = `gen_qn[0][0]`, so that u/m = q(g)/2 mod 1 in lowest terms, with no
-    component search.  Otherwise each component of the generator pairing
-    is split into its p-parts, generated by (d_i / p^e_i) * g_i, and each
-    is split by `_jordan`.
+    u = `gen_qn[0][0]`, so that u/m = q(g)/2 mod 1 in lowest terms.
+    Otherwise each p-part, generated by h_i = s_i*g_i with s_i = d_i/p^e_i,
+    is split by `_jordan`.  Its table holds N*q(h_i) = 2*s_i^2*u_ii on the
+    diagonal and N*b(h_i, h_j) = s_i*s_j*u_ij off it, u = `gen_qn`: N*q,
+    not N*q/2, so that `_add_multiple` updates the diagonal like any other
+    entry.
     """
     if df.ngens == 1:
         return [("c", df.orders[0], (df.gen_qn[0][0], df.level))]
+    n, u = df.level, df.gen_qn
     pieces = []
-    # the components of the generator pairing: g_i and g_j are joined when
-    # b(g_i, g_j), the pairing mod 1, is not 0
-    nonzero = [[x.denominator != 1 for x in row] for row in df.gen_pairing]
-    for comp, _ in _blocks(nonzero):
-        orders = [df.orders[i] for i in comp]
-        for p in _prime_factors(math.lcm(*orders)):
-            scale = {}
-            for i, d in zip(comp, orders):
-                if d % p == 0:
-                    while d % p == 0:
-                        d //= p
-                    scale[i] = d
-            pieces += _jordan(
-                p, [[scale[i] * scale[j] * df.gen_pairing[i][j] for j in scale] for i in scale]
-            )
+    for p in _prime_factors(n):
+        scale = {}
+        for i, d in enumerate(df.orders):
+            if d % p == 0:
+                while d % p == 0:
+                    d //= p
+                scale[i] = d
+        table = [[scale[i] * scale[j] * (u[i][j] + u[j][i]) for j in scale] for i in scale]
+        pieces += _jordan(p, n, table)
     return pieces
 
 
@@ -330,21 +324,20 @@ ISQRT_ROWS = 64
 
 def two_torsion(df: DiscriminantForm) -> list[int]:
     """N*q/2 mod N on T = {gamma : 2*gamma = 0}, which `row_sums` does not
-    count, in elements() order.
-
-    T's exponents are 0 or orders[i]/2 in each coordinate.  A cyclic form's
-    two values at most are Python ints, from its `gen_qn`, as its level
-    may pass the bound of `check_int64`; otherwise they are the form's `qn`
-    at T's indices, which raises TooLarge first.
+    count, in Python ints from `gen_qn` u, as a cyclic form's level may
+    pass the bound of `check_int64`.  T holds the sums of t_i*g_i,
+    t_i = d_i/2, over the sets S of generators of even order d_i, and the
+    value at one is the sum of t_i*t_j*u_ij over i <= j in S.
     """
     if df.ngens == 1:
         (d,) = df.orders
         return [0] if d % 2 else [0, df.gen_qn[0][0] * (d // 2) ** 2 % df.level]
-    index = [0]
-    for d in df.orders:
-        halves = (0, d // 2) if d % 2 == 0 else (0,)
-        index = [p * d + t for p in index for t in halves]
-    return df.qn[index].tolist()
+    n, u = df.level, df.gen_qn
+    subsets = [[]]
+    for i, d in enumerate(df.orders):
+        if d % 2 == 0:
+            subsets += [s + [(i, d // 2)] for s in subsets]
+    return [sum([ti * tj * u[i][j] for i, ti in s for j, tj in s if i <= j]) % n for s in subsets]
 
 
 def _isqrt_rows(rows: int, n: int) -> tuple[int, int]:
@@ -458,8 +451,8 @@ def walk_sums(df: DiscriminantForm) -> tuple[int, int, list[int]]:
     When u is 1 or N - 1, as for every Lambda_g (u = N - 1) and every <2n>,
     their sums are counted by rows (`row_sums`) in about h^2/N integer
     square roots, in Python ints or numpy slices by their number.  Any
-    other form reads its cached full-group `qn`, which raises TooLarge
-    before any array of |A| entries.
+    other form reads its two sums off its cached full-group `qn`, which
+    raises TooLarge before any array of |A| entries.
     """
     if df.ngens == 1:
         (d,) = df.orders

@@ -8,7 +8,7 @@ exact invariants use no floating point; `DiscriminantForm.roots`, the map
 v -> e(v/N), is the kernel's one complex-valued map, built once per form,
 and `qroots`, its values at every q, is what the float Gauss sum
 `arith.gauss_sum` and rho(T) read.  The cusp dimension reads no roots: its
-Gauss sums come from the generator pairing.
+Gauss sums come from `gen_qn`.
 
 Both invariants are computed per orthogonal block of the Gram matrix (a
 connected component of its nonzero pattern) and assembled as orthogonal
@@ -486,10 +486,11 @@ class DiscriminantForm(_Frozen):
 
     Every level-N encoding reads that table: the int64 arrays `qn`,
     `neg_index` and `dual_index`, indexed in elements() order, `qn_at` at
-    any indices, and the cusp dimension's cyclic shortcuts (see `cuspdim`),
-    which count a cyclic form with u = `gen_qn[0][0]` = 1 or N - 1 by rows
-    and read `qn` on any other form.  `roots` and `qroots`, e(q/2) at every
-    element, serve the float Gauss sum and the Weil operators.
+    any indices, and the cusp dimension (see `cuspdim`), whose 2-torsion
+    values and Jordan split read it directly and which counts a cyclic form
+    with u = `gen_qn[0][0]` = 1 or N - 1 by rows and reads `qn` on any
+    other form.  `roots` and `qroots`, e(q/2) at every element, serve the
+    float Gauss sum and the Weil operators.
     """
 
     __slots__ = ("orders", "sig_mod_8", "gen_pairing", "cardinality", "level", "gen_qn",

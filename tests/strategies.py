@@ -1,11 +1,14 @@
 """Hypothesis strategies for random direct sums of U(N), <2n> and +-E8,
-and a fixed set of such sums whose groups are not cyclic."""
+a fixed set of such sums whose groups are not cyclic, and random even
+Gram matrices with off-diagonal entries."""
 
 import math
 
+from hypothesis import assume, reject
 from hypothesis import strategies as st
 
-from nlrank import direct_sum, e8, hyperbolic, make_lattice
+from nlrank import direct_sum, discriminant_form, e8, hyperbolic, make_lattice
+from nlrank.errors import Degenerate
 
 
 def _w(n):
@@ -64,3 +67,30 @@ def lattice_of(pieces):
 
 # the sums with at most 400 elements, small enough for the dense oracles
 dense_pieces = pieces.filter(lambda ps: math.prod(map(order, ps)) <= 400)
+
+
+@st.composite
+def non_diagonal(draw):
+    """An even lattice c*M, M an even symmetric 2x2 to 4x4 matrix with a
+    nonzero off-diagonal entry, sometimes summed with U(N), whose
+    discriminant form has at least two generators and at most 500
+    elements.  Unlike the block sums of `pieces`, its generators may pair
+    to a nonzero b inside a p-part of several generators, where the Jordan
+    split of `cuspdim.gauss_pieces` changes basis and projects."""
+    size = draw(st.integers(2, 4))
+    c = draw(st.integers(1, {2: 6, 3: 3, 4: 2}[size]))
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        m[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    assume(any(m[i][j] for i in range(size) for j in range(i)))
+    try:
+        lat = make_lattice([[c * x for x in row] for row in m])
+    except Degenerate:
+        reject()
+    if draw(st.booleans()):
+        lat = direct_sum(lat, hyperbolic(draw(st.integers(1, 4))))
+    df = discriminant_form(lat)
+    assume(df.ngens >= 2 and df.cardinality <= 500)
+    return lat

@@ -17,7 +17,9 @@ int64 seam at 2^52 and up to the last admitted genus; a
 cyclic generator's `gen_qn[0][0]` with `oracles.q`; `roots` with
 `numpy.exp`, and as built once per form, with `qroots` evaluated once, by the Weil chain and
 never by the cusp dimension; the exact Gauss sums of
-`cuspdim.exact_gauss_sums` with brute-force complex sums; and the consumers built on them (`gauss_sum`,
+`cuspdim.exact_gauss_sums` with brute-force complex sums, also on random
+Gram matrices with off-diagonal entries (`strategies.non_diagonal`); and
+the consumers built on them (`gauss_sum`,
 `dim_cusp_df`) with per-element `Fraction` walks over the same reference,
 with the element-by-element `oracles.dim_cusp_df_elementwise`, with the
 float walk `oracles.dim_cusp_df_float` and with the eigenvalues of the
@@ -161,6 +163,14 @@ def test_kernel_non_cyclic(name):
     df = discriminant_form(NON_CYCLIC[name])
     assert df.ngens > 1
     _check_kernel(df)
+
+
+def test_qn_at_reads_qn_on_forms_with_several_generators():
+    # every index, in reverse, and some twice
+    for lat in NON_CYCLIC.values():
+        df = discriminant_form(lat)
+        index = np.concatenate([np.arange(df.cardinality)[::-1], np.arange(0, df.cardinality, 3)])
+        assert df.qn_at(index).tolist() == df.qn[index].tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 99, 100, 101, 4096, 10**6 + 3, 4 * 10**9 - 4])
@@ -748,6 +758,15 @@ JORDAN_FORMS = {
     "[[-12,6,0],[6,12,6],[0,6,-24]]": make_lattice([[-12, 6, 0], [6, 12, 6], [0, 6, -24]]),
     "[[30,15],[15,-30]]": make_lattice([[30, 15], [15, -30]]),
     "[[12,6],[6,-12]]": make_lattice([[12, 6], [6, -12]]),
+    # the basis change <g_i, g_m> must update b(g_i, g_m) too: G(3) is
+    # (72, 3), not (36, 2)
+    "[[6,2,-2],[2,2,-4],[-2,-4,12]]": make_lattice([[6, 2, -2], [2, 2, -4], [-2, -4, 12]]),
+    # an even 2-adic block is split off while a generator paired to it is
+    # still live, which must be projected away: G(3) is (7920, 6), not
+    # (7920, 2)
+    "[[-4,2,4,0],[2,8,-2,4],[4,-2,8,-2],[0,4,-2,-4]]": make_lattice(
+        [[-4, 2, 4, 0], [2, 8, -2, 4], [4, -2, 8, -2], [0, 4, -2, -4]]
+    ),
 }
 
 
@@ -770,6 +789,14 @@ def test_jordan_pieces_of_every_kind():
 @given(strategies.pieces)
 def test_exact_gauss_sums_match_brute_force_on_random_forms(pieces):
     _check_gauss_sums(discriminant_form(strategies.lattice_of(pieces)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.non_diagonal())
+def test_jordan_split_of_random_non_diagonal_forms(lat):
+    df = discriminant_form(lat)
+    _check_gauss_sums(df)
+    _check_against_elementwise(df)
 
 
 @settings(max_examples=60, deadline=None)

@@ -134,6 +134,21 @@ def test_the_two_pipelines_name_nothing_of_each_other(side, other):
         assert _imported_modules(module).isdisjoint(other), module
 
 
+def test_only_lattices_reads_the_generator_pairing():
+    """`lattices` derives a form's level and `gen_qn` from `gen_pairing`
+    once, and every other module reads those: no other module of the
+    package names `gen_pairing`, and none imports a private name of
+    `lattices`."""
+    for path in sorted((Path(SRC) / "nlrank").glob("*.py")):
+        source = path.read_text()
+        if path.stem != "lattices":
+            assert "gen_pairing" not in source, path.name
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("lattices", "nlrank.lattices"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, private)
+
+
 @pytest.mark.parametrize("g_from, g_to", [(2, 3), (10**7, 10**7)])
 def test_rank_loads_no_numpy(g_from, g_to):
     # a small range, and one genus whose class numbers lie past the table
