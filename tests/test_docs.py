@@ -4,7 +4,8 @@ Every backticked dotted name whose head is `nlrank`, one of its modules
 (`hurwitz.MAX_SIZE`) or an exported class (`Lattice.blocks`) must resolve
 to an attribute or a field of the class, and every "`NAME` = value" must be
 the value of that module constant, so a rename or a retuned constant that
-the README still quotes fails here.
+the README still quotes fails here.  Every script that README.md or the CI
+workflow runs must exist.
 """
 
 import importlib
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import nlrank
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 MODULES = {
     name: importlib.import_module(f"nlrank.{name}")
     for _, name, _ in pkgutil.iter_modules(nlrank.__path__)
@@ -75,3 +77,10 @@ def test_readme_constants_match():
         if actual != {value}:
             wrong.append((name, value, actual))
     assert wrong == []
+
+
+def test_named_scripts_exist():
+    for doc in ("README.md", ".github/workflows/tests.yml"):
+        named = set(re.findall(r"\bscripts/\w+\.py\b", (ROOT / doc).read_text()))
+        assert named, doc  # the pattern still finds the file's scripts
+        assert sorted(path for path in named if not (ROOT / path).is_file()) == [], doc
