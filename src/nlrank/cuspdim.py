@@ -257,7 +257,9 @@ def exact_gauss_sums(df: DiscriminantForm) -> list[tuple[int, int]]:
 
 # -- exact elliptic terms in Q(sqrt 2, sqrt 3) ---------------------------------
 #
-# a number a + b*sqrt(2) + c*sqrt(3) + d*sqrt(6) is the tuple (a, b, c, d)
+# a number a + b*sqrt(2) + c*sqrt(3) + d*sqrt(6) is the tuple (a, b, c, d).  The
+# terms take integer multiples, a product of two cosines as their sum
+# (`_cos_product`) and products by sqrt 2 and sqrt 3, never a general product
 
 # 4*cos(pi*t/12) for t = 0..12; cos(pi*t/12) = cos(pi*(24 - t)/12)
 _COS = (
@@ -272,26 +274,29 @@ def _cos(t: int) -> tuple:
     return _COS[min(t, 24 - t)]
 
 
-def _times(x: tuple, y: tuple) -> tuple:
-    a, b, c, d = x
-    e, f, g, h = y
-    return (
-        a * e + 2 * b * f + 3 * c * g + 6 * d * h,
-        a * f + b * e + 3 * (c * h + d * g),
-        a * g + c * e + 2 * (b * h + d * f),
-        a * h + d * e + b * g + c * f,
-    )
+def _cos_product(a: int, b: int) -> tuple:
+    """_cos(3a) * _cos(3b): 16 cos(pi*a/4) cos(pi*b/4) is
+    8 (cos(pi*(a + b)/4) + cos(pi*(a - b)/4))."""
+    return tuple([2 * (x + y) for x, y in zip(_cos(3 * (a + b)), _cos(3 * (a - b)))])
 
 
-def _root_ratio(r: int, d: int, w: int) -> tuple:
-    """sqrt(r/d) as a tuple, for r/d = |A[j]| of the form s^2 or w*s^2."""
+def _sqrt2(x: tuple) -> tuple:
+    return (2 * x[1], x[0], 2 * x[3], x[2])
+
+
+def _sqrt3(x: tuple) -> tuple:
+    return (3 * x[2], 3 * x[3], x[0], x[1])
+
+
+def _root_times(r: int, d: int, w: int, x: tuple) -> tuple:
+    """x * sqrt(r/d), for r/d = |A[j]| of the form s^2 or w*s^2, w = 2 or 3."""
     m, rest = divmod(r, d)
     s = math.isqrt(m)
     if rest == 0 and s * s == m:
-        return (s, 0, 0, 0)
+        return tuple([s * v for v in x])
     s = math.isqrt(m // w)
     if rest == 0 and w * s * s == m:
-        return (0, s, 0, 0) if w == 2 else (0, 0, s, 0)
+        return tuple([s * v for v in (_sqrt2 if w == 2 else _sqrt3)(x)])
     raise NonIntegerResult(f"|G(j)|^2 = {r} is not |A| = {d} times s^2 or {w}*s^2")
 
 
@@ -522,14 +527,14 @@ def dim_cusp_df(df: DiscriminantForm, k: Fraction) -> CuspDimReport:
     e4 = 0
     if r2:
         # Im(e(t/8)) = Re(e((t - 2)/8))
-        cos4 = _times(_cos(3 * b4), _cos(3 * (t2 if symm else t2 - 2)))
-        e4 = _rational(_times(cos4, _root_ratio(r2, d, 2)), "elliptic_order4")
+        cos4 = _cos_product(b4, t2 if symm else t2 - 2)
+        e4 = _rational(_root_times(r2, d, 2, cos4), "elliptic_order4")
     b6 = (3 * sig + 2 * two_k - 10) % 24
     cos6 = _cos(b6 + 3 * sig)
     if r3:
-        conj3 = _times(_root_ratio(r3, d, 3), _cos(b6 - 3 * t3))
-        cos6 = tuple(x + eps * y for x, y in zip(cos6, conj3))
-    e6 = _rational(_times(cos6, (0, 0, 1, 0)), "elliptic_order6")
+        conj3 = _root_times(r3, d, 3, _cos(b6 - 3 * t3))
+        cos6 = tuple([x + eps * y for x, y in zip(cos6, conj3)])
+    e6 = _rational(_sqrt3(cos6), "elliptic_order6")
 
     # main + e4/64 - alpha_t - n_iso - e6/36 in integers over one
     # denominator, main being rank_pm * (2k + 10)/24 = main_num/den
@@ -581,7 +586,7 @@ def picard_rank_via_cusp(lat: Lattice, *, split_asserted: bool = False) -> int:
         raise BadSignature(
             f"need signature (2, p); lattice has ({sig.positive}, {sig.negative})"
         )
-    known_split = sum(sub == _U_GRAM for _, sub in lat.blocks) >= 2
+    known_split = [sub for _, sub in lat.blocks].count(_U_GRAM) >= 2
     if not (split_asserted or known_split):
         raise HypothesisNotAsserted(
             "caller must assert the U + U(N) orthogonal splitting"

@@ -13,17 +13,16 @@ Gauss sums come from `gen_qn`.
 Both invariants are computed per orthogonal block of the Gram matrix (a
 connected component of its nonzero pattern) and assembled as orthogonal
 sums.  Each block's result is kept in a cache bounded to BLOCK_CACHE_SIZE
-blocks, so the U and -E8 blocks that recur in every Lambda_g are computed
-once per process.  A lattice looks its blocks up in that cache once
-(`Lattice.block_invariants`), and `signature` and `discriminant_form` both
-read the tuple.  A discriminant form's `orders` are therefore the blocks'
-invariant factors, not always the global ones (see `discriminant_form`).
+blocks, looked up once per lattice (`Lattice.block_invariants`), and
+`signature` and `discriminant_form` both read that tuple.  A discriminant
+form's `orders` are therefore the blocks' invariant factors, not always the
+global ones (see `discriminant_form`).
 
 A lattice finds its blocks by one search of its Gram matrix (`_blocks`),
 a direct sum included.  Lambda_g is <2-2g> plus U^2 + (-E8)^2, built from
-a template: the 20 rows and four blocks that do not depend on g are made
-once per process, and each genus adds one row and one rank-one block, so
-no search runs on its Gram matrix.
+a template: the 20 rows and four blocks that do not depend on g, and their
+invariants, are made once per process.  A genus adds one row and the block
+<2-2g>, whose invariants alone it looks up, and runs no block search.
 
 A `DiscriminantForm` derives its level N and `gen_qn`, the generators'
 N*q/2 and N*b mod N, once when it is made, and every level-N encoding reads
@@ -136,7 +135,8 @@ class Lattice(_Frozen):
     @cached_property
     def block_invariants(self) -> tuple[_Block, ...]:
         """`_block_invariants` of each block, looked up once per lattice:
-        `signature` and `discriminant_form` both read this tuple."""
+        `signature` and `discriminant_form` both read this tuple.
+        `lambda_lattice` sets it from its template instead."""
         return tuple([_block_invariants(sub) for _, sub in self.blocks])
 
 
@@ -228,17 +228,20 @@ def k3_lattice() -> Lattice:
 def lambda_lattice(g: int) -> Lattice:
     """Lambda_g = <w> + U^2 + (-E8)^2 with w.w = 2-2g; rank 21.
 
-    The same lattice, gram, name and blocks, as
+    The same lattice, gram, name, blocks and block invariants as
     direct_sum(<2-2g>, U, U, -E8, -E8), built from a template: the 20 rows
     and the four blocks that do not depend on g are made once per process
-    (`_LAMBDA_ROWS`, `_LAMBDA_BLOCKS`), so a call adds one row and one
-    rank-one block.
+    (`_LAMBDA_ROWS`, `_LAMBDA_BLOCKS`), and so are their invariants, on
+    first use.  A call adds one row and one rank-one block, and looks up
+    the invariants of that block alone.
     """
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
     w = 2 - 2 * g
     lat = Lattice(((w,) + _LAMBDA_PAD,) + _LAMBDA_ROWS, f"Lambda_{g}")
-    vars(lat)["blocks"] = (((0,), ((w,),)),) + _LAMBDA_BLOCKS  # seeds the cached property
+    seeds = vars(lat)  # the cached properties, set from the template
+    seeds["blocks"] = (((0,), ((w,),)),) + _LAMBDA_BLOCKS
+    seeds["block_invariants"] = (_block_invariants(((w,),)),) + _U2_MINUS_E8_2.block_invariants
     return lat
 
 
@@ -381,8 +384,8 @@ def smith_normal_form(rows: Gram):
     return [a[i][i] for i in range(n)], v
 
 
-# Lambda_g = <2-2g> + U^2 + (-E8)^2 repeats its U and -E8 blocks in every
-# genus and brings one new rank-one block, so the block cache is bounded
+# each Lambda_g looks up one new block, <2-2g>, and no other (its template
+# holds U and -E8), so an unbounded cache would grow by one block per genus
 BLOCK_CACHE_SIZE = 256
 
 
@@ -458,8 +461,11 @@ def _block_invariants(sub: Gram) -> _Block:
 
 def signature(lat: Lattice) -> Signature:
     """Exact signature, summed over the orthogonal blocks of the Gram matrix."""
-    blocks = lat.block_invariants
-    return Signature(sum([b.pos for b in blocks]), sum([b.neg for b in blocks]))
+    pos = neg = 0
+    for block in lat.block_invariants:
+        pos += block.pos
+        neg += block.neg
+    return Signature(pos, neg)
 
 
 def _reduce(x: np.ndarray, n: int) -> np.ndarray:
@@ -512,7 +518,7 @@ class DiscriminantForm(_Frozen):
                 n = lcm(n, b)
             rows.append(ratios)
         table = tuple(
-            (0,) * i + tuple([a * (n // b) % n for a, b in row]) for i, row in enumerate(rows)
+            [(0,) * i + tuple([a * (n // b) % n for a, b in row]) for i, row in enumerate(rows)]
         )
         _setattr(self, "orders", orders)
         _setattr(self, "sig_mod_8", sig_mod_8)
@@ -708,14 +714,12 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
             continue
         orders += [d for d, _ in block.cols]
         pairings.append(block.pairing)
+    if len(pairings) == 1:  # one block carries every generator: nothing to pad
+        return DiscriminantForm(tuple(orders), (pos - neg) % 8, pairings[0])
     pairing, off = [], 0
     for rows in pairings:
         pad = len(orders) - off - len(rows)
         for row in rows:
             pairing.append((_ZERO,) * off + row + (_ZERO,) * pad)
         off += len(rows)
-    return DiscriminantForm(
-        orders=tuple(orders),
-        sig_mod_8=(pos - neg) % 8,
-        gen_pairing=tuple(pairing),
-    )
+    return DiscriminantForm(tuple(orders), (pos - neg) % 8, tuple(pairing))

@@ -237,6 +237,20 @@ def walk_sums_bruteforce(df: DiscriminantForm) -> tuple[int, int, list[int]]:
     return int(np.count_nonzero(qn == 0)), int(qn.sum()), sorted(two.tolist())
 
 
+def times(x: tuple, y: tuple) -> tuple:
+    """The product in Q(sqrt 2, sqrt 3) of two numbers a + b*sqrt(2) +
+    c*sqrt(3) + d*sqrt(6), each the tuple (a, b, c, d): the oracle of the
+    three operations `cuspdim`'s elliptic terms are made of."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        a * e + 2 * b * f + 3 * c * g + 6 * d * h,
+        a * f + b * e + 3 * (c * h + d * g),
+        a * g + c * e + 2 * (b * h + d * f),
+        a * h + d * e + b * g + c * f,
+    )
+
+
 # how far the float Riemann-Roch value of the oracles below may sit from an
 # integer before they raise SnapFailure
 SNAP_TOL = 1e-6

@@ -3,9 +3,9 @@
 `signature` and `discriminant_form` work per connected block of the Gram
 matrix and cache each block's result; `oracles.discriminant_form_whole` is
 the whole-matrix construction they replace.  `lambda_lattice` carries its
-template's blocks, and the block search `_blocks` is their oracle; a
-direct sum's blocks, which are that search, are checked against its
-summands.
+template's blocks and their invariants, and the block search `_blocks` and
+the searched direct sum are their oracles; a direct sum's blocks, which
+are that search, are checked against its summands.
 """
 
 import os
@@ -275,27 +275,50 @@ def _e8_literal(sign):
     return [[sign * x for x in row] for row in rows]
 
 
-def test_block_cache_hits_on_a_second_lambda_g():
+def _lookups():
+    """(misses, hits) of the block cache so far."""
+    info = _block_invariants.cache_info()
+    return info.misses, info.hits
+
+
+def _lookups_since(before):
+    return tuple(now - then for now, then in zip(_lookups(), before))
+
+
+def test_block_cache_hits_on_a_second_lambda_g(monkeypatch):
+    # forget the template's invariants, so that the first Lambda_g resolves them
+    monkeypatch.delitem(vars(lattices._U2_MINUS_E8_2), "block_invariants", raising=False)
     _block_invariants.cache_clear()
     discriminant_form(lambda_lattice(5))
-    first = _block_invariants.cache_info()
     # <-8>, U and -E8 computed once each; the second U and -E8 are hits
-    assert (first.misses, first.hits) == (3, 2)
+    assert _lookups() == (3, 2)
+    before = _lookups()
     discriminant_form(lambda_lattice(7))
-    second = _block_invariants.cache_info()
-    # only <-12> is new: both U and both -E8 blocks come from the cache
-    assert (second.misses - first.misses, second.hits - first.hits) == (1, 4)
+    # only <-12> is looked up: the template's U and -E8 blocks are not
+    assert _lookups_since(before) == (1, 0)
+    before = _lookups()
+    discriminant_form(lambda_lattice(5))
+    assert _lookups_since(before) == (0, 1)
 
 
 def test_block_cache_is_bounded():
     assert _block_invariants.cache_info().maxsize == BLOCK_CACHE_SIZE
-    for g in range(2, BLOCK_CACHE_SIZE + 50):
-        signature(catalog("Lambda_g", g=g))
+    template = lambda_lattice(2).block_invariants[1:]  # resolved by the first Lambda_g
+    before = _lookups()
+    genera = range(2, BLOCK_CACHE_SIZE + 50)
+    for g in genera:
+        lat = catalog("Lambda_g", g=g)
+        signature(lat)
+        assert all(x is y for x, y in zip(lat.block_invariants[1:], template, strict=True)), g
+    # one lookup per genus, its <2-2g>: the template is not looked up again
+    assert sum(_lookups_since(before)) == len(genera)
     assert _block_invariants.cache_info().currsize == BLOCK_CACHE_SIZE
-    # U and -E8 are used by every Lambda_g, so they are never the oldest
-    before = _block_invariants.cache_info()
+    # so U and -E8, last looked up before more than BLOCK_CACHE_SIZE new
+    # blocks, have left the cache: K3 computes each once more and finds
+    # its other two U and its other -E8
+    before = _lookups()
     signature(k3_lattice())
-    assert _block_invariants.cache_info().hits - before.hits == 5
+    assert _lookups_since(before) == (2, 3)
 
 
 def test_lambda_template_equals_direct_sum():
@@ -308,24 +331,34 @@ def test_lambda_template_equals_direct_sum():
         lat = lambda_lattice(g)
         assert lat == ref and hash(lat) == hash(ref), g
         assert (lat.gram, lat.name, lat.blocks) == (ref.gram, ref.name, ref.blocks), g
+        assert lat.block_invariants == ref.block_invariants, g
+        assert signature(lat) == signature(ref), g
+        assert discriminant_form(lat) == discriminant_form(ref), g
     assert lat.blocks == tuple(_blocks(lat.gram))
 
 
 def test_block_invariants_are_looked_up_once_per_lattice():
-    lats = (
-        lambda_lattice(77),
+    lambda_lattice(2)  # resolves Lambda_g's template
+    others = (
         k3_lattice(),
         direct_sum(hyperbolic(2), make_lattice([[4, 2], [2, 4]]), make_lattice([[-6]]), e8()),
     )
-    for lat in lats:
-        before = _block_invariants.cache_info()
+    # Lambda_g looks up its <2-2g> when it is made, and nothing after
+    before = _lookups()
+    lat = lambda_lattice(77)
+    for _ in range(2):
+        signature(lat)
+        discriminant_form(lat)
+        lat.det()
+    assert sum(_lookups_since(before)) == 1
+    assert lat.block_invariants == tuple(_block_invariants(sub) for _, sub in lat.blocks)
+    for lat in others:
+        before = _lookups()
         for _ in range(2):
             signature(lat)
             discriminant_form(lat)
             lat.det()
-        after = _block_invariants.cache_info()
-        lookups = after.hits + after.misses - before.hits - before.misses
-        assert lookups == len(lat.blocks), lat.name
+        assert sum(_lookups_since(before)) == len(lat.blocks), lat.name
         assert lat.block_invariants == tuple(_block_invariants(sub) for _, sub in lat.blocks)
 
 

@@ -1,4 +1,5 @@
 import io
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -18,8 +19,11 @@ from nlrank import (
     picard_rank_via_cusp,
 )
 from nlrank.cli import dispatch
+from nlrank.cuspdim import _cos, _cos_product, _sqrt2, _sqrt3
 from nlrank.errors import BadSignature, HypothesisNotAsserted, WeightTooSmall
 from nlrank.lattices import DiscriminantForm, Lattice
+
+from oracles import times
 
 HALF_21 = Fraction(21, 2)
 
@@ -106,6 +110,47 @@ def test_cross_pipeline_identity():
 @pytest.mark.parametrize("g", [10**4, 3 * 10**4, 10**5])
 def test_cross_pipeline_identity_large_genus(g):
     assert picard_rank_via_cusp(lambda_lattice(g)) == picard_rank(g).rank
+
+
+def _term_mismatches(g):
+    """The Riemann-Roch terms of Lambda_g at k = 21/2 that differ from the
+    closed form's at g, as {name: (cusp side, closed form)}.  Each side
+    computes the same rational and rounds it once, so == is exact.  The
+    parabolic term is left out: it and the isotropic one can err by
+    opposite amounts, as a zero count off by 2 does, and leave the rank
+    that `crosscheck` compares unchanged."""
+    terms = dim_cusp(lambda_lattice(g), HALF_21).boundary_terms
+    rep = picard_rank(g)
+    want = {
+        "isotropic": -rep.sqcount,
+        "elliptic_order4": -rep.alpha / 4,
+        "elliptic_order6": -rep.beta / 6,
+    }
+    return {name: (terms[name], x) for name, x in want.items() if terms[name] != x}
+
+
+def test_terms_match_closed_form_term_by_term():
+    bad = {g: diff for g in range(2, 3001) if (diff := _term_mismatches(g))}
+    assert not bad, dict(list(bad.items())[:5])
+
+
+@pytest.mark.parametrize("g", sorted(random.Random(35).sample(range(10**6, 10**8 + 1), 3)))
+def test_terms_match_closed_form_term_by_term_large_genus(g):
+    assert _term_mismatches(g) == {}
+
+
+def test_cos_product_is_the_product_of_two_cosines():
+    for a in range(24):
+        for b in range(24):
+            assert _cos_product(a, b) == times(_cos(3 * a), _cos(3 * b)), (a, b)
+
+
+def test_sqrt_maps_are_products_by_the_surds():
+    rng = random.Random(35)
+    for _ in range(500):
+        x = tuple(rng.randint(-10**6, 10**6) for _ in range(4))
+        assert _sqrt2(x) == times(x, (0, 1, 0, 0)), x
+        assert _sqrt3(x) == times(x, (0, 0, 1, 0)), x
 
 
 def test_stable_under_generator_reordering():
