@@ -31,7 +31,8 @@ group at once (`qn`, which the Weil operators read, and the cusp dimension
 of a form that `cuspdim` does not count by rows): on a cyclic form by the
 cyclic formula `qn_at`, which also reads any index array, and otherwise
 from the exponents of every element (`_exponents`).  The index maps of
--gamma and xi(gamma) are one map, M*gamma mod `orders` (`_image_index`).
+-gamma and xi(gamma) are one map, M*gamma mod `orders` (`_image_index`),
+for both M at once: a unit mod d on a cyclic form, else one product.
 A form whose int64 products could overflow raises TooLarge before any
 element is evaluated: N times the sum of the orders (`check_int64`),
 g - 1 >= 2^30 for Lambda_g.
@@ -441,12 +442,24 @@ def _dot(x, y) -> int:
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _block_invariants(sub: Gram) -> _Block:
-    """Signature and discriminant-form pieces of one orthogonal block.
+    """Signature and discriminant-form pieces of one orthogonal block.  A
+    rank-one block <w> is read off directly, as `_general_block_invariants`
+    would give it: the sign of w, the divisor |w| with column (1), and 1/w.
+    """
+    if len(sub) != 1:
+        return _general_block_invariants(sub)
+    w = sub[0][0]
+    if not w:
+        raise Degenerate("Gram matrix is singular")
+    cols = ((abs(w), (1,)),) if abs(w) > 1 else ()
+    return _Block(int(w > 0), int(w < 0), cols, ((Fraction(1, w),),) if cols else ())
 
-    With U*G*V = D the Smith normal form, the class of the i-th elementary
-    divisor d_i > 1 is generated by (column i of V) / d_i, a vector of
-    M^dual in the block's basis.  Their pairing is v_i^T G v_j / (d_i d_j),
-    from integer products over the columns v_i.
+
+def _general_block_invariants(sub: Gram) -> _Block:
+    """With U*G*V = D the Smith normal form, the class of the i-th
+    elementary divisor d_i > 1 is generated by (column i of V) / d_i, a
+    vector of M^dual in the block's basis.  Their pairing is
+    v_i^T G v_j / (d_i d_j), from integer products over the columns v_i.
     """
     pos, neg = _congruence_signature(sub)
     divisors, v = smith_normal_form(sub)
@@ -562,40 +575,36 @@ class DiscriminantForm(_Frozen):
 
     @cached_property
     def _exponents(self) -> np.ndarray:
-        """(ngens, |A|) exponents of every element in elements() order, read
-        off the indices by floor division, row-major over `orders`: what
+        """(ngens, |A|) exponents of every element in elements() order, the
+        indices unravelled row-major over `orders` in one numpy call: what
         `qn`, `neg_index` and `dual_index` of a form with several generators
         read.  Raises TooLarge (see `check_int64`) first."""
         import numpy as np
 
         self.check_int64()
-        e = np.empty((self.ngens, self.cardinality), dtype=np.int64)
-        rest = np.arange(self.cardinality, dtype=np.int64)
-        for i in range(self.ngens - 1, 0, -1):
-            d = self.orders[i]
-            r = rest // d
-            e[i] = rest - d * r
-            rest = r
-        if self.ngens:
-            e[0] = rest
-        return e
+        # the trivial group as Z/1, whose one row of exponents is dropped
+        grid = np.unravel_index(np.arange(self.cardinality), self.orders or (1,))
+        return np.array(grid, dtype=np.int64)[: self.ngens]
 
     def _image_index(self, m: np.ndarray) -> np.ndarray:
-        """Index in elements() of M*gamma mod `orders` for every gamma, M an
-        (ngens, ngens) int64 matrix with row i in [0, orders[i]), so every
-        entry of M*gamma is below the bound of `check_int64`.  On a cyclic
-        form of order d that is gamma*M mod d, one multiply and one reduce;
-        otherwise M times `_exponents`, reduced, then read as row-major
-        indices by one product with the strides of `orders`."""
+        """Index in elements() of M*gamma mod `orders` for every gamma and
+        each matrix M of an (s, ngens, ngens) int64 stack, row i of each in
+        [0, orders[i]), so every entry of M*gamma is below the bound of
+        `check_int64`; an (s, |A|) array.  On a cyclic form of order d each
+        M is one multiplier, the indices times it mod d; otherwise one
+        product of the stacked rows with `_exponents`, reduced, then read
+        as row-major indices by one product with the strides of `orders`."""
         import numpy as np
 
-        self.check_int64()
         if self.ngens == 1:
             (d,) = self.orders
-            return _reduce(np.arange(d, dtype=np.int64) * int(m[0, 0]), d)
-        e = _reduce(m @ self._exponents, np.array(self.orders, dtype=np.int64)[:, None])
-        strides = [prod(self.orders[i + 1 :]) for i in range(self.ngens)]
-        return np.array(strides, dtype=np.int64) @ e
+            return _reduce(np.multiply.outer(m[:, 0, 0], np.arange(d, dtype=np.int64)), d)
+        s, k = len(m), self.ngens
+        e = m.reshape(s * k, k) @ self._exponents
+        # `_reduce`'s floor division is the faster only by a scalar
+        np.remainder(e, np.array(self.orders * s, dtype=np.int64)[:, None], out=e)
+        strides = [prod(self.orders[i + 1 :]) for i in range(k)]
+        return np.array(strides, dtype=np.int64) @ e.reshape(s, k, self.cardinality)
 
     def qn_at(self, index: np.ndarray) -> np.ndarray:
         """N*q(gamma)/2 mod N at the elements with these indices in elements().
@@ -671,28 +680,29 @@ class DiscriminantForm(_Frozen):
         return _reduce(x.sum(axis=0), n)
 
     @cached_property
-    def neg_index(self) -> np.ndarray:
-        """Index of -gamma for every element gamma: M = diag(d_i - 1)."""
-        import numpy as np
-
-        return self._image_index(np.diag(np.array(self.orders, dtype=np.int64) - 1))
-
-    @cached_property
-    def dual_index(self) -> np.ndarray:
-        """Index of xi(gamma) for every element gamma (see `weil`):
-        M[j, i] = b(g_i, g_j) * d_j mod d_j, ValueError if not integral.
-        Raises TooLarge (see `check_int64`) before the table goes to int64."""
+    def _index_maps(self) -> np.ndarray:
+        """`neg_index` and `dual_index` as the rows of one `_image_index`:
+        -gamma is M = diag(d_i - 1), and xi(gamma) (see `weil`) is
+        M[j][i] = b(g_i, g_j) * d_j mod d_j, N*b over N/d_j.  Both are made
+        in Python ints after `check_int64`, and a pairing that does not fit
+        the orders raises ValueError, before any array."""
         import numpy as np
 
         self.check_int64()
-        n, k = self.level, self.ngens
-        d = np.array(self.orders, dtype=np.int64)[:, None]
-        u = np.array(self.gen_qn, dtype=np.int64).reshape(k, k)
-        bn = u + u.T  # N*b(g_j, g_i), below 2N
-        # b * d_j = N*b / (N / d_j), with no product that could overflow
-        if (n % d).any() or (bn % (n // d)).any():
-            raise ValueError(f"b(g_i, g_j) * d_j is not integral at level {n}")
-        return self._image_index(bn // (n // d) % d)
+        n, k, u = self.level, self.ngens, self.gen_qn
+        neg, dual = [], []
+        for j, (d, col) in enumerate(zip(self.orders, zip(*u))):
+            step, r = divmod(n, d)
+            bn = [a + b for a, b in zip(col, u[j])]  # N*b(g_i, g_j), below 2N
+            if r or any([x % step for x in bn]):
+                raise ValueError(f"b(g_i, g_j) * d_j is not integral at level {n}")
+            neg += [d - 1 if i == j else 0 for i in range(k)]
+            dual += [x // step % d for x in bn]
+        return self._image_index(np.array(neg + dual, dtype=np.int64).reshape(2, k, k))
+
+    # the index of -gamma and of xi(gamma) for every element gamma
+    neg_index = property(lambda self: self._index_maps[0])
+    dual_index = property(lambda self: self._index_maps[1])
 
 
 def discriminant_form(lat: Lattice) -> DiscriminantForm:

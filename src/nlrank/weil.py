@@ -12,15 +12,15 @@ as a matrix, each read from the form's int64 kernel:
   (rho(S) v)(gamma) is e(-sig/8)/sqrt(|A|) times the DFT of v over A,
   read at xi(gamma) (`dual_index`).  That DFT is the tensor product of the
   cyclic factors' DFTs (Strömberg, Weil representations associated with
-  finite quadratic modules, Math. Z. 2013), applied one factor at a time,
-  first to last, each on a 2-D view with that factor's axis last: a factor
-  of order d <= MATMUL_MAX_ORDER is one matrix product with its d x d DFT
-  matrix, e(-ij/d) from the form's `roots`, and a larger one is one 1-D
-  `numpy.fft.fft` along that axis (see `WeilRep._s_rows`).
+  finite quadratic modules, Math. Z. 2013), applied one run of consecutive
+  factors whose orders multiply to at most MATMUL_MAX_ORDER at a time, as
+  one matrix product with the Kronecker product of their DFT matrices,
+  e(-ij/d) from the form's `roots`; a larger factor is one 1-D
+  `numpy.fft.fft` along its axis (see `WeilRep.runs` and `_s_rows`).
 
-Applying rho(S) costs O(|A| * (sum of the small orders + sum of log d over
-the large ones)) time and the operators O(|A| * ngens) memory, so the
-group's order is bounded by memory alone.  The metaplectic relations are
+Applying rho(S) costs O(|A| * (sum of the runs' products + sum of log d
+over the large factors)) time and the operators O(|A| * ngens) memory, so
+the group's order is bounded by memory alone.  The metaplectic relations are
 checked on a fixed set of probe vectors with four applications of rho(S),
 (ST)^3 = S^2 in the equivalent form TSTST = S (see `verify_relations`).
 The form's int64 arrays are built once per form, and a group too large for
@@ -50,30 +50,36 @@ from .lattices import DiscriminantForm, Lattice, discriminant_form
 PROBE_SEED = 20130101
 PROBE_RANDOM = 4
 
-# a cyclic factor of order up to this is applied by one matrix product with
-# its DFT matrix, a larger one by one 1-D FFT.  Applications of rho(S) to
-# the seven probes as rows (`WeilRep._s_rows`), in us, minimum of repeats
-# (one BLAS thread, 2-core shared Xeon); the last column is the one-off
-# cost of building the form's DFT matrix of the largest order:
+# a run of consecutive cyclic factors whose orders multiply to at most this
+# is applied by one matrix product, a larger factor by one 1-D FFT.  rho(S)
+# on the seven probes as rows (`WeilRep._s_rows`), in us, minimum of
+# repeats (one BLAS thread, 2-core shared Xeon), and the one-off cost of
+# the form's largest DFT matrix, or of all its runs' matrices; one product
+# per factor, where runs merge factors, in parentheses:
 #
-#     form          products   FFTs   matrix
-#     U(16)             34.6   52.7     13.8
-#     U(24)             47.0   55.1     11.3
-#     U(32)             88.3   95.8     16.4
-#     U(36)            113.2  111.6     18.0
-#     U(40)            164.2  180.5     24.0
-#     U(48)            367.7  351.1     37.9
-#     U(56)            526.5  456.1     33.8
-#     U(2)+<36>+E8      26.2   34.2     18.0
-#     <24>               5.6    8.7     12.1
-#     <36>               6.4    9.4     19.2
+#     form                products    FFTs   matrix
+#     U(16)                   34.6    52.7     13.8
+#     U(24)                   47.0    55.1     11.3
+#     U(32)                   88.3    95.8     16.4
+#     U(36)                  113.2   111.6     18.0
+#     U(40)                  164.2   180.5     24.0
+#     U(48)                  367.7   351.1     37.9
+#     U(56)                  526.5   456.1     33.8
+#     U(2)+<36>+E8            26.2    34.2     18.0
+#     <24>                     5.6     8.7     12.1
+#     <36>                     6.4     9.4     19.2
+#     U(6)              7.7 (11.1)    20.4     20.3
+#     U(2)^3+<2>+E8    21.1 (43.4)   124.0     32.2
+#     U(2)^2+<12>+E8   22.2 (43.2)   103.6     32.2
 #
 # On U(N) products win through N = 32 and the two ways tie at 36; from 40
 # on the winner changed between runs, and FFTs won at 56 every time.  With
 # small factors before it, a factor of order 36 is a quarter faster by
 # products.  A lone cyclic factor saves about 3 us per application, so
 # from order 24 on its matrix costs about what the four applications of
-# `verify_relations` save
+# `verify_relations` save.  Runs halve the products of small factors for
+# at most 21 us more of matrices; at 64, (Z/2)^7's runs (64, 2) took 26.8
+# us against 21.2 for (32, 4)
 MATMUL_MAX_ORDER = 36
 
 
@@ -115,6 +121,21 @@ class WeilRep:
                 mats[d] = self.df.roots(i * (n // d))[-np.outer(i, i) % d]
         return mats
 
+    @cached_property
+    def runs(self) -> list[tuple[int, np.ndarray | None]]:
+        """Maximal runs of consecutive factors whose orders multiply to at
+        most MATMUL_MAX_ORDER, as (product, the Kronecker product of their
+        `dft_matrices`); a larger factor is a run of its own, (d, None)."""
+        mats, runs = self.dft_matrices, []
+        for d in self.df.orders:
+            if runs and runs[-1][0] * d <= MATMUL_MAX_ORDER:
+                size, m = runs[-1]
+                kron = m[:, None, :, None] * mats[d][None, :, None, :]
+                runs[-1] = (size * d, kron.reshape(size * d, size * d))
+            else:
+                runs.append((d, mats.get(d)))
+        return runs
+
     def apply_t(self, v: np.ndarray) -> np.ndarray:
         return self.t_diag.reshape((-1,) + (1,) * (v.ndim - 1)) * v
 
@@ -124,28 +145,26 @@ class WeilRep:
     def _s_rows(self, f: np.ndarray) -> np.ndarray:
         """rho(S) on each row of an (m, |A|) array, as a new C-ordered one.
 
-        The DFT over A runs one cyclic factor at a time.  A cyclic form's
-        one factor runs along the rows.  Otherwise the array is read as
-        (|A|, m), with axes (d_1, ..., d_k, m) (no copy when f is the
-        transpose of a C-ordered array), and each step views it as
-        (d_j, rest), transposed to (rest, d_j), and transforms along that
-        last axis: one matrix product with the factor's DFT matrix
-        (symmetric, so no transpose of it is needed) or one 1-D FFT.  A
-        product writes a fresh C-ordered (rest, d_j) array, which moves the
-        factor's axis to the end; an FFT's output keeps its input's strides,
-        and the next reshape copies it to C order.  So after k steps the
-        axes are (m, d_1, ..., d_k) again.  One gather along the rows at xi
-        ends it.
+        The DFT over A runs one of `runs` at a time, one matrix product
+        with its (symmetric) matrix or one 1-D FFT.  A form with one run
+        transforms along the rows.  Otherwise the array is read as (|A|, m),
+        axes (d_1, ..., d_k, m) (no copy when f is the transpose of a
+        C-ordered array), and each step views it as (D, rest), D the run's
+        product, transposed to (rest, D), and transforms along that last
+        axis.  A product writes a fresh C-ordered array, which moves the
+        run's axes to the end; an FFT's output keeps its input's strides,
+        and the next reshape copies it to C order.  So after the last run
+        the axes are (m, d_1, ..., d_k) again.  One gather at xi ends it.
         """
-        mats, orders = self.dft_matrices, self.df.orders
-        if len(orders) == 1:
-            (d,) = orders
-            f = f @ mats[d] if d in mats else np.fft.fft(f, axis=1)
-        elif orders:
+        runs = self.runs
+        if len(runs) == 1:
+            ((_, m),) = runs
+            f = np.fft.fft(f, axis=1) if m is None else f @ m
+        elif runs:
             f = np.ascontiguousarray(f.T)
-            for d in orders:
-                f = f.reshape(d, -1).T
-                f = f @ mats[d] if d in mats else np.fft.fft(f, axis=1)
+            for size, m in runs:
+                f = f.reshape(size, -1).T
+                f = np.fft.fft(f, axis=1) if m is None else f @ m
             f = f.reshape(-1, self.dimension)
         out = np.take(f, self.xi, axis=1)
         out *= self.s_phase
@@ -180,13 +199,15 @@ def _max_abs(m: np.ndarray) -> float:
 
 
 def _probes(d: int) -> np.ndarray:
-    """The (d, PROBE_RANDOM + 3) probe vectors, the same on every call.
+    """The PROBE_RANDOM + 3 probe vectors as rows, the same on every call.
 
     The random ones have real and imaginary parts uniform in [-1/2, 1/2)
     before normalising, from splitmix64 (Steele, Lea and Flood, 2014) of
     PROBE_SEED + i * 0x9E3779B97F4A7C15: integer operations only, so the same
     on every machine, and no numpy.random, whose import takes longer than
-    a whole check of a small form.  The integer steps run in place.
+    a whole check of a small form.  The integer steps run in place.  The
+    norms sum |z|^2 one entry after another (a cumulative sum, not numpy's
+    pairwise one), so the bits are those of the first (d, 7) build.
     """
     n = d * PROBE_RANDOM
     z = np.arange(1, 2 * n + 1, dtype=np.uint64)
@@ -202,12 +223,13 @@ def _probes(d: int) -> np.ndarray:
     z >>= 11
     u = np.multiply(z, 2.0**-53)
     u -= 0.5
-    p = np.zeros((d, PROBE_RANDOM + 3), dtype=complex)
-    rand = p[:, :PROBE_RANDOM]
-    rand.real = u[:n].reshape(d, PROBE_RANDOM)
-    rand.imag = u[n:].reshape(d, PROBE_RANDOM)
-    rand /= np.linalg.norm(rand, axis=0)
-    for col, row in enumerate((0, d // 2, d - 1), start=PROBE_RANDOM):
+    parts = u.reshape(2, d, PROBE_RANDOM)  # real parts, then imaginary
+    p = np.zeros((PROBE_RANDOM + 3, d), dtype=complex)
+    rand = p[:PROBE_RANDOM]
+    rand.real = parts[0].T
+    rand.imag = parts[1].T
+    rand /= np.sqrt(np.cumsum((rand.conj() * rand).real, axis=1)[:, -1:])
+    for row, col in enumerate((0, d // 2, d - 1), start=PROBE_RANDOM):
         p[row, col] = 1.0
     return p
 
@@ -228,7 +250,7 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
 
     S^2 = Z, (ST)^3 = S^2, S unitary as <Su, Sv> = <u, v>, and S^2 moving
     the weight at -gamma to gamma with modulus kept (the Z-swap) are each
-    checked on the columns of `_probes` and report the largest entry of the
+    checked on the rows of `_probes` and report the largest entry of the
     residual.  (ST)^3 = S^2 reads S(TSTST) = S(S); S is invertible, so
     multiplying both sides by S^-1 on the left shows it holds exactly when
     TSTST = S.  It is checked in that form, as t*S(t*S(t*p)) against the
@@ -248,13 +270,13 @@ def verify_relations(w: WeilRep, tol: float = 1e-9) -> RelationReport:
 
     The probes, Sp, S^2 p and p at -gamma, with the moduli of the last two
     (half as large, as reals), or two applications of rho(S) in flight:
-    the check holds at most five (|A|, 7) complex arrays' worth of memory
+    the check holds at most five (7, |A|) complex arrays' worth of memory
     at once.  Reports errors, never raises.
     """
     err_tn = _max_abs(w.t_diag - np.exp((2j * np.pi / w.level) * w.df.qn))
-    # the probes as the rows of a (7, |A|) array, so that rho(T), the
-    # gathers and a cyclic form's transform run along contiguous rows
-    p = np.ascontiguousarray(_probes(w.dimension).T)
+    # the probes as rows, so that rho(T), the gathers and a one-run
+    # transform run along contiguous rows
+    p = _probes(w.dimension)
     sp = w._s_rows(p)
     err_unitary = _max_abs(sp.conj() @ sp.T - p.conj() @ p.T)
     s2p = w._s_rows(sp)
@@ -312,7 +334,8 @@ def traces(w: WeilRep) -> TraceReport:
     z = w.t_diag
     counts = np.bincount(w.df.qn, minlength=n)
     keys = np.flatnonzero(counts)
-    s_diag = w.s_phase * z.conj() ** 2
+    s_diag = z.conj()
+    s_diag *= s_diag * w.s_phase
     return TraceReport(
         trT=complex(z.sum()),
         trS=complex(s_diag.sum()),

@@ -9,6 +9,7 @@ are that search, are checked against its summands.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -42,6 +43,7 @@ from nlrank.lattices import (
     _block_invariants,
     _blocks,
     _congruence_signature,
+    _general_block_invariants,
 )
 
 import strategies
@@ -188,6 +190,25 @@ def test_degenerate_block_inside_larger_gram_raises():
             signature(lat)
         with pytest.raises(Degenerate):
             discriminant_form(lat)
+
+
+def test_rank_one_blocks_match_the_general_path():
+    """A rank-one block <w> skips the congruence elimination and the Smith
+    form: the same signature, columns and pairing, with the same types, as
+    the general path, at w = +-1 and +-2 and at seeded w up to past 2^40,
+    and w = 0 is Degenerate on both."""
+    rng = random.Random(20260101)
+    weights = [1, -1, 2, -2]
+    weights += [rng.choice((1, -1)) * rng.randint(3, 10**6) for _ in range(40)]
+    weights += [rng.choice((1, -1)) * rng.randint(2**40 + 1, 2**80) for _ in range(20)]
+    for w in weights:
+        sub = ((w,),)
+        got, want = _block_invariants.__wrapped__(sub), _general_block_invariants(sub)
+        # the reprs show the types too: an int, not a bool, and Fractions
+        assert got == want and repr(got) == repr(want), w
+    for invariants in (_block_invariants.__wrapped__, _general_block_invariants):
+        with pytest.raises(Degenerate, match="singular"):
+            invariants(((0,),))
 
 
 def test_blocks_found_once_per_lattice(monkeypatch):

@@ -83,9 +83,12 @@ def _check_against_dense(df):
 
 
 def test_operators_match_dense_oracle(corpus):
-    # <4>+<6> has orders (4, 6), which do not divide each other
+    # <4>+<6> has orders (4, 6), which do not divide each other; the two
+    # rank-two blocks are cyclic, of orders 7 and 21, with xi(gamma) = m*gamma
+    # for m = 2 and 19, where every <2n> and Lambda_g has m = +-1
     forms = [*corpus.values(), *NON_CYCLIC.values()]
     forms.append(direct_sum(make_lattice([[4]]), make_lattice([[6]])))
+    forms += [make_lattice([[2, 1], [1, 4]]), make_lattice([[2, 5], [5, 2]])]
     forms += [lambda_lattice(g) for g in (50, 100, 150, 200, 201)]
     for lat in forms:
         _check_against_dense(discriminant_form(lat))
@@ -99,9 +102,10 @@ def test_operators_match_dense_oracle_on_random_forms(pieces):
 
 def _check_against_fftn(df):
     """rho(S) on the probe vectors (four random, three basis), as one block
-    and as a single vector, within 1e-12 * |v| of the fftn oracle."""
+    of columns and as a single vector, within 1e-12 * |v| of the fftn
+    oracle."""
     w = build_weil_rep(df)
-    v = _probes(w.dimension)
+    v = _probes(w.dimension).T
     got, want = w.apply_s(v), apply_s_fftn(w, v)
     assert got.shape == want.shape == v.shape
     err = np.max(np.abs(got - want), axis=0)
@@ -122,15 +126,19 @@ def test_apply_s_matches_fftn_on_random_forms(pieces):
 
 
 @pytest.mark.parametrize(
-    "n", [19, 20, 21, MATMUL_MAX_ORDER - 1, MATMUL_MAX_ORDER, MATMUL_MAX_ORDER + 1]
+    "n", [6, 7, 19, 20, 21, MATMUL_MAX_ORDER - 1, MATMUL_MAX_ORDER, MATMUL_MAX_ORDER + 1]
 )
 def test_apply_s_matches_fftn_at_the_threshold(n):
     # U(N) has A = (Z/N)^2: two matrix products up to the threshold, two FFTs
-    # past it; N = 19..21 straddle the threshold of 20 the matrix path had
-    # before it was raised, and stay as cases below the present one
+    # past it, and at N = 6, where N^2 = 36 is within it, one product of
+    # the two factors' Kronecker product (one run); N = 19..21 straddle the
+    # threshold of 20 the matrix path had before it was raised, and stay as
+    # cases below the present one
     df = discriminant_form(hyperbolic(n))
     assert df.orders == (n, n)
-    assert len(build_weil_rep(df).dft_matrices) == (n <= MATMUL_MAX_ORDER)
+    w = build_weil_rep(df)
+    assert len(w.dft_matrices) == (n <= MATMUL_MAX_ORDER)
+    assert [size for size, _ in w.runs] == ([n * n] if n * n <= MATMUL_MAX_ORDER else [n, n])
     _check_against_fftn(df)
 
 
@@ -157,6 +165,9 @@ def test_seven_factors_of_order_two_build_one_matrix():
     assert np.max(np.abs(mats[2] - np.array([[1, 1], [1, -1]]))) < 1e-15
     verify_relations(w)
     assert w.dft_matrices is mats
+    # its two runs, of 2^5 and 2^2 factors, read no fresh roots
+    assert [size for size, _ in w.runs] == [32, 4]
+    assert reads == [(2,)]
 
 
 def test_build_rejects_orders_the_pairing_does_not_fit():
@@ -336,8 +347,8 @@ def test_trace_st_matches_dense_product(corpus):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 58, 128, 400, 4096, 199998])
 def test_probes_are_the_reference_bits(d):
-    got, want = _probes(d), probes_reference(d)
-    assert got.dtype == want.dtype and got.shape == want.shape == (d, 7)
+    got, want = _probes(d), np.ascontiguousarray(probes_reference(d).T)
+    assert got.dtype == want.dtype and got.shape == want.shape == (7, d)
     assert got.tobytes() == want.tobytes()
 
 
